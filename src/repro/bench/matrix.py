@@ -22,11 +22,9 @@ Three matrices are defined:
 
 ``large``
     A single million-vertex road grid × ADDS only — the paper's
-    road-USA regime scaled to what a host run can hold.  Meant for the
-    batch execution mode (``--exec-mode batch``), whose fused
-    dispatches are what make a graph this size tractable; the tiny
-    frontier-to-thread ratio makes it the sharpest latency-bound probe
-    in the harness.
+    road-USA regime scaled to what a host run can hold, run in the
+    ordinary event-stepped simulator.  The tiny frontier-to-thread
+    ratio makes it the sharpest latency-bound probe in the harness.
 
 Graphs deliberately reuse the corpus generators (same code paths the
 suite exercises) but with their own seeds, so a corpus re-tune does not

@@ -183,11 +183,6 @@ class BenchReport:
     #: WorkScheduler the matrix's scheduler-accepting solvers ran on.
     #: Additive within bench_schema 1; absent in pre-PR-7 reports.
     scheduler: Optional[str] = None
-    #: Execution mode ("events"/"batch") the exec-mode-accepting solvers
-    #: ran in.  Additive within bench_schema 1; absent pre-PR-10.  The
-    #: two modes are bit-identical in simulated metrics, so cells remain
-    #: comparable across reports that disagree on this field.
-    exec_mode: Optional[str] = None
 
     @property
     def total_wall_s(self) -> float:
@@ -210,7 +205,6 @@ class BenchReport:
             "created": self.created,
             "host": dict(self.host),
             "scheduler": self.scheduler,
-            "exec_mode": self.exec_mode,
             "totals": {"wall_s": self.total_wall_s},
             "cells": [c.to_json_dict() for c in self.cells],
         }
@@ -224,7 +218,6 @@ def run_bench(
     spec=None,
     cost=None,
     scheduler: Optional[str] = None,
-    exec_mode: Optional[str] = None,
     warmup: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     profile_dir: Optional[Union[str, Path]] = None,
@@ -255,7 +248,7 @@ def run_bench(
     config = EngineConfig(jobs=1)
     cells = plan_cells(
         entries, solvers, spec=spec, cost=cost, scheduler=scheduler,
-        exec_mode=exec_mode, config=config,
+        config=config,
     )
     if profile_dir is not None:
         profile_dir = Path(profile_dir)
@@ -274,7 +267,6 @@ def run_bench(
         },
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         scheduler=scheduler if scheduler is not None else DEFAULT_SCHEDULER,
-        exec_mode=exec_mode if exec_mode is not None else "events",
     )
 
     for cell in cells:

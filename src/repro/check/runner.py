@@ -149,8 +149,6 @@ class CheckReport:
     cross_solver_problems: List[str] = field(default_factory=list)
     #: WorkScheduler the scheduler-accepting solvers were fuzzed on.
     scheduler: Optional[str] = None
-    #: Execution mode the exec-mode-accepting solvers ran in.
-    exec_mode: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -179,11 +177,10 @@ class CheckReport:
             lines.append(f"FAIL cross-solver: {p}")
         verdict = "PASS" if self.ok else "FAIL"
         sched = f", scheduler {self.scheduler}" if self.scheduler else ""
-        mode = f", exec mode {self.exec_mode}" if self.exec_mode else ""
         lines.append(
             f"{verdict}: {len(self.cells)} cells × "
             f"{self.schedules} perturbed schedules (base seed {self.seed}"
-            f"{sched}{mode})"
+            f"{sched})"
         )
         return lines
 
@@ -194,7 +191,6 @@ class CheckReport:
             "schedules": int(self.schedules),
             "seed": int(self.seed),
             "scheduler": self.scheduler,
-            "exec_mode": self.exec_mode,
             "ok": self.ok,
             "cross_solver_problems": list(self.cross_solver_problems),
             "cells": [c.to_json_dict() for c in self.cells],
@@ -211,7 +207,6 @@ def _solve(
     perturb_seed: Optional[int],
     checker,
     scheduler: Optional[str] = None,
-    exec_mode: Optional[str] = None,
 ):
     options: Dict[str, object] = {}
     if solver in CHECKABLE_SOLVERS:
@@ -223,7 +218,6 @@ def _solve(
     request = SolveRequest(
         graph=graph, source=source, spec=spec, cost=cost,
         scheduler=scheduler if info.accepts_scheduler else None,
-        exec_mode=exec_mode if info.accepts_exec_mode else None,
         options=options,
     )
     return info.solve(request)
@@ -238,7 +232,6 @@ def _run_schedule(
     perturb_seed: Optional[int],
     checker_factory: Callable[[], ProtocolChecker],
     scheduler: Optional[str] = None,
-    exec_mode: Optional[str] = None,
 ) -> ScheduleRun:
     run = ScheduleRun(perturb_seed=perturb_seed)
     checker = checker_factory() if solver in CHECKABLE_SOLVERS else None
@@ -246,7 +239,6 @@ def _run_schedule(
         result = _solve(
             graph, solver, source, spec, cost,
             perturb_seed=perturb_seed, checker=checker, scheduler=scheduler,
-            exec_mode=exec_mode,
         )
     except ReproError as exc:
         run.violation = f"{type(exc).__name__}: {exc}"
@@ -275,7 +267,6 @@ def run_check(
     replay: bool = True,
     checker_factory: Optional[Callable[[], ProtocolChecker]] = None,
     scheduler: Optional[str] = None,
-    exec_mode: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CheckReport:
     """Fuzz a matrix (or explicit ``entries``) across perturbed schedules.
@@ -292,12 +283,6 @@ def run_check(
     still join the cross-solver distance oracle — which is exactly how a
     rival scheduler's distances get checked bit-for-bit against the
     baselines (see docs/scheduling.md).
-
-    ``exec_mode`` selects the simulator execution mode for the
-    ``accepts_exec_mode`` solvers.  Checking ``"batch"`` is load-bearing:
-    the checked run commits solo (so the protocol checker sees the
-    event-mode operation order) and the unchecked replay runs the fused
-    path, which the replay comparison then pins bit-for-bit.
     """
     if schedules < 0:
         raise ReproError(f"schedules must be >= 0 (got {schedules})")
@@ -305,10 +290,6 @@ def run_check(
         from repro.core.scheduler import get_scheduler_info
 
         get_scheduler_info(scheduler)  # unknown names fail before solving
-    if exec_mode is not None and exec_mode not in ("events", "batch"):
-        raise ReproError(
-            f"unknown exec mode {exec_mode!r} (pick 'events' or 'batch')"
-        )
     spec = spec or default_gpu()
     cost = cost or default_cost(spec)
     notify = progress or (lambda msg: None)
@@ -325,8 +306,7 @@ def run_check(
             solvers = ("adds",)
 
     report = CheckReport(
-        target=target, schedules=schedules, seed=seed, scheduler=scheduler,
-        exec_mode=exec_mode,
+        target=target, schedules=schedules, seed=seed, scheduler=scheduler
     )
     for entry in entries:
         graph = entry.graph()
@@ -339,7 +319,7 @@ def run_check(
 
             canonical = _run_schedule(
                 graph, solver, source, spec, cost, None, factory,
-                scheduler=scheduler, exec_mode=exec_mode,
+                scheduler=scheduler,
             )
             cell.runs.append(canonical)
             if canonical.violation is not None:
@@ -359,7 +339,7 @@ def run_check(
                 pseed = schedule_seed(seed, i)
                 run = _run_schedule(
                     graph, solver, source, spec, cost, pseed, factory,
-                    scheduler=scheduler, exec_mode=exec_mode,
+                    scheduler=scheduler,
                 )
                 cell.runs.append(run)
                 if run.violation is not None:
@@ -382,7 +362,7 @@ def run_check(
                     again = _run_schedule(
                         graph, solver, source, spec, cost, pseed,
                         lambda: None,  # unchecked: proves checker passivity
-                        scheduler=scheduler, exec_mode=exec_mode,
+                        scheduler=scheduler,
                     )
                     run.replay_ok = (
                         again.violation is None

@@ -158,7 +158,6 @@ def cmd_solve(ns) -> int:
         cost=cost,
         delta=ns.delta,
         scheduler=ns.scheduler,
-        exec_mode=ns.exec_mode,
     )
     result = info.solve(request)
     if ns.json:
@@ -282,7 +281,6 @@ def cmd_bench(ns) -> int:
         spec=spec,
         cost=cost,
         scheduler=ns.scheduler,
-        exec_mode=ns.exec_mode,
         progress=progress,
         profile_dir=ns.profile,
     )
@@ -460,7 +458,6 @@ def cmd_check(ns) -> int:
         replay=not ns.no_replay,
         checker_factory=checker_factory,
         scheduler=ns.scheduler,
-        exec_mode=ns.exec_mode,
         progress=progress,
     )
     if ns.json:
@@ -543,16 +540,6 @@ def _add_scheduler_flag(p):
                         f"{DEFAULT_SCHEDULER!r}; see docs/scheduling.md)")
 
 
-def _add_exec_mode_flag(p):
-    p.add_argument("--exec-mode", dest="exec_mode",
-                   choices=["events", "batch"], default=None,
-                   help="simulator execution mode for exec-mode-accepting "
-                        "solvers: 'events' steps one block at a time, "
-                        "'batch' fuses same-timestamp relaxation dispatches "
-                        "(bit-identical outputs, much faster; default "
-                        "'events'; see docs/simulator.md)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro",
@@ -599,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json-dist", action="store_true",
                    help="include the full distance array in --json output")
     _add_scheduler_flag(s)
-    _add_exec_mode_flag(s)
     _add_device_flags(s)
     s.set_defaults(fn=cmd_solve)
 
@@ -651,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--json", action="store_true",
                    help="emit the report (plus compare verdict) as JSON")
     _add_scheduler_flag(b)
-    _add_exec_mode_flag(b)
     _add_device_flags(b)
     b.set_defaults(fn=cmd_bench)
 
@@ -738,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--json", action="store_true",
                     help="emit the report as JSON")
     _add_scheduler_flag(ck)
-    _add_exec_mode_flag(ck)
     _add_device_flags(ck)
     ck.set_defaults(fn=cmd_check)
 

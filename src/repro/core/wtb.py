@@ -22,13 +22,12 @@ its memory effects land when the batch *finishes*, so concurrent WTBs
 genuinely race on the distance array and redundant work arises exactly as
 it does on hardware.
 
-The relaxation phase (steps 1–2) lives in :func:`make_relax_kernel` as
-array kernels split at the phase's protocol-visible seams, so the batch
-execution mode (:mod:`repro.core.batch`) can run several workers'
-phases as fused numpy operations at one timestamp.  The event-mode
-program runs the same kernels sequentially — both modes execute
-identical array operations against identical state, which is what keeps
-the simulated outputs bit-identical between them.
+Step 2 is :func:`make_relax`: one closure per solve, shared by every
+worker, holding the hoisted per-solve bindings (64-bit CSR twins, the
+per-vertex adjacency cache, the batch price memo).  Each worker's step 2
+runs alone in its own event: the single-reader MTB hands out assignments
+one at a time, so too few workers are ready at one timestamp for fusing
+their relaxations to pay (see ``docs/simulator.md``).
 """
 
 from __future__ import annotations
@@ -39,47 +38,22 @@ import numpy as np
 
 from repro.graphs.csr import expand_frontier
 
-__all__ = [
-    "wtb_program",
-    "make_relax_kernel",
-    "AF_IDLE",
-    "AF_ASSIGNED",
-    "AF_STOP",
-]
+__all__ = ["wtb_program", "make_relax", "AF_IDLE", "AF_ASSIGNED", "AF_STOP"]
 
 AF_IDLE = 0
 AF_ASSIGNED = 1
 AF_STOP = 2
 
 
-def make_relax_kernel(state):
-    """The WTB relaxation phase as batchable array kernels.
+def make_relax(state):
+    """The WTB relaxation phase (step 2) as one per-solve closure.
 
-    Returns a namespace of closures sharing one set of per-solve hoisted
-    bindings (the int64/float64 CSR twins, the per-vertex adjacency
-    cache, the batch price memo):
-
-    - ``begin(wid)`` — decode the AF and read the assigned items (the
-      claim + the bucket read);
-    - ``expand(b)`` — stale-filter, expand the live frontier, price the
-      batch, and compute candidate distances (*reads* ``dist``);
-    - ``commit(e)`` — apply the atomic-min batch (*writes* ``dist``);
-    - ``commit_group(entries)`` — fuse several workers' batches whose
-      destination index sets are pairwise disjoint into **one**
-      ``atomic_min_batch`` call, recovering each worker's winner mask by
-      slicing.  Disjointness means the dedup never crosses worker
-      boundaries, so the sliced masks — and every metric the call bumps
-      — are bit-identical to per-worker ``commit`` calls;
-    - ``dispatch(wid)`` — the sequential composition
-      ``commit(expand(begin(wid)))`` used by the event-mode program and
-      by any batch-mode dispatch that could not be fused.
-
-    Entry layouts (plain tuples, hot path):
-    ``begin``  → ``(slot, start, end, epoch, k, verts, pushed)``;
-    ``expand``/``commit`` input → ``(slot, k, epoch, n_live, edges,
-    latency, nbytes, srcs, dsts, cand)``;
-    ``commit`` output → ``(slot, k, epoch, n_live, edges, latency,
-    nbytes, new_v, nw)``.
+    ``relax(wid)`` decodes worker ``wid``'s AF, reads the assigned items,
+    drops stale ones, expands the live frontier, prices the batch and
+    applies its atomic-min on the distance array.  It returns the plain
+    tuple ``(slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)``
+    where ``new_v`` holds the ``nw`` winning destinations (``None`` when
+    the batch has no edges).
     """
     dev = state.device
     cost = dev.cost
@@ -94,12 +68,12 @@ def make_relax_kernel(state):
     # math and int64 atomics, so gathering from 64-bit twins of the CSR
     # arrays skips two per-batch ``astype`` copies.  Values are identical
     # (int32→int64 and int32/float32→float64 are exact).
-    col64 = state.col64 if state.col64 is not None else graph.col_indices.astype(np.int64)
-    w64 = state.w64 if state.w64 is not None else graph.weights.astype(np.float64)
+    col64 = state.col64
+    w64 = state.w64
     exp_graph = SimpleNamespace(
         row_offsets=graph.row_offsets, col_indices=col64, weights=w64
     )
-    # Hoisted hot-path lookups: these closures run once per assignment,
+    # Hoisted hot-path lookups: this closure runs once per assignment,
     # tens of thousands of times per solve.
     af_slot_item = state.af_slot.item
     af_start_item = state.af_start.item
@@ -107,20 +81,21 @@ def make_relax_kernel(state):
     af_epoch_item = state.af_epoch.item
     read_items = q.read_items
     atomic_min_batch = mem.atomic_min_batch
-    batch_price = cost.wtb_batch_price
-    # Local int-keyed view of the cost model's price memo: avg_deg and
-    # float_weights are fixed for the whole solve.
+    wtb_batch_latency = cost.wtb_batch_latency
+    wtb_batch_bytes = cost.wtb_batch_bytes
+    # Batch pricing is a pure function of the edge count once the solve
+    # fixes float_weights and avg_deg, and edge counts repeat heavily
+    # (chunk sizes × a bounded degree mix), so memoize per solve.
     price_memo: dict = {}
     count_nonzero = np.count_nonzero
     concatenate = np.concatenate
     adj = state.adj
     ro_item = graph.row_offsets.item
     dist_item = dist.item
-    # dynamic protocol checker (repro.check); getattr so hand-built test
-    # states without the field keep working
-    checker = getattr(state, "checker", None)
+    # dynamic protocol checker (repro.check), or None
+    checker = state.checker
 
-    def begin(wid: int):
+    def relax(wid: int):
         slot = af_slot_item(wid)
         start = af_start_item(wid)
         end = af_end_item(wid)
@@ -131,10 +106,6 @@ def make_relax_kernel(state):
             # exactly what the MTB assigned, in the epoch it was made
             checker.on_claim(wid, slot, start, end, epoch)
         verts, pushed = read_items(slot, start, end)
-        return (slot, start, end, epoch, k, verts, pushed)
-
-    def expand(b):
-        slot, start, end, epoch, k, verts, pushed = b
         if adj is not None and k <= 12:
             # Fused scalar path for small chunks (the dominant shape on
             # mesh/road graphs): one pass does the stale check and gathers
@@ -181,27 +152,21 @@ def make_relax_kernel(state):
             edges = int(dsts.size)
         priced = price_memo.get(edges)
         if priced is None:
-            priced = price_memo[edges] = batch_price(
-                edges, avg_deg, float_weights=float_weights
+            priced = price_memo[edges] = (
+                wtb_batch_latency(edges, float_weights=float_weights),
+                wtb_batch_bytes(edges, avg_deg),
             )
         latency, nbytes = priced
         # Distance updates commit as the batch runs (hardware atomics are
         # visible to concurrently running blocks), so they are applied at
         # dispatch; the *work items* this batch spawns only become visible
         # when the push instructions + WCC increments execute, i.e. after
-        # the batch's duration.
+        # the batch's duration (see wtb_program).
         state.work_count += n_live
-        if edges:
-            cand = dist[srcs] + ws
-        else:
-            srcs = dsts = cand = None
-        return (slot, k, epoch, n_live, edges, latency, nbytes, srcs, dsts, cand)
-
-    def commit(e):
-        slot, k, epoch, n_live, edges, latency, nbytes, srcs, dsts, cand = e
         nw = 0
         new_v = None
         if edges:
+            cand = dist[srcs] + ws
             winners = atomic_min_batch(
                 dist, dsts, cand, payload=srcs, payload_out=pred_out
             )
@@ -209,58 +174,18 @@ def make_relax_kernel(state):
             nw = int(new_v.size)
         return (slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)
 
-    def commit_group(entries):
-        # entries all have edges > 0 and pairwise-disjoint dst sets (the
-        # batch coordinator's conflict grouping guarantees it)
-        winners = atomic_min_batch(
-            dist,
-            concatenate([e[8] for e in entries]),
-            concatenate([e[9] for e in entries]),
-            payload=concatenate([e[7] for e in entries]),
-            payload_out=pred_out,
-        )
-        out = []
-        off = 0
-        for e in entries:
-            edges = e[4]
-            new_v = e[8][winners[off:off + edges]]
-            off += edges
-            out.append(
-                (e[0], e[1], e[2], e[3], edges, e[5], e[6], new_v, int(new_v.size))
-            )
-        return out
-
-    def dispatch(wid: int):
-        return commit(expand(begin(wid)))
-
-    return SimpleNamespace(
-        begin=begin,
-        expand=expand,
-        commit=commit,
-        commit_group=commit_group,
-        dispatch=dispatch,
-    )
+    return relax
 
 
-def wtb_program(state, wid: int, kernel=None, coord=None):
-    """Generator program for worker ``wid`` over the shared solver state.
-
-    ``kernel`` is a shared :func:`make_relax_kernel` namespace (built
-    per-worker when omitted, for hand-built test states); ``coord`` is
-    the :class:`~repro.core.batch.BatchCoordinator` in batch execution
-    mode, or ``None`` for pure event stepping.
-    """
+def wtb_program(state, wid: int, relax):
+    """Generator program for worker ``wid`` over the shared solver state;
+    ``relax`` is the solve's :func:`make_relax` closure."""
     dev = state.device
     q = state.queue
     dist = state.dist
     af_state = state.af_state
     tracer = dev.tracer
     track = f"WTB{wid}"
-    if kernel is None:
-        kernel = make_relax_kernel(state)
-    dispatch = kernel.dispatch
-    take = coord.take if coord is not None else None
-    arm = coord.arm if coord is not None else None
     assigned = lambda: af_state[wid] != AF_IDLE  # noqa: E731 - hot predicate
     # Wake channel for the assignment flag: the MTB notifies ("af", wid)
     # when it writes this worker's AF, so the engine re-evaluates the
@@ -279,19 +204,11 @@ def wtb_program(state, wid: int, kernel=None, coord=None):
     af_edges = state.af_edges
 
     while True:
-        if arm is not None:
-            # Tell the coordinator the next event for this block is a
-            # dispatch resume: while armed + assigned, its heap entry is
-            # eligible for same-timestamp fusion.
-            arm(wid)
         yield ("wait", assigned, af_key)
         if af_state[wid] == AF_STOP:
             return
 
-        res = take(wid) if take is not None else None
-        if res is None:
-            res = dispatch(wid)
-        slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw = res
+        slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw = relax(wid)
 
         if trace_on:
             dev.annotate(

@@ -150,8 +150,6 @@ class Cell:
     cache_dir: Optional[str] = None
     #: WorkScheduler name for ``accepts_scheduler`` solvers (None = default).
     scheduler: Optional[str] = None
-    #: Execution mode ("events"/"batch") for ``accepts_exec_mode`` solvers.
-    exec_mode: Optional[str] = None
     #: Warm start for ``accepts_updates`` solvers (see :mod:`repro.dynamic`):
     #: prior distance array + net EdgeDeltas since it was computed.
     warm_from: Optional[object] = field(default=None, repr=False)
@@ -199,7 +197,6 @@ def plan_cells(
     cost=None,
     solver_options: Optional[Dict[str, dict]] = None,
     scheduler: Optional[str] = None,
-    exec_mode: Optional[str] = None,
     config: EngineConfig,
 ) -> List[Cell]:
     """Expand (suite × solvers) into the cell grid.
@@ -214,10 +211,6 @@ def plan_cells(
     their own algorithm — a sweep mixing ADDS with baselines stays
     valid).  Naming a scheduler when *no* selected solver accepts one is
     an :class:`EngineError`: the flag would be silently dead.
-
-    ``exec_mode`` works the same way for ``accepts_exec_mode`` solvers:
-    ``"events"`` (one-block-at-a-time stepping) or ``"batch"`` (fused
-    same-timestamp relaxation dispatches, bit-identical outputs).
     """
     solver_options = solver_options or {}
     if scheduler is not None:
@@ -228,16 +221,6 @@ def plan_cells(
             raise EngineError(
                 f"--scheduler {scheduler!r} has no effect: none of "
                 f"{sorted(solvers)} accepts a scheduler"
-            )
-    if exec_mode is not None:
-        if exec_mode not in ("events", "batch"):
-            raise EngineError(
-                f"unknown exec mode {exec_mode!r} (pick 'events' or 'batch')"
-            )
-        if not any(get_solver(name).accepts_exec_mode for name in solvers):
-            raise EngineError(
-                f"--exec-mode {exec_mode!r} has no effect: none of "
-                f"{sorted(solvers)} accepts an exec mode"
             )
     cache = GraphCache(config.cache_dir) if config.cache_dir else None
     cells: List[Cell] = []
@@ -265,12 +248,6 @@ def plan_cells(
                         scheduler
                         if scheduler is not None
                         and get_solver(name).accepts_scheduler
-                        else None
-                    ),
-                    exec_mode=(
-                        exec_mode
-                        if exec_mode is not None
-                        and get_solver(name).accepts_exec_mode
                         else None
                     ),
                 )

@@ -134,7 +134,6 @@ def execute_cell(cell) -> Tuple[str, object, float, Tuple[float, float]]:
             spec=cell.spec,
             cost=cell.cost,
             scheduler=getattr(cell, "scheduler", None),
-            exec_mode=getattr(cell, "exec_mode", None),
             warm_from=getattr(cell, "warm_from", None),
             updates=getattr(cell, "updates", None),
             options=dict(cell.options),

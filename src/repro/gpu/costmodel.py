@@ -111,7 +111,6 @@ class CostModel:
             (self.atomic_cycles, self.atomic_cycles * self.float_atomic_multiplier),
         )
         object.__setattr__(self, "_edge_bytes_memo", {})
-        object.__setattr__(self, "_batch_price_memo", {})
 
     def with_overrides(self, **kw) -> "CostModel":
         """A copy with some constants replaced (ablations, sensitivity)."""
@@ -210,28 +209,6 @@ class CostModel:
     def wtb_batch_bytes(self, edges: int, avg_degree: float) -> float:
         """DRAM traffic of a WTB batch, for the reservation clock."""
         return max(edges, 0) * self.effective_edge_bytes(avg_degree)
-
-    def wtb_batch_price(
-        self, edges: int, avg_degree: float, *, float_weights: bool = False
-    ) -> tuple:
-        """``(latency cycles, DRAM bytes)`` of one WTB batch, memoized.
-
-        Solo dispatches and fused multi-worker dispatches both price each
-        worker's batch through this one memo, so batch execution can
-        never drift the simulated cost attribution: a worker's relax
-        event carries the same (latency, bytes) pair whichever mode ran
-        it.  Memoized because edge counts repeat heavily (chunk sizes ×
-        a bounded degree mix) and this sits on the per-dispatch hot path.
-        """
-        key = (edges, avg_degree, float_weights)
-        memo = self._batch_price_memo
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = (
-                self.wtb_batch_latency(edges, float_weights=float_weights),
-                self.wtb_batch_bytes(edges, avg_degree),
-            )
-        return v
 
     # -- MTB management pass -------------------------------------------------- #
 

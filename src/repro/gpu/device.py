@@ -290,38 +290,6 @@ class Device:
         """True if some block is currently waiting on ``channel``."""
         return bool(self._channels.get(channel))
 
-    # -- batch execution support ------------------------------------------------ #
-
-    def ready_peers(self) -> List["BlockContext"]:
-        """The blocks with an event pending at the *current* timestamp, in
-        the exact order the drain loop will pop them.
-
-        This is the readiness harvest of the batch execution mode: a
-        program stepped at time ``t`` may ask which peers are about to
-        run at the same ``t`` and — when their pending steps commute with
-        everything between the pops — execute their array work fused with
-        its own.  Priorities are unique, so sorting the heap's same-time
-        entries reproduces pop order bit-exactly, perturbed or not.
-        """
-        heap = self._heap
-        t = self.now
-        if not heap or heap[0][0] != t:
-            return []
-        return [entry[2] for entry in sorted(e for e in heap if e[0] == t)]
-
-    def attribute_to(self, ctx: Optional["BlockContext"]) -> Optional["BlockContext"]:
-        """Attribute subsequent memory/queue operations to ``ctx``.
-
-        Returns the previous attribution, which the caller must restore.
-        Used by the batch coordinator when it executes a peer block's
-        relaxation phase during another block's step, so protocol
-        checkers and traces see the operations under the block that
-        semantically performs them.
-        """
-        prev = self._current_ctx
-        self._current_ctx = ctx
-        return prev
-
     # -- engine ----------------------------------------------------------------- #
 
     def run(self) -> float:

@@ -127,15 +127,15 @@ class SimMemory:
         64-bit packed (distance, predecessor) update GPU SSSP kernels use
         to keep the shortest-path tree consistent with the distances.
 
-        **Fused-call contract** (the batch execution mode relies on it):
-        for index sets that are disjoint *across* sub-batches, one call
-        over the concatenation is bit-equivalent to the sequential
-        per-sub-batch calls — each concatenated slice of the winner mask
-        equals the solo mask, ``arr``/``payload_out`` land identically,
-        and ``stats.atomics`` grows by the same total.  Within a
-        sub-batch duplicates dedup to the first best entry on both the
-        scalar (``n <= 32``) and vectorized paths, so the equivalence
-        holds regardless of which path each call shape takes.
+        **Fused-call contract**: for index sets that are disjoint
+        *across* sub-batches, one call over the concatenation is
+        bit-equivalent to the sequential per-sub-batch calls — each
+        concatenated slice of the winner mask equals the solo mask,
+        ``arr``/``payload_out`` land identically, and ``stats.atomics``
+        grows by the same total.  Within a sub-batch duplicates dedup to
+        the first best entry on both the scalar (``n <= 32``) and
+        vectorized paths, so the equivalence holds regardless of which
+        path each call shape takes.
         """
         n = int(indices.size)
         self.stats.atomics += n

@@ -11,9 +11,9 @@ plans (graph, solver) cells and hands them to the engine, which executes
 them serially (``jobs=1``, the default — identical to the historic loop)
 or across a process pool, with per-cell timeouts, bounded retries,
 graceful failure records, an on-disk graph cache, and a resumable JSONL
-result store.  The historic ``GPU_SOLVERS``/``TRACEABLE_SOLVERS`` name
-sets are now derived from the registry's capability flags (kept as
-deprecated module attributes for old imports).
+result store.  Which solvers need a device or can be traced comes from
+the registry's capability flags
+(:func:`~repro.baselines.common.solver_names`).
 """
 
 from __future__ import annotations
@@ -50,21 +50,6 @@ __all__ = [
     "run_traced_solve",
     "write_result_files",
 ]
-
-
-def __getattr__(name: str):
-    """Deprecated aliases for the pre-PR-2 hard-coded name sets.
-
-    ``GPU_SOLVERS``/``TRACEABLE_SOLVERS`` are now *derived* from the
-    capability flags solvers declare at registration time
-    (:func:`repro.baselines.common.register_solver`); query those flags
-    via :func:`repro.baselines.common.solver_names` instead.
-    """
-    if name == "GPU_SOLVERS":
-        return frozenset(solver_names(needs_device=True))
-    if name == "TRACEABLE_SOLVERS":
-        return frozenset(solver_names(traceable=True))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import compare_reports
@@ -140,3 +144,19 @@ class TestFieldGaps:
         del bad["cells"][0]["graph"]
         with pytest.raises(ReproError):
             compare_reports(bad, payload(BASE))
+
+
+class TestLegacyPayloads:
+    def test_retired_exec_mode_field_is_ignored(self):
+        """Reports written while the batch execution mode existed carry a
+        top-level ``exec_mode``; they must still load as baselines against
+        current reports, which omit it."""
+        path = Path(__file__).resolve().parents[2] / "BENCH_pr10.json"
+        base = json.loads(path.read_text())
+        assert base["exec_mode"] == "batch"
+        cur = copy.deepcopy(base)
+        del cur["exec_mode"]
+        cmp = compare_reports(base, cur, threshold_pct=10)
+        assert cmp.ok
+        assert not cmp.mismatches and not cmp.missing and not cmp.field_gaps
+        assert len(cmp.deltas) == len(base["cells"])

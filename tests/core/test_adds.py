@@ -10,8 +10,9 @@ import pytest
 
 from repro.baselines import davidson_delta, solve_nf
 from repro.core import AddsConfig, solve_adds
+from repro.dynamic import EdgeDeltas
 from repro.errors import SolverError
-from repro.graphs import from_edge_list
+from repro.graphs import from_edge_list, grid_road
 
 
 class TestConfigHandling:
@@ -168,3 +169,24 @@ class TestDeviceChoice:
             small_rmat, 0, spec=sim_gpu(RTX_3090), cost=sim_cost(sim_gpu(RTX_3090))
         ).time_us
         assert t3090 <= t2080 * 1.05
+
+
+@pytest.mark.parametrize("scheduler", ["bucket", "mlmq"])
+class TestEdgeCases:
+    def test_empty_dirty_frontier(self, scheduler):
+        g = grid_road(10, 10, seed=9)
+        warm = solve_adds(g, 0, scheduler=scheduler).dist
+        res = solve_adds(
+            g, 0, scheduler=scheduler,
+            warm_from=warm, updates=EdgeDeltas.empty(),
+        )
+        np.testing.assert_array_equal(res.dist, warm)
+
+    def test_single_vertex(self, scheduler):
+        r = solve_adds(from_edge_list(1, []), 0, scheduler=scheduler)
+        assert r.dist[0] == 0.0
+        assert r.work_count == 1
+
+    def test_single_vertex_self_loop(self, scheduler):
+        r = solve_adds(from_edge_list(1, [(0, 0, 3)]), 0, scheduler=scheduler)
+        assert r.dist[0] == 0.0

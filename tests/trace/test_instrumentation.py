@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.common import solver_names
 from repro.baselines.nearfar import solve_nf
 from repro.core.adds import solve_adds
 from repro.errors import SolverError
 from repro.graphs import clique_chain, grid_road
-from repro.harness import TRACEABLE_SOLVERS, run_traced_solve
+from repro.harness import run_traced_solve
 from repro.trace import Tracer
 from repro.trace.tracer import SPAN
 
@@ -92,6 +93,6 @@ def test_run_traced_solve_writes_artifacts(road, tmp_path):
 
 
 def test_run_traced_solve_rejects_untraceable_solver(road):
-    assert "dijkstra" not in TRACEABLE_SOLVERS
+    assert "dijkstra" not in solver_names(traceable=True)
     with pytest.raises(SolverError):
         run_traced_solve(road, "dijkstra")
