@@ -23,7 +23,7 @@ def ablation_speedups(corpus, rtx3090, config):
         suite=corpus,
         spec=spec,
         cost=cost,
-        solver_options={"adds": {"config": config}},
+        options={"config": config},
     )
     assert not run.verification_failures, run.verification_failures[:3]
     return run.speedups("adds", "nf")

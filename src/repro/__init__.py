@@ -118,13 +118,16 @@ def sssp(graph, source=0, *, algorithm="adds", **options):
         One of ``"adds"`` (the paper's contribution, default), ``"nf"``,
         ``"gun-nf"``, ``"gun-bf"``, ``"nv"``, ``"cpu-ds"``, ``"dijkstra"``.
     options:
-        Forwarded to the solver (e.g. ``spec=``/``cost=`` for GPU solvers,
-        ``config=AddsConfig(...)`` for ADDS, ``delta=`` for the
-        delta-stepping family).
+        Keyword arguments of the solver (e.g. ``spec=``/``cost=`` for GPU
+        solvers, ``config=AddsConfig(...)`` for ADDS, ``delta=`` for the
+        delta-stepping family).  One the solver does not take raises
+        :class:`~repro.errors.SolverError` naming the solvers that do.
 
     Returns
     -------
     SSSPResult
         Distances, work count, simulated time, parallelism timeline.
     """
-    return get_solver(algorithm)(graph, source, **options)
+    return get_solver(algorithm).solve(
+        SolveRequest(graph=graph, source=source, options=options)
+    )

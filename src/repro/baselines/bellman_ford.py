@@ -100,7 +100,7 @@ def bellman_ford_frontier(
     )
 
 
-@register_solver("gun-bf", needs_device=True, traceable=True)
+@register_solver("gun-bf")
 def solve_gun_bf(
     graph: CSRGraph,
     source: int = 0,

@@ -6,26 +6,22 @@ Every solver — the six baselines and ADDS — returns an
 distance vector used by ``verify_against_*`` and the parallelism timeline
 used by Figures 11–15.
 
-Solvers register with capability flags (:class:`SolverInfo`) so the
-harness, CLI and experiment engine never special-case solver *names*:
-``needs_device`` marks solvers that consume a
-:class:`~repro.gpu.specs.DeviceSpec`/:class:`~repro.gpu.costmodel.CostModel`
-pair, ``traceable`` marks solvers whose engine emits
-:class:`~repro.trace.Tracer` events, and so on.  The uniform entry point
-is :meth:`SolverInfo.solve` over a :class:`SolveRequest`; the per-solver
-keyword signatures (``solve_adds(graph, source, spec=..., ...)``) remain
-as thin legacy shims on top of the same functions.
-
-.. versionchanged:: PR 2
-   ``SOLVERS`` maps names to :class:`SolverInfo` (callable, so existing
-   ``SOLVERS[name](graph, source)`` call sites keep working) instead of
-   bare functions.
+Solvers register by name (:func:`register_solver`), and the option keys
+each one accepts are read from its own keyword-only parameters, so the
+harness, CLI and experiment engine never special-case solver *names*: a
+solver taking ``spec=`` runs on the simulated device, one taking
+``tracer=`` emits :class:`~repro.trace.Tracer` events, and so on.  The
+uniform entry point is :meth:`SolverInfo.solve` over a
+:class:`SolveRequest`, whose :class:`Options` carry every per-solve
+setting.
 """
 
 from __future__ import annotations
 
+import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Iterator, Optional
 
 import numpy as np
 
@@ -35,6 +31,7 @@ from repro.trace.metrics import MetricsRegistry, UNIFORM_SOLVER_KEYS
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
+    "Options",
     "SSSPResult",
     "SolveRequest",
     "SolverInfo",
@@ -206,202 +203,140 @@ def solver_metrics(
     return reg
 
 
-@dataclass
+class Options(Mapping):
+    """A frozen mapping of per-solve options: keyword arguments for the
+    solver function.
+
+    Built like a dict; entries whose value is ``None`` are dropped,
+    because ``None`` already means "the solver's default" in every
+    solver signature.  Picklable, so cells carry it to worker processes.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._items = {
+            k: v for k, v in dict(*args, **kwargs).items() if v is not None
+        }
+
+    def __getitem__(self, key: str) -> object:
+        return self._items[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self) -> str:
+        return f"Options({self._items!r})"
+
+    def to_json(self) -> Dict[str, object]:
+        """The JSON-native scalar entries (what a report records);
+        objects such as a config or a tracer are left out."""
+        return {
+            k: v for k, v in sorted(self._items.items())
+            if isinstance(v, (str, int, float, bool))
+        }
+
+
+@dataclass(frozen=True)
 class SolveRequest:
     """One solver invocation, as a value.
 
     The uniform currency of the invocation API: the CLI, harness and
     :mod:`repro.engine` all describe "run solver X on graph G from source
     s with device D" as a ``SolveRequest`` and submit it through
-    :meth:`SolverInfo.solve`.  Fields a solver does not understand are
-    simply not forwarded (a CPU solver ignores ``spec``/``cost``; a
-    non-traceable solver given a ``tracer`` is rejected loudly).
+    :meth:`SolverInfo.solve`.
 
     Attributes
     ----------
-    graph / source / sources:
-        What to solve.  ``sources`` enables multi-source runs and must
-        contain ``source`` (see :func:`resolve_sources`).
+    graph / source:
+        What to solve.
     spec / cost:
-        Device model for solvers registered with ``needs_device``;
-        ``None`` means the solver's own default (the calibrated scaled
-        RTX 2080 Ti).
-    delta:
-        Initial/static Δ override for the delta-stepping family
-        (``accepts_delta`` solvers).
-    config:
-        Solver configuration object (``accepts_config`` solvers; for
-        ADDS an :class:`~repro.core.config.AddsConfig`).
-    tracer:
-        A :class:`~repro.trace.Tracer` for ``traceable`` solvers.
-    scheduler:
-        Registered :class:`~repro.core.scheduler.WorkScheduler` name
-        (``accepts_scheduler`` solvers; for ADDS ``"bucket"`` or
-        ``"mlmq"``).  ``None`` means the solver's default scheduler.
-    warm_from / updates:
-        Incremental re-solve (``accepts_updates`` solvers): ``warm_from``
-        is the exact distance array of the same source on the graph
-        *before* the edge changes described by ``updates`` (an
-        :class:`~repro.dynamic.updates.EdgeDeltas`) were applied; the
-        solver re-seeds from the dirty frontier instead of the source
-        and produces distances bit-identical to a from-scratch solve
-        (see ``docs/dynamic.md``).  ``updates`` without ``warm_from``
-        is rejected; ``warm_from`` alone asserts the graph is unchanged.
+        Device model, forwarded only to device solvers (those taking a
+        ``spec=``); ``None`` means the solver's own default (the
+        calibrated scaled RTX 2080 Ti).
     options:
-        Extra solver-specific keyword arguments, forwarded verbatim
-        (e.g. ``cpu=``/``cost=`` for the CPU cost models).
+        Every other per-solve setting, as keyword arguments of the
+        solver function: ``sources``, ``delta``, ``config``, ``tracer``,
+        ``scheduler``, ``warm_from``/``updates`` and so on.  A key the
+        solver does not take is rejected (see :meth:`SolverInfo.solve`).
     """
 
     graph: "object"  # CSRGraph; typed loosely to avoid an import cycle
     source: int = 0
-    sources: Optional[Sequence[int]] = None
     spec: Optional[object] = None
     cost: Optional[object] = None
-    delta: Optional[float] = None
-    config: Optional[object] = None
-    tracer: Optional[object] = None
-    scheduler: Optional[str] = None
-    warm_from: Optional[np.ndarray] = None
-    updates: Optional[object] = None  # EdgeDeltas; loose to avoid a cycle
-    options: Dict[str, object] = field(default_factory=dict)
+    options: Mapping[str, object] = field(default_factory=Options)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "options", Options(self.options))
 
 
 @dataclass(frozen=True)
 class SolverInfo:
-    """A registered solver: its callable plus declared capabilities.
-
-    Calling the info object forwards to the legacy keyword signature, so
-    code (and tests) written against ``get_solver(name)(graph, source,
-    **kwargs)`` keeps working unchanged; :meth:`solve` is the uniform
-    :class:`SolveRequest` entry point everything new should use.
-    """
+    """A registered solver: its function plus the option keys it takes."""
 
     name: str
     fn: Callable = field(repr=False)
-    #: Consumes ``spec=``/``cost=`` (a simulated-GPU solver).
-    needs_device: bool = False
-    #: Accepts a ``tracer=`` and emits structured trace events.
-    traceable: bool = False
-    #: Accepts a ``delta=`` override (the delta-stepping family).
-    accepts_delta: bool = False
-    #: Accepts a ``config=`` object (currently only ADDS).
-    accepts_config: bool = False
-    #: Accepts a ``scheduler=`` WorkScheduler name (currently only ADDS).
-    accepts_scheduler: bool = False
-    #: Accepts ``warm_from=``/``updates=`` incremental re-solve seeds.
-    accepts_updates: bool = False
+    #: Keyword-only parameters of :attr:`fn`, read once at registration.
+    params: FrozenSet[str] = frozenset()
 
-    def __call__(self, graph, source: int = 0, **kwargs) -> "SSSPResult":
-        """Legacy keyword-style invocation (thin shim over :attr:`fn`).
-
-        .. deprecated:: PR 2
-           Prefer :meth:`solve` with a :class:`SolveRequest`; this shim
-           stays for existing call sites and per-solver keyword options.
-        """
-        return self.fn(graph, source, **kwargs)
+    def accepts(self, key: str) -> bool:
+        """Whether the solver takes option ``key`` (``"spec"`` marks a
+        simulated-GPU solver, ``"tracer"`` a traceable one)."""
+        return key in self.params
 
     def solve(self, request: SolveRequest) -> "SSSPResult":
         """Run this solver on a :class:`SolveRequest`.
 
-        Maps the request's uniform fields onto the solver's keyword
-        signature according to the declared capabilities, rejecting
-        fields the solver cannot honor (rather than silently dropping a
-        requested tracer, Δ or config).
+        Every option must be a keyword parameter of the solver; one that
+        is not raises :class:`SolverError` naming the solvers that take
+        it, rather than silently dropping a requested tracer, Δ or
+        config.  The device pair goes only to device solvers.
         """
-        kwargs: Dict[str, object] = dict(request.options)
-        if request.sources is not None:
-            kwargs.setdefault("sources", request.sources)
-        if self.needs_device:
+        for key in request.options:
+            if key not in self.params:
+                raise SolverError(
+                    f"solver {self.name!r} does not take option {key!r}; "
+                    f"solvers that do: {solver_names(accepts=key) or 'none'}"
+                )
+        kwargs = dict(request.options)
+        if "spec" in self.params:
             if request.spec is not None:
                 kwargs.setdefault("spec", request.spec)
             if request.cost is not None:
                 kwargs.setdefault("cost", request.cost)
-        if request.tracer is not None:
-            if not self.traceable:
-                raise SolverError(
-                    f"solver {self.name!r} does not support tracing; "
-                    f"pick one of {solver_names(traceable=True)}"
-                )
-            kwargs.setdefault("tracer", request.tracer)
-        if request.delta is not None:
-            if not self.accepts_delta:
-                raise SolverError(
-                    f"solver {self.name!r} does not take a delta override"
-                )
-            kwargs.setdefault("delta", request.delta)
-        if request.config is not None:
-            if not self.accepts_config:
-                raise SolverError(
-                    f"solver {self.name!r} does not take a config object"
-                )
-            kwargs.setdefault("config", request.config)
-        if request.scheduler is not None:
-            if not self.accepts_scheduler:
-                raise SolverError(
-                    f"solver {self.name!r} does not take a scheduler; "
-                    f"pick one of {solver_names(accepts_scheduler=True)}"
-                )
-            kwargs.setdefault("scheduler", request.scheduler)
-        if request.warm_from is not None or request.updates is not None:
-            if not self.accepts_updates:
-                raise SolverError(
-                    f"solver {self.name!r} does not take warm_from/updates; "
-                    f"pick one of {solver_names(accepts_updates=True)}"
-                )
-            if request.warm_from is not None:
-                kwargs.setdefault("warm_from", request.warm_from)
-            if request.updates is not None:
-                kwargs.setdefault("updates", request.updates)
         return self.fn(request.graph, request.source, **kwargs)
 
 
-#: Registry mapping solver name -> :class:`SolverInfo` (callable, so the
-#: pre-PR-2 ``SOLVERS[name](graph, source)`` idiom still works).
+#: Registry mapping solver name -> :class:`SolverInfo`.
 SOLVERS: Dict[str, SolverInfo] = {}
 
 
-def register_solver(
-    name: str,
-    *,
-    needs_device: bool = False,
-    traceable: bool = False,
-    accepts_delta: bool = False,
-    accepts_config: bool = False,
-    accepts_scheduler: bool = False,
-    accepts_updates: bool = False,
-) -> Callable:
+def register_solver(name: str) -> Callable:
     """Decorator registering a solver under its paper name.
 
-    The keyword flags declare capabilities once, at registration time —
-    they replace the ad-hoc ``GPU_SOLVERS``/``TRACEABLE_SOLVERS`` name
-    sets the harness and CLI used to hard-code.
+    The option keys the solver accepts are its keyword-only parameters,
+    read once here; callers never declare them separately.
     """
 
     def deco(fn: Callable) -> Callable:
         if name in SOLVERS:
             raise SolverError(f"duplicate solver registration: {name}")
-        SOLVERS[name] = SolverInfo(
-            name=name,
-            fn=fn,
-            needs_device=needs_device,
-            traceable=traceable,
-            accepts_delta=accepts_delta,
-            accepts_config=accepts_config,
-            accepts_scheduler=accepts_scheduler,
-            accepts_updates=accepts_updates,
+        params = frozenset(
+            p.name
+            for p in inspect.signature(fn).parameters.values()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY
         )
+        SOLVERS[name] = SolverInfo(name=name, fn=fn, params=params)
         return fn
 
     return deco
 
 
 def get_solver(name: str) -> SolverInfo:
-    """Look up a registered solver (``adds``, ``nf``, ``gun-bf``, ...).
-
-    Returns the (callable) :class:`SolverInfo`, so both the legacy
-    ``get_solver(name)(graph, source, **kwargs)`` idiom and the uniform
-    ``get_solver(name).solve(request)`` path work.
-    """
+    """Look up a registered solver (``adds``, ``nf``, ``gun-bf``, ...);
+    run it with ``get_solver(name).solve(request)``."""
     try:
         return SOLVERS[name]
     except KeyError:
@@ -414,36 +349,14 @@ def get_solver(name: str) -> SolverInfo:
 get_solver_info = get_solver
 
 
-def solver_names(
-    *,
-    needs_device: Optional[bool] = None,
-    traceable: Optional[bool] = None,
-    accepts_delta: Optional[bool] = None,
-    accepts_config: Optional[bool] = None,
-    accepts_scheduler: Optional[bool] = None,
-    accepts_updates: Optional[bool] = None,
-) -> list:
-    """Sorted registered names, filtered by capability flags.
-
-    ``None`` means "don't care"; e.g. ``solver_names(traceable=True)`` is
-    the set the ``trace`` subcommand offers.
-    """
-    out = []
-    for name, info in SOLVERS.items():
-        if needs_device is not None and info.needs_device != needs_device:
-            continue
-        if traceable is not None and info.traceable != traceable:
-            continue
-        if accepts_delta is not None and info.accepts_delta != accepts_delta:
-            continue
-        if accepts_config is not None and info.accepts_config != accepts_config:
-            continue
-        if accepts_scheduler is not None and info.accepts_scheduler != accepts_scheduler:
-            continue
-        if accepts_updates is not None and info.accepts_updates != accepts_updates:
-            continue
-        out.append(name)
-    return sorted(out)
+def solver_names(*, accepts: Optional[str] = None) -> list:
+    """Sorted registered names; with ``accepts``, only the solvers that
+    take that option (e.g. ``solver_names(accepts="tracer")`` is the set
+    the ``trace`` subcommand offers)."""
+    return sorted(
+        name for name, info in SOLVERS.items()
+        if accepts is None or info.accepts(accepts)
+    )
 
 
 def resolve_sources(n: int, source: int, sources) -> np.ndarray:

@@ -42,7 +42,7 @@ __all__ = ["solve_cpu_ds"]
 MAX_ROUNDS = 2_000_000
 
 
-@register_solver("cpu-ds", accepts_delta=True)
+@register_solver("cpu-ds")
 def solve_cpu_ds(
     graph: CSRGraph,
     source: int = 0,

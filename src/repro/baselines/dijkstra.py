@@ -34,7 +34,7 @@ from repro.graphs.csr import CSRGraph
 __all__ = ["solve_dijkstra"]
 
 
-@register_solver("dijkstra", accepts_updates=True)
+@register_solver("dijkstra")
 def solve_dijkstra(
     graph: CSRGraph,
     source: int = 0,

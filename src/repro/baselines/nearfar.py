@@ -167,7 +167,7 @@ def near_far(
     )
 
 
-@register_solver("nf", needs_device=True, traceable=True, accepts_delta=True)
+@register_solver("nf")
 def solve_nf(
     graph: CSRGraph,
     source: int = 0,
@@ -195,7 +195,7 @@ def solve_nf(
     )
 
 
-@register_solver("gun-nf", needs_device=True, traceable=True, accepts_delta=True)
+@register_solver("gun-nf")
 def solve_gun_nf(
     graph: CSRGraph,
     source: int = 0,

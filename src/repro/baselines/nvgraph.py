@@ -42,7 +42,7 @@ NV_OVERHEAD = 2.6
 NV_SETUP_US = 60.0
 
 
-@register_solver("nv", needs_device=True, traceable=True)
+@register_solver("nv")
 def solve_nv(
     graph: CSRGraph,
     source: int = 0,

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.baselines.common import RESULT_SCHEMA_VERSION, SSSPResult
+from repro.baselines.common import RESULT_SCHEMA_VERSION, Options, SSSPResult
 from repro.bench.matrix import matrix_entries, matrix_solvers
 from repro.calibration import default_cost, default_gpu
 from repro.core.scheduler import DEFAULT_SCHEDULER
@@ -180,9 +180,11 @@ class BenchReport:
     cells: List[BenchCell] = field(default_factory=list)
     host: Dict[str, str] = field(default_factory=dict)
     created: Optional[str] = None
-    #: WorkScheduler the matrix's scheduler-accepting solvers ran on.
-    #: Additive within bench_schema 1; absent in pre-PR-7 reports.
-    scheduler: Optional[str] = None
+    #: JSON-native per-solve options the matrix ran with, including the
+    #: WorkScheduler of the scheduler-accepting solvers.  Additive within
+    #: bench_schema 1; reports written before it carry a top-level
+    #: ``scheduler`` instead.
+    options: Dict[str, object] = field(default_factory=dict)
 
     @property
     def total_wall_s(self) -> float:
@@ -204,7 +206,7 @@ class BenchReport:
             "repeats": int(self.repeats),
             "created": self.created,
             "host": dict(self.host),
-            "scheduler": self.scheduler,
+            "options": dict(self.options),
             "totals": {"wall_s": self.total_wall_s},
             "cells": [c.to_json_dict() for c in self.cells],
         }
@@ -217,7 +219,7 @@ def run_bench(
     repeats: int = 3,
     spec=None,
     cost=None,
-    scheduler: Optional[str] = None,
+    options: Optional[Dict[str, object]] = None,
     warmup: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     profile_dir: Optional[Union[str, Path]] = None,
@@ -229,7 +231,8 @@ def run_bench(
     metrics (``time_us``, ``work_count``, distances) are asserted
     identical across repeats — the simulator is deterministic, and a
     repeat that disagrees means the tree itself is broken, which must
-    fail the benchmark rather than average out.
+    fail the benchmark rather than average out.  ``options`` are
+    per-solve options, each applied to the matrix solvers that accept it.
 
     With ``profile_dir`` set, each cell gets one *extra* untimed run
     under :mod:`cProfile` (profiling skews timing, so it never wraps the
@@ -247,8 +250,7 @@ def run_bench(
     solvers = matrix_solvers(matrix)
     config = EngineConfig(jobs=1)
     cells = plan_cells(
-        entries, solvers, spec=spec, cost=cost, scheduler=scheduler,
-        config=config,
+        entries, solvers, spec=spec, cost=cost, options=options, config=config,
     )
     if profile_dir is not None:
         profile_dir = Path(profile_dir)
@@ -266,7 +268,9 @@ def run_bench(
             "rss_unit": RSS_UNIT,
         },
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        scheduler=scheduler if scheduler is not None else DEFAULT_SCHEDULER,
+        options={
+            "scheduler": DEFAULT_SCHEDULER, **Options(options or {}).to_json()
+        },
     )
 
     for cell in cells:

@@ -6,9 +6,9 @@ batch by batch, and after every batch compares
 
 - a **from-scratch** solve of the post-update graph (serial Dijkstra,
   the repo's reference oracle), against
-- an **incremental** re-solve per *lane*: each lane is one
-  ``accepts_updates`` configuration (Dijkstra warm mode; ADDS under
-  each registered WorkScheduler × canonical + perturbed schedules)
+- an **incremental** re-solve per *lane*: each lane is one warm-start
+  capable solver plus its options (Dijkstra warm mode; ADDS under each
+  registered WorkScheduler × canonical + perturbed schedules)
   seeded from the lane's *own previous answer* plus the batch's
   :class:`~repro.dynamic.updates.EdgeDeltas`.
 
@@ -30,9 +30,9 @@ invalidation or seeding bug, never harmless float noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.baselines.common import SolveRequest, get_solver_info
+from repro.baselines.common import Options, SolveRequest, get_solver
 from repro.bench.matrix import matrix_entries
 from repro.calibration import default_cost, default_gpu
 from repro.check.runner import _dist_sha256, schedule_seed
@@ -51,21 +51,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UpdateLane:
-    """One incremental configuration chained across the stream."""
+    """One incremental configuration chained across the stream: a solver
+    and its per-solve options (e.g. ``scheduler``, ``perturb_seed``)."""
 
     solver: str
-    scheduler: Optional[str] = None
-    perturb_seed: Optional[int] = None
+    options: Mapping[str, object] = field(default_factory=Options)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "options", Options(self.options))
 
     @property
     def label(self) -> str:
-        parts = [self.solver]
-        if self.scheduler is not None:
-            parts.append(self.scheduler)
-        parts.append(
-            "canonical" if self.perturb_seed is None else f"seed={self.perturb_seed}"
+        """``solver/<option values>/canonical`` or ``.../seed=<n>``."""
+        seed = self.options.get("perturb_seed")
+        values = [
+            str(v) for k, v in sorted(self.options.items())
+            if k != "perturb_seed"
+        ]
+        return "/".join(
+            [self.solver, *values, "canonical" if seed is None else f"seed={seed}"]
         )
-        return "/".join(parts)
 
 
 @dataclass
@@ -162,21 +167,14 @@ class UpdateCheckReport:
 
 
 def _solve(graph, lane: UpdateLane, source, spec, cost, *, warm=None, deltas=None):
-    info = get_solver_info(lane.solver)
-    options: Dict[str, object] = {}
-    if lane.perturb_seed is not None:
-        options["perturb_seed"] = lane.perturb_seed
     request = SolveRequest(
         graph=graph,
         source=source,
         spec=spec,
         cost=cost,
-        scheduler=lane.scheduler if info.accepts_scheduler else None,
-        warm_from=warm,
-        updates=deltas,
-        options=options,
+        options=Options(lane.options, warm_from=warm, updates=deltas),
     )
-    return info.solve(request)
+    return get_solver(lane.solver).solve(request)
 
 
 def default_update_lanes(
@@ -187,12 +185,15 @@ def default_update_lanes(
     ones."""
     lanes = [UpdateLane(solver="dijkstra")]
     for sched in schedulers:
-        lanes.append(UpdateLane(solver="adds", scheduler=sched))
+        lanes.append(UpdateLane(solver="adds", options={"scheduler": sched}))
         for i in range(schedules):
             lanes.append(
                 UpdateLane(
-                    solver="adds", scheduler=sched,
-                    perturb_seed=schedule_seed(seed, i),
+                    solver="adds",
+                    options={
+                        "scheduler": sched,
+                        "perturb_seed": schedule_seed(seed, i),
+                    },
                 )
             )
     return lanes

@@ -44,10 +44,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.common import SolveRequest, get_solver_info
+from repro.baselines.common import Options, SolveRequest, get_solver, solver_names
 from repro.bench.matrix import matrix_entries, matrix_solvers
 from repro.calibration import default_cost, default_gpu
 from repro.check.invariants import ProtocolChecker
+from repro.engine.scheduler import sweep_options
 from repro.errors import ReproError
 
 __all__ = [
@@ -62,7 +63,7 @@ __all__ = [
 #: Solvers that accept ``checker=``/``perturb_seed=`` (run on a Device
 #: with schedule freedom).  The BSP baselines are deterministic host
 #: loops — nothing to perturb, nothing to check beyond their output.
-CHECKABLE_SOLVERS = frozenset({"adds"})
+CHECKABLE_SOLVERS = frozenset(solver_names(accepts="checker"))
 
 
 def schedule_seed(seed: int, index: int) -> int:
@@ -147,8 +148,8 @@ class CheckReport:
     seed: int
     cells: List[CellCheck] = field(default_factory=list)
     cross_solver_problems: List[str] = field(default_factory=list)
-    #: WorkScheduler the scheduler-accepting solvers were fuzzed on.
-    scheduler: Optional[str] = None
+    #: JSON-native per-solve options the solvers were fuzzed with.
+    options: Dict[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -176,11 +177,11 @@ class CheckReport:
         for p in self.cross_solver_problems:
             lines.append(f"FAIL cross-solver: {p}")
         verdict = "PASS" if self.ok else "FAIL"
-        sched = f", scheduler {self.scheduler}" if self.scheduler else ""
+        opts = "".join(f", {k} {v}" for k, v in self.options.items())
         lines.append(
             f"{verdict}: {len(self.cells)} cells × "
             f"{self.schedules} perturbed schedules (base seed {self.seed}"
-            f"{sched})"
+            f"{opts})"
         )
         return lines
 
@@ -190,37 +191,11 @@ class CheckReport:
             "target": self.target,
             "schedules": int(self.schedules),
             "seed": int(self.seed),
-            "scheduler": self.scheduler,
+            "options": dict(self.options),
             "ok": self.ok,
             "cross_solver_problems": list(self.cross_solver_problems),
             "cells": [c.to_json_dict() for c in self.cells],
         }
-
-
-def _solve(
-    graph,
-    solver: str,
-    source: int,
-    spec,
-    cost,
-    *,
-    perturb_seed: Optional[int],
-    checker,
-    scheduler: Optional[str] = None,
-):
-    options: Dict[str, object] = {}
-    if solver in CHECKABLE_SOLVERS:
-        if checker is not None:
-            options["checker"] = checker
-        if perturb_seed is not None:
-            options["perturb_seed"] = perturb_seed
-    info = get_solver_info(solver)
-    request = SolveRequest(
-        graph=graph, source=source, spec=spec, cost=cost,
-        scheduler=scheduler if info.accepts_scheduler else None,
-        options=options,
-    )
-    return info.solve(request)
 
 
 def _run_schedule(
@@ -229,16 +204,22 @@ def _run_schedule(
     source: int,
     spec,
     cost,
+    options: Options,
     perturb_seed: Optional[int],
     checker_factory: Callable[[], ProtocolChecker],
-    scheduler: Optional[str] = None,
 ) -> ScheduleRun:
     run = ScheduleRun(perturb_seed=perturb_seed)
-    checker = checker_factory() if solver in CHECKABLE_SOLVERS else None
+    info = get_solver(solver)
+    checker = None
+    if info.accepts("checker"):
+        checker = checker_factory()
+        options = Options(options, checker=checker, perturb_seed=perturb_seed)
     try:
-        result = _solve(
-            graph, solver, source, spec, cost,
-            perturb_seed=perturb_seed, checker=checker, scheduler=scheduler,
+        result = info.solve(
+            SolveRequest(
+                graph=graph, source=source, spec=spec, cost=cost,
+                options=options,
+            )
         )
     except ReproError as exc:
         run.violation = f"{type(exc).__name__}: {exc}"
@@ -266,7 +247,7 @@ def run_check(
     cost=None,
     replay: bool = True,
     checker_factory: Optional[Callable[[], ProtocolChecker]] = None,
-    scheduler: Optional[str] = None,
+    options: Optional[Dict[str, object]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CheckReport:
     """Fuzz a matrix (or explicit ``entries``) across perturbed schedules.
@@ -278,18 +259,15 @@ def run_check(
     fault-injection tests pass a factory for a sabotaged subclass (see
     :mod:`repro.check.testing`).
 
-    ``scheduler`` names a registered WorkScheduler for the
-    ``accepts_scheduler`` solvers; the other solvers run canonically and
-    still join the cross-solver distance oracle — which is exactly how a
-    rival scheduler's distances get checked bit-for-bit against the
-    baselines (see docs/scheduling.md).
+    ``options`` are per-solve options, each applied to the solvers that
+    accept it (:func:`~repro.engine.sweep_options`).  A ``scheduler``
+    reaches only the scheduler-accepting solvers; the others run
+    canonically and still join the cross-solver distance oracle — which
+    is exactly how a rival scheduler's distances get checked bit-for-bit
+    against the baselines (see docs/scheduling.md).
     """
     if schedules < 0:
         raise ReproError(f"schedules must be >= 0 (got {schedules})")
-    if scheduler is not None:
-        from repro.core.scheduler import get_scheduler_info
-
-        get_scheduler_info(scheduler)  # unknown names fail before solving
     spec = spec or default_gpu()
     cost = cost or default_cost(spec)
     notify = progress or (lambda msg: None)
@@ -304,22 +282,24 @@ def run_check(
         target = ",".join(e.name for e in entries)
         if solvers is None:
             solvers = ("adds",)
+    per_solver = sweep_options(solvers, options)
 
     report = CheckReport(
-        target=target, schedules=schedules, seed=seed, scheduler=scheduler
+        target=target, schedules=schedules, seed=seed,
+        options=Options(options or {}).to_json(),
     )
     for entry in entries:
         graph = entry.graph()
         source = entry.source
         by_solver_sha: Dict[str, str] = {}
         for solver in solvers:
-            perturbable = solver in CHECKABLE_SOLVERS
+            perturbable = get_solver(solver).accepts("checker")
+            opts = per_solver[solver]
             cell = CellCheck(graph=entry.name, solver=solver, perturbed=perturbable)
             report.cells.append(cell)
 
             canonical = _run_schedule(
-                graph, solver, source, spec, cost, None, factory,
-                scheduler=scheduler,
+                graph, solver, source, spec, cost, opts, None, factory
             )
             cell.runs.append(canonical)
             if canonical.violation is not None:
@@ -338,8 +318,7 @@ def run_check(
             for i in range(n_perturbed):
                 pseed = schedule_seed(seed, i)
                 run = _run_schedule(
-                    graph, solver, source, spec, cost, pseed, factory,
-                    scheduler=scheduler,
+                    graph, solver, source, spec, cost, opts, pseed, factory
                 )
                 cell.runs.append(run)
                 if run.violation is not None:
@@ -360,9 +339,8 @@ def run_check(
                     )
                 if replay:
                     again = _run_schedule(
-                        graph, solver, source, spec, cost, pseed,
+                        graph, solver, source, spec, cost, opts, pseed,
                         lambda: None,  # unchecked: proves checker passivity
-                        scheduler=scheduler,
                     )
                     run.replay_ok = (
                         again.violation is None

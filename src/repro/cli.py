@@ -38,8 +38,9 @@ from repro.analysis import bin_ratios, format_distribution_table, format_table
 from repro.baselines.common import (
     RESULT_SCHEMA_VERSION,
     SOLVERS,
+    Options,
     SolveRequest,
-    get_solver_info,
+    get_solver,
     solver_names,
 )
 from repro.bench import (
@@ -88,6 +89,16 @@ def _device_args(ns):
         return base, None  # stock CostModel via resolve_device
     spec = sim_gpu(base)
     return spec, sim_cost(spec)
+
+
+#: Flags that are per-solve options; a subcommand without the flag, or a
+#: flag left unset (None), leaves the solver's default in place.
+_OPTION_FLAGS = ("delta", "scheduler", "sources")
+
+
+def _options(ns) -> Options:
+    """The per-solve options named on the command line."""
+    return Options({k: getattr(ns, k, None) for k in _OPTION_FLAGS})
 
 
 def _load_graph(path: str, float_weights: bool):
@@ -146,20 +157,13 @@ def cmd_info(ns) -> int:
 
 def cmd_solve(ns) -> int:
     g = _load_graph(ns.graph, ns.float)
-    info = get_solver_info(ns.algorithm)
-    spec = cost = None
-    if info.needs_device:
-        spec, cost = _device_args(ns)
-    request = SolveRequest(
-        graph=g,
-        source=ns.source,
-        sources=[int(s) for s in ns.sources.split(",")] if ns.sources else None,
-        spec=spec,
-        cost=cost,
-        delta=ns.delta,
-        scheduler=ns.scheduler,
+    spec, cost = _device_args(ns)
+    result = get_solver(ns.algorithm).solve(
+        SolveRequest(
+            graph=g, source=ns.source, spec=spec, cost=cost,
+            options=_options(ns),
+        )
     )
-    result = info.solve(request)
     if ns.json:
         payload = result.to_json_dict(include_dist=ns.json_dist)
         if ns.path_to is not None:
@@ -197,9 +201,10 @@ def cmd_suite(ns) -> int:
     )
     spec, cost = _device_args(ns)
     progress = (lambda msg: print(f"  {msg}", file=sys.stderr)) if ns.verbose else None
+    options = _options(ns)
     run = run_suite(
         solvers=solvers, suite=suite, spec=spec, cost=cost, progress=progress,
-        scheduler=ns.scheduler,
+        options=options,
         jobs=None if ns.jobs == 0 else ns.jobs,
         timeout_s=ns.timeout,
         max_attempts=ns.retries,
@@ -211,7 +216,7 @@ def cmd_suite(ns) -> int:
         payload = {
             "schema": RESULT_SCHEMA_VERSION,
             "solvers": list(solvers),
-            "scheduler": ns.scheduler,
+            "options": options.to_json(),
             "records": [
                 {
                     "graph": rec.graph,
@@ -280,7 +285,7 @@ def cmd_bench(ns) -> int:
         repeats=ns.repeats,
         spec=spec,
         cost=cost,
-        scheduler=ns.scheduler,
+        options=_options(ns),
         progress=progress,
         profile_dir=ns.profile,
     )
@@ -338,7 +343,7 @@ def cmd_serve_bench(ns) -> int:
         max_graphs=ns.max_graphs,
         categories=ns.categories.split(",") if ns.categories else None,
         solver=ns.solver,
-        scheduler=ns.scheduler,
+        options=_options(ns),
         window_s=ns.window,
         max_batch=ns.max_batch,
         cache_entries=ns.cache_entries,
@@ -457,7 +462,7 @@ def cmd_check(ns) -> int:
         cost=cost,
         replay=not ns.no_replay,
         checker_factory=checker_factory,
-        scheduler=ns.scheduler,
+        options=_options(ns),
         progress=progress,
     )
     if ns.json:
@@ -471,12 +476,9 @@ def cmd_check(ns) -> int:
 def cmd_trace(ns) -> int:
     g = _load_graph(ns.graph, ns.float)
     spec, cost = _device_args(ns)
-    kwargs = {}
-    if ns.delta is not None and get_solver_info(ns.algorithm).accepts_delta:
-        kwargs["delta"] = ns.delta
     result, tracer, paths = run_traced_solve(
         g, ns.algorithm, source=ns.source, spec=spec, cost=cost,
-        out_dir=ns.out, **kwargs,
+        out_dir=ns.out, options=_options(ns),
     )
     if ns.json:
         payload = result.to_json_dict()
@@ -576,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("graph")
     s.add_argument("--algorithm", "-a", choices=sorted(SOLVERS), default="adds")
     s.add_argument("--source", type=int, default=0)
-    s.add_argument("--sources", help="comma-separated multi-source seeds")
+    s.add_argument("--sources", type=lambda v: [int(x) for x in v.split(",")],
+                   help="comma-separated multi-source seeds")
     s.add_argument("--float", action="store_true")
     s.add_argument("--delta", type=float)
     s.add_argument("--path-to", type=int, help="print the path to this vertex")
@@ -730,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run one solver with tracing; write Perfetto artifacts"
     )
     t.add_argument("graph")
-    t.add_argument("--algorithm", "-a", choices=solver_names(traceable=True),
+    t.add_argument("--algorithm", "-a", choices=solver_names(accepts="tracer"),
                    default="adds")
     t.add_argument("--source", type=int, default=0)
     t.add_argument("--float", action="store_true")

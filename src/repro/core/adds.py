@@ -95,15 +95,7 @@ def _pool_blocks_for(graph: CSRGraph, config: AddsConfig) -> int:
     return max(512, need + 4 * config.n_buckets)
 
 
-@register_solver(
-    "adds",
-    needs_device=True,
-    traceable=True,
-    accepts_delta=True,
-    accepts_config=True,
-    accepts_scheduler=True,
-    accepts_updates=True,
-)
+@register_solver("adds")
 def solve_adds(
     graph: CSRGraph,
     source: int = 0,

@@ -13,8 +13,8 @@ SSSP"), in three layers:
   distances bit-identical to a from-scratch solve; plus
   :func:`changes_affect`, the per-source cache-invalidation test;
 - the consumers: ``solve_adds(..., warm_from=, updates=)`` and
-  ``solve_dijkstra(..., warm_from=, updates=)`` (the ``accepts_updates``
-  solvers), ``Session.apply_updates`` in :mod:`repro.serve`, the
+  ``solve_dijkstra(..., warm_from=, updates=)`` (the solvers taking
+  those options), ``Session.apply_updates`` in :mod:`repro.serve`, the
   update-stream oracle in :mod:`repro.check`, and
   ``python -m repro serve-bench --updates``.
 

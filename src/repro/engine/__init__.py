@@ -14,7 +14,8 @@ Layers, adoptable independently:
   materialization, the cell alarm, :func:`execute_cell`'s
   fault-isolation boundary);
 - :mod:`repro.engine.scheduler` — cell planning and sweep policy
-  (:class:`EngineConfig`, :func:`plan_cells`, :func:`run_cells`);
+  (:class:`EngineConfig`, :func:`plan_cells`, :func:`run_cells`, and
+  :func:`sweep_options`, the rule that splits a sweep's options);
 - :mod:`repro.engine.executor` — the long-lived :class:`QueryExecutor`
   serving sessions dispatch to (:mod:`repro.serve`);
 - :mod:`repro.engine.store` — incremental JSONL persistence and resume;
@@ -33,6 +34,7 @@ from repro.engine.scheduler import (
     EngineResult,
     plan_cells,
     run_cells,
+    sweep_options,
 )
 from repro.engine.store import ResultStore, result_from_json, result_to_json
 from repro.engine.worker import execute_cell, materialize_graph, worker_init
@@ -44,6 +46,7 @@ __all__ = [
     "QueryExecutor",
     "plan_cells",
     "run_cells",
+    "sweep_options",
     "execute_cell",
     "materialize_graph",
     "worker_init",

@@ -50,25 +50,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.baselines.common import SSSPResult, get_solver
+from repro.baselines.common import Options, SSSPResult, get_solver, solver_names
 from repro.engine.cache import GraphCache
 from repro.engine.failure import FailedRun
 from repro.engine.store import ResultStore
-from repro.engine.worker import (
-    CellTimeout,
-    execute_cell,
-    worker_init,
-)
+from repro.engine.worker import execute_cell, worker_init
 from repro.errors import EngineError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.suite import GraphSpec, SuiteEntry
 
-__all__ = ["Cell", "EngineConfig", "EngineResult", "run_cells", "plan_cells"]
-
-# Pre-refactor aliases: these were module-private here before PR 6, but
-# keeping them importable costs nothing and spares external scripts.
-_execute_cell = execute_cell
-_worker_init = worker_init
+__all__ = [
+    "Cell",
+    "EngineConfig",
+    "EngineResult",
+    "run_cells",
+    "plan_cells",
+    "sweep_options",
+]
 
 
 @dataclass
@@ -134,7 +132,8 @@ class Cell:
     ``graph_spec`` XOR ``graph`` carries the input (spec preferred — it
     ships as a few hundred bytes; prebuilt arrays are the fallback for
     legacy factory entries).  ``spec``/``cost`` are the device model
-    forwarded to device solvers; ``options`` are per-solver extras.
+    forwarded to device solvers; ``options`` are the solver's per-solve
+    options (see :class:`~repro.baselines.common.SolveRequest`).
     """
 
     graph_name: str
@@ -145,15 +144,9 @@ class Cell:
     graph: Optional[CSRGraph] = field(default=None, repr=False)
     spec: Optional[object] = field(default=None, repr=False)
     cost: Optional[object] = field(default=None, repr=False)
-    options: Dict[str, object] = field(default_factory=dict, repr=False)
+    options: Options = field(default_factory=Options, repr=False)
     timeout_s: Optional[float] = None
     cache_dir: Optional[str] = None
-    #: WorkScheduler name for ``accepts_scheduler`` solvers (None = default).
-    scheduler: Optional[str] = None
-    #: Warm start for ``accepts_updates`` solvers (see :mod:`repro.dynamic`):
-    #: prior distance array + net EdgeDeltas since it was computed.
-    warm_from: Optional[object] = field(default=None, repr=False)
-    updates: Optional[object] = field(default=None, repr=False)
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -189,14 +182,41 @@ class EngineResult:
 # parent side
 # --------------------------------------------------------------------- #
 
+def sweep_options(solvers: Sequence[str], options=None) -> Dict[str, Options]:
+    """Split one sweep's ``options`` into each solver's share.
+
+    Each option goes only to the solvers that accept it, so a sweep
+    mixing ADDS with baselines stays valid.  An option that *no* solver
+    of the sweep accepts is an :class:`EngineError` (it would be
+    silently dead), and a ``scheduler`` name is checked against the
+    registry here, before any solve.
+    """
+    options = Options(options or {})
+    infos = {name: get_solver(name) for name in solvers}
+    for key in options:
+        if not any(info.accepts(key) for info in infos.values()):
+            raise EngineError(
+                f"option {key!r} has no effect: none of {sorted(infos)} "
+                f"accepts it; solvers that do: "
+                f"{solver_names(accepts=key) or 'none'}"
+            )
+    if "scheduler" in options:
+        from repro.core.scheduler import get_scheduler_info
+
+        get_scheduler_info(options["scheduler"])
+    return {
+        name: Options({k: v for k, v in options.items() if info.accepts(k)})
+        for name, info in infos.items()
+    }
+
+
 def plan_cells(
     suite: Sequence[SuiteEntry],
     solvers: Sequence[str],
     *,
     spec=None,
     cost=None,
-    solver_options: Optional[Dict[str, dict]] = None,
-    scheduler: Optional[str] = None,
+    options=None,
     config: EngineConfig,
 ) -> List[Cell]:
     """Expand (suite × solvers) into the cell grid.
@@ -204,24 +224,11 @@ def plan_cells(
     Spec-backed entries ship their :class:`GraphSpec` (and are pre-warmed
     into the graph cache when one is configured, so workers only ever
     *read* generated graphs); factory-backed entries are built here and
-    ship arrays.
-
-    ``scheduler`` names a registered WorkScheduler; it is applied to the
-    solvers that declare ``accepts_scheduler`` (the others keep running
-    their own algorithm — a sweep mixing ADDS with baselines stays
-    valid).  Naming a scheduler when *no* selected solver accepts one is
-    an :class:`EngineError`: the flag would be silently dead.
+    ship arrays.  ``options`` are split across the solvers by
+    :func:`sweep_options`.
     """
-    solver_options = solver_options or {}
-    if scheduler is not None:
-        from repro.core.scheduler import get_scheduler_info
-
-        get_scheduler_info(scheduler)  # unknown names fail at plan time
-        if not any(get_solver(name).accepts_scheduler for name in solvers):
-            raise EngineError(
-                f"--scheduler {scheduler!r} has no effect: none of "
-                f"{sorted(solvers)} accepts a scheduler"
-            )
+    worker_init(config.solver_modules)  # plugin solvers register first
+    per_solver = sweep_options(solvers, options)
     cache = GraphCache(config.cache_dir) if config.cache_dir else None
     cells: List[Cell] = []
     for entry in suite:
@@ -241,15 +248,9 @@ def plan_cells(
                     graph=graph,
                     spec=spec,
                     cost=cost,
-                    options=dict(solver_options.get(name, {})),
+                    options=per_solver[name],
                     timeout_s=config.timeout_s,
                     cache_dir=str(config.cache_dir) if config.cache_dir else None,
-                    scheduler=(
-                        scheduler
-                        if scheduler is not None
-                        and get_solver(name).accepts_scheduler
-                        else None
-                    ),
                 )
             )
     return cells

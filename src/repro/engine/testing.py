@@ -59,20 +59,20 @@ def _const_result(graph, source: int, solver: str) -> SSSPResult:
     )
 
 
-def _solve_const(graph, source: int = 0, **_opts) -> SSSPResult:
+def _solve_const(graph, source: int = 0) -> SSSPResult:
     return _const_result(graph, source, "eng-const")
 
 
-def _solve_crash(graph, source: int = 0, **_opts) -> SSSPResult:
+def _solve_crash(graph, source: int = 0) -> SSSPResult:
     raise SolverError("injected failure (eng-crash)")
 
 
-def _solve_hang(graph, source: int = 0, *, hang_s: float = 3600.0, **_opts):
+def _solve_hang(graph, source: int = 0, *, hang_s: float = 3600.0):
     time.sleep(hang_s)
     return _const_result(graph, source, "eng-hang")
 
 
-def _solve_flaky(graph, source: int = 0, *, latch=None, **_opts) -> SSSPResult:
+def _solve_flaky(graph, source: int = 0, *, latch=None) -> SSSPResult:
     if latch is None:
         raise SolverError("eng-flaky needs a latch=<path> option")
     latch = Path(latch)

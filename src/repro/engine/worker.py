@@ -133,10 +133,7 @@ def execute_cell(cell) -> Tuple[str, object, float, Tuple[float, float]]:
             source=cell.source,
             spec=cell.spec,
             cost=cell.cost,
-            scheduler=getattr(cell, "scheduler", None),
-            warm_from=getattr(cell, "warm_from", None),
-            updates=getattr(cell, "updates", None),
-            options=dict(cell.options),
+            options=cell.options,
         )
         with cell_alarm(cell.timeout_s):
             result = get_solver(cell.solver).solve(request)

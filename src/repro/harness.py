@@ -12,8 +12,8 @@ them serially (``jobs=1``, the default — identical to the historic loop)
 or across a process pool, with per-cell timeouts, bounded retries,
 graceful failure records, an on-disk graph cache, and a resumable JSONL
 result store.  Which solvers need a device or can be traced comes from
-the registry's capability flags
-(:func:`~repro.baselines.common.solver_names`).
+each solver's own keyword parameters
+(:meth:`~repro.baselines.common.SolverInfo.accepts`).
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.distributions import Distribution, bin_ratios
-from repro.baselines.common import (
-    SSSPResult,
-    get_solver_info,
-    solver_names,
-)
+from repro.baselines.common import Options, SSSPResult, SolveRequest, get_solver
 from repro.calibration import default_cost, default_gpu
 from repro.engine import (
     EngineConfig,
@@ -147,8 +143,7 @@ def run_suite(
     suite: Optional[Sequence[SuiteEntry]] = None,
     spec: Optional[DeviceSpec] = None,
     cost: Optional[CostModel] = None,
-    solver_options: Optional[Dict[str, dict]] = None,
-    scheduler: Optional[str] = None,
+    options: Optional[Dict[str, object]] = None,
     verify: bool = True,
     verify_atol: float = 1e-2,
     verify_rtol: float = 1e-5,
@@ -164,9 +159,9 @@ def run_suite(
     """Run ``solvers`` over ``suite`` (default: the full corpus).
 
     GPU solvers receive ``spec``/``cost`` (default: the calibrated scaled
-    RTX 2080 Ti); CPU solvers ignore them.  ``scheduler`` names a
-    registered WorkScheduler and applies to the ``accepts_scheduler``
-    solvers in the sweep (see :func:`repro.engine.plan_cells`).  With ``verify=True`` every
+    RTX 2080 Ti); CPU solvers ignore them.  ``options`` are per-solve
+    options, each applied to the solvers in the sweep that accept it
+    (see :func:`repro.engine.sweep_options`).  With ``verify=True`` every
     solver's distances are checked against the first solver's (the
     ``verify_against_*`` step); failures are recorded, not raised, so one
     bad run doesn't lose a whole sweep.
@@ -203,8 +198,7 @@ def run_suite(
     )
     cells = plan_cells(
         suite, solvers,
-        spec=spec, cost=cost, solver_options=solver_options,
-        scheduler=scheduler, config=config,
+        spec=spec, cost=cost, options=options, config=config,
     )
     engine_out = run_cells(cells, config, progress=progress)
 
@@ -254,27 +248,25 @@ def run_traced_solve(
     spec: Optional[DeviceSpec] = None,
     cost: Optional[CostModel] = None,
     out_dir: Optional[Union[str, Path]] = None,
-    **solver_kwargs,
+    options: Optional[Dict[str, object]] = None,
 ):
     """Run one solver with tracing enabled; optionally write artifacts.
 
     Returns ``(result, tracer, paths)`` where ``paths`` is the artifact
     list (``trace.json`` / ``counters.csv`` / ``summary.txt``) written
-    into ``out_dir``, or ``[]`` when ``out_dir`` is None.  Only solvers
-    registered ``traceable`` emit events; other solvers are rejected
+    into ``out_dir``, or ``[]`` when ``out_dir`` is None.  The tracer
+    travels as one more option, so a solver without a ``tracer=``
+    parameter, or one given an option it does not take, is rejected
     loudly rather than producing a silently empty trace.
     """
-    info = get_solver_info(solver)
-    if not info.traceable:
-        raise SolverError(
-            f"solver {solver!r} does not support tracing; "
-            f"pick one of {solver_names(traceable=True)}"
-        )
     spec = spec or default_gpu()
     cost = cost or default_cost(spec)
     tracer = Tracer()
-    result = info(
-        graph, source, spec=spec, cost=cost, tracer=tracer, **solver_kwargs
+    result = get_solver(solver).solve(
+        SolveRequest(
+            graph=graph, source=source, spec=spec, cost=cost,
+            options=Options(options or {}, tracer=tracer),
+        )
     )
     paths: List[Path] = []
     if out_dir is not None:

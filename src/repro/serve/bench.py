@@ -41,7 +41,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.common import SolveRequest, get_solver_info
+from repro.baselines.common import SolveRequest, get_solver
+from repro.engine.scheduler import sweep_options
 from repro.errors import ServeError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.suite import SuiteEntry, build_suite
@@ -133,7 +134,7 @@ def run_serve_bench(
     max_graphs: int = 4,
     categories: Optional[List[str]] = None,
     solver: str = "dijkstra",
-    scheduler: Optional[str] = None,
+    options: Optional[Dict[str, object]] = None,
     window_s: float = 0.0,
     max_batch: int = 32,
     cache_entries: int = 64,
@@ -181,7 +182,7 @@ def run_serve_bench(
         raise ServeError(f"updates must be >= 0 (got {updates})")
     if update_size < 1:
         raise ServeError(f"update_size must be >= 1 (got {update_size})")
-    get_solver_info(solver)  # fail fast on typos
+    options = sweep_options([solver], options)[solver]  # fail fast
     say = progress or (lambda msg: None)
 
     entries = build_suite(scale=scale, categories=categories, max_graphs=max_graphs)
@@ -192,7 +193,7 @@ def run_serve_bench(
     def _make_session(incremental: bool = True) -> Session:
         session = Session(
             solver=solver,
-            scheduler=scheduler,
+            options=options,
             window_s=window_s,
             max_batch=max_batch,
             max_pending=max(burst * 2, 64),
@@ -328,7 +329,7 @@ def run_serve_bench(
                 f"verifying {len(served)} distinct (graph, generation, "
                 f"source) solves directly"
             )
-            info = get_solver_info(solver)
+            info = get_solver(solver)
             fresh: Dict[Tuple[str, int], object] = {}
             for gid in sorted(sizes):
                 g = _fresh_graph(by_id[gid])
@@ -351,7 +352,7 @@ def run_serve_bench(
                 direct = info.solve(
                     SolveRequest(
                         graph=fresh[(gid, gen)], source=source,
-                        spec=spec, cost=cost, scheduler=scheduler,
+                        spec=spec, cost=cost, options=options,
                     )
                 )
                 if not np.array_equal(direct.dist, dist):
@@ -379,7 +380,7 @@ def run_serve_bench(
             "max_graphs": max_graphs,
             "categories": categories,
             "solver": solver,
-            "scheduler": scheduler,
+            "options": options.to_json(),
             "window_s": window_s,
             "max_batch": max_batch,
             "cache_entries": cache_entries,

@@ -41,7 +41,7 @@ source survives when :func:`~repro.dynamic.frontier.changes_affect`
 proves nothing moved); topology changes swap in a rebuilt graph and
 drop the whole graph's cache.  Invalidated entries are stashed as warm
 starts — old distances plus net deltas — so the next solve of that
-source is incremental when the solver ``accepts_updates``.  Every
+source is incremental when the solver takes ``warm_from=``.  Every
 update bumps the graph's generation, and answers whose solve straddled
 a generation change are failed at demux instead of served or cached.
 
@@ -66,9 +66,9 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.common import get_solver_info
+from repro.baselines.common import Options, get_solver
 from repro.engine.executor import QueryExecutor
-from repro.engine.scheduler import Cell
+from repro.engine.scheduler import Cell, sweep_options
 from repro.errors import AdmissionError, ServeError, ServeTimeout
 from repro.graphs.csr import CSRGraph
 from repro.serve.batcher import Batcher, BatchPlan, Query
@@ -111,12 +111,11 @@ class Session:
         Registry name every query is answered with (default
         ``"dijkstra"``, the fast exact CPU reference; any registered
         solver works — device solvers get ``spec``/``cost``).
-    scheduler:
-        Optional registered WorkScheduler name applied to every solve
-        this session dispatches.  Only meaningful with an
-        ``accepts_scheduler`` solver (e.g. ``adds``); naming one for any
-        other solver raises :class:`~repro.errors.ServeError` at
-        construction, not per query.
+    options:
+        Per-solve options applied to every solve this session dispatches
+        (e.g. ``scheduler`` for ``adds``).  An option the solver does not
+        take raises :class:`~repro.errors.EngineError` at construction,
+        not per query (:func:`~repro.engine.sweep_options`).
     window_s / max_batch:
         Batching window and per-dispatch unique-source cap (see
         :class:`~repro.serve.batcher.Batcher`).
@@ -133,9 +132,9 @@ class Session:
         :class:`~repro.engine.executor.QueryExecutor`; the default ``1``
         solves inline on the serving thread — deterministic, and the
         prepared in-memory graphs are never pickled.
-    spec / cost / solver_options:
-        Forwarded to each dispatched :class:`SolveRequest` (device model
-        for device solvers, per-solver keyword extras).
+    spec / cost:
+        Device model forwarded to each dispatched :class:`SolveRequest`
+        (used by device solvers only).
     metrics:
         A shared :class:`MetricsRegistry` to wire the serve counters
         into; a fresh one is created by default.
@@ -146,7 +145,7 @@ class Session:
         Optional JSONL query log (see :class:`QueryExecutor`).
     incremental:
         Allow warm (incremental) re-solves after :meth:`apply_updates`
-        when the solver ``accepts_updates`` (default).  ``False`` forces
+        when the solver takes ``warm_from=`` (default).  ``False`` forces
         every invalidated source back through a from-scratch solve —
         the baseline ``serve-bench --updates`` compares against.
     """
@@ -155,7 +154,7 @@ class Session:
         self,
         *,
         solver: str = "dijkstra",
-        scheduler: Optional[str] = None,
+        options: Optional[Dict[str, object]] = None,
         window_s: float = 0.005,
         max_batch: int = 32,
         max_pending: int = 1024,
@@ -164,35 +163,26 @@ class Session:
         jobs: int = 1,
         spec=None,
         cost=None,
-        solver_options: Optional[dict] = None,
         metrics: Optional[MetricsRegistry] = None,
         autostart: bool = True,
         store_path=None,
         incremental: bool = True,
     ) -> None:
-        info = get_solver_info(solver)  # fail at construction, not first query
-        if scheduler is not None:
-            from repro.core.scheduler import get_scheduler_info
-
-            get_scheduler_info(scheduler)  # unknown names fail here too
-            if not info.accepts_scheduler:
-                raise ServeError(
-                    f"solver {solver!r} does not take a scheduler; "
-                    f"drop --scheduler or serve with an ADDS-family solver"
-                )
+        # fail at construction, not first query
+        self.options = sweep_options([solver], options)[solver]
         if max_pending < 1:
             raise ServeError(f"max_pending must be >= 1 (got {max_pending})")
         self.solver = solver
-        self.scheduler = scheduler
         #: Warm re-solves need both a capable solver and the session-level
         #: opt-in (``incremental=False`` forces from-scratch re-solves —
         #: the comparison baseline ``serve-bench --updates`` measures).
-        self._accepts_updates = bool(info.accepts_updates) and incremental
+        self._warm_starts = (
+            get_solver(solver).accepts("warm_from") and incremental
+        )
         self.max_pending = max_pending
         self.default_timeout_s = default_timeout_s
         self.spec = spec
         self.cost = cost
-        self.solver_options = dict(solver_options or {})
         self.batcher = Batcher(window_s=window_s, max_batch=max_batch)
         self.cache = DistanceCache(cache_entries)
         self.executor = QueryExecutor(jobs=jobs, store_path=store_path)
@@ -213,7 +203,7 @@ class Session:
         #: ``(old dist, net EdgeDeltas since)`` so the next solve of that
         #: (graph, source) can re-seed incrementally instead of from
         #: scratch.  Bounded like the cache; only used when the session
-        #: solver ``accepts_updates``.
+        #: solver takes ``warm_from=``.
         self._warm: "OrderedDict[Tuple[str, int], Tuple[np.ndarray, object]]" = (
             OrderedDict()
         )
@@ -261,7 +251,7 @@ class Session:
         graph's cache.  Either way, every invalidated entry is stashed
         with the net deltas since it was computed, so a later query for
         that source re-solves incrementally from the warm distances
-        (when the session solver ``accepts_updates``).  Any update bumps
+        (when the session solver takes ``warm_from=``).  Any update bumps
         the graph's generation: solves already in flight on the old
         state are discarded at demux rather than served or cached.
         """
@@ -488,7 +478,7 @@ class Session:
                     cached[src] = True
                 else:
                     to_solve.append(src)
-                    if self._accepts_updates:
+                    if self._warm_starts:
                         entry = self._warm.pop((plan.graph_id, src), None)
                         if entry is not None:
                             warm[src] = entry
@@ -504,10 +494,15 @@ class Session:
                         graph=graph,
                         spec=self.spec,
                         cost=self.cost,
-                        scheduler=self.scheduler,
-                        warm_from=warm[src][0] if src in warm else None,
-                        updates=warm[src][1] if src in warm else None,
-                        options=dict(self.solver_options),
+                        options=(
+                            Options(
+                                self.options,
+                                warm_from=warm[src][0],
+                                updates=warm[src][1],
+                            )
+                            if src in warm
+                            else self.options
+                        ),
                     )
                 ),
             )

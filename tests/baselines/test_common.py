@@ -27,7 +27,7 @@ class TestRegistry:
             get_solver("quantum-sssp")
 
     def test_get_solver_returns_callable(self):
-        assert callable(get_solver("dijkstra"))
+        assert callable(get_solver("dijkstra").fn)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(SolverError, match="duplicate"):

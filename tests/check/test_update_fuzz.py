@@ -102,5 +102,7 @@ def test_lane_labels_and_default_lanes():
 
 
 def test_perturbed_lane_objects():
-    lane = UpdateLane(solver="adds", scheduler="mlmq", perturb_seed=42)
+    lane = UpdateLane(
+        solver="adds", options={"scheduler": "mlmq", "perturb_seed": 42}
+    )
     assert lane.label == "adds/mlmq/seed=42"

@@ -251,7 +251,8 @@ class TestCrossSchedulerEquality:
         for name in ALL_SCHEDULERS:
             results[name] = info.solve(
                 SolveRequest(
-                    graph=graph, source=0, spec=spec, cost=cost, scheduler=name
+                    graph=graph, source=0, spec=spec, cost=cost,
+                    options={"scheduler": name},
                 )
             )
         ref = results[DEFAULT_SCHEDULER]
@@ -296,7 +297,7 @@ class TestGoldenSchedule:
                     source=int(cell["source"]),
                     spec=spec,
                     cost=cost,
-                    scheduler=DEFAULT_SCHEDULER,
+                    options={"scheduler": DEFAULT_SCHEDULER},
                 )
             )
             assert _dist_sha256(result.dist) == cell["dist_sha256"], graph_name

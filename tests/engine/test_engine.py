@@ -104,7 +104,7 @@ class TestFailurePaths:
         config = EngineConfig(jobs=jobs, max_attempts=2,
                               solver_modules=FAULT_MODULES)
         cells = _plan(mini_suite[:1], ("eng-flaky",), config,
-                      solver_options={"eng-flaky": {"latch": str(latch)}})
+                      options={"latch": str(latch)})
         out = run_cells(cells, config)
         assert out.failures == []
         assert len(out.results) == 1
@@ -150,7 +150,7 @@ class TestResume:
         config = EngineConfig(store_path=store_path, max_attempts=1,
                               solver_modules=FAULT_MODULES)
         cells = _plan(mini_suite[:1], ("eng-flaky",), config,
-                      solver_options={"eng-flaky": {"latch": str(latch)}})
+                      options={"latch": str(latch)})
         first = run_cells(cells, config)
         assert len(first.failures) == 1  # one attempt, latch now set
 

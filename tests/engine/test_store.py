@@ -7,13 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.baselines.common import get_solver
+from repro.baselines.common import SolveRequest, get_solver
 from repro.engine import FailedRun, ResultStore, result_from_json, result_to_json
 from repro.errors import EngineError
 
 
 def _result(graph, solver="dijkstra"):
-    return get_solver(solver)(graph, 0)
+    return get_solver(solver).solve(SolveRequest(graph=graph))
 
 
 class TestResultRoundTrip:

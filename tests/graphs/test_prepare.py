@@ -41,7 +41,7 @@ class TestPrepare:
     def test_prepared_and_lazy_solves_bit_match(self, small_road):
         """ADDS consumes the prepared arrays (the WTB relax path); the
         lazy fallback must produce the identical result."""
-        from repro.baselines.common import get_solver_info
+        from repro.baselines.common import SolveRequest, get_solver_info
 
         spec = sim_gpu()
         cost = sim_cost(spec)
@@ -58,8 +58,8 @@ class TestPrepare:
             name=small_road.name,
         ).prepare()
         info = get_solver_info("adds")
-        a = info(lazy, 0, spec=spec, cost=cost)
-        b = info(prepared, 0, spec=spec, cost=cost)
+        a = info.solve(SolveRequest(graph=lazy, spec=spec, cost=cost))
+        b = info.solve(SolveRequest(graph=prepared, spec=spec, cost=cost))
         assert np.array_equal(a.dist, b.dist)
         assert np.array_equal(a.predecessors, b.predecessors)
         assert a.work_count == b.work_count

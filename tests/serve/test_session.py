@@ -230,7 +230,7 @@ class TestTimeouts:
         # *after* the solve, and the answer still lands in the cache for
         # the next caller.
         with make_session(
-            solver="eng-hang", solver_options={"hang_s": 0.05}
+            solver="eng-hang", options={"hang_s": 0.05}
         ) as s:
             s.add_graph("road", small_road)
             f = s.submit("road", 0, timeout_s=0.01)

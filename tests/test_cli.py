@@ -161,6 +161,15 @@ class TestSuite:
         assert payload["verification_failures"] == []
         assert payload["failures"] == []
         assert payload["resumed"] == 0
+        assert payload["options"] == {}
+
+    def test_suite_option_no_solver_takes_is_rejected(self, capsys):
+        rc = main([
+            "suite", "--solvers", "nf,dijkstra", "--scheduler", "mlmq",
+            "--categories", "road", "--scale", "0.25", "--max-graphs", "1",
+        ])
+        assert rc == 2
+        assert "'scheduler' has no effect" in capsys.readouterr().err
 
     def test_suite_parallel_matches_serial(self, capsys):
         args = [
@@ -215,6 +224,27 @@ class TestTrace:
     def test_trace_rejects_cpu_solver(self, gr_file):
         with pytest.raises(SystemExit):
             main(["trace", gr_file, "-a", "dijkstra"])
+
+    def test_trace_forwards_delta(self, gr_file, tmp_path, capsys):
+        out = tmp_path / "tr"
+        argv = ["trace", gr_file, "-a", "nf", "--delta", "500", "--json",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["delta"] == 500.0
+
+    @pytest.mark.parametrize("command", ["trace", "solve"])
+    def test_delta_the_solver_lacks_is_rejected(
+        self, command, gr_file, tmp_path, capsys
+    ):
+        """``trace`` used to drop a Δ the solver cannot take; it now
+        fails the same way ``solve`` does."""
+        argv = [command, gr_file, "-a", "gun-bf", "--delta", "5"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "tr")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "does not take option 'delta'" in err
+        assert "nf" in err
 
     def test_trace_json_output(self, gr_file, tmp_path, capsys):
         out = tmp_path / "tr"

@@ -58,7 +58,7 @@ class TestRunSuite:
         run = run_suite(
             solvers=("adds",),
             suite=tiny_suite,
-            solver_options={"adds": {"config": AddsConfig(n_wtbs=2)}},
+            options={"config": AddsConfig(n_wtbs=2)},
         )
         assert run.records[0].results["adds"].stats["n_wtbs"] == 2
 

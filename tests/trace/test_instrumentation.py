@@ -93,6 +93,6 @@ def test_run_traced_solve_writes_artifacts(road, tmp_path):
 
 
 def test_run_traced_solve_rejects_untraceable_solver(road):
-    assert "dijkstra" not in solver_names(traceable=True)
+    assert "dijkstra" not in solver_names(accepts="tracer")
     with pytest.raises(SolverError):
         run_traced_solve(road, "dijkstra")
