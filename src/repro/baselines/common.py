@@ -207,15 +207,15 @@ class Options(Mapping):
     """A frozen mapping of per-solve options: keyword arguments for the
     solver function.
 
-    Built like a dict; entries whose value is ``None`` are dropped,
-    because ``None`` already means "the solver's default" in every
-    solver signature.  Picklable, so cells carry it to worker processes.
+    Built like a dict (``None`` builds an empty one); entries whose value
+    is ``None`` are dropped, because ``None`` already means "the solver's
+    default" in every solver signature.  Picklable, so cells carry it to
+    worker processes.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        self._items = {
-            k: v for k, v in dict(*args, **kwargs).items() if v is not None
-        }
+    def __init__(self, items=None, **kwargs) -> None:
+        items = dict(items or (), **kwargs)
+        self._items = {k: v for k, v in items.items() if v is not None}
 
     def __getitem__(self, key: str) -> object:
         return self._items[key]

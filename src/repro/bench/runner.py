@@ -268,9 +268,7 @@ def run_bench(
             "rss_unit": RSS_UNIT,
         },
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        options={
-            "scheduler": DEFAULT_SCHEDULER, **Options(options or {}).to_json()
-        },
+        options={"scheduler": DEFAULT_SCHEDULER, **Options(options).to_json()},
     )
 
     for cell in cells:

@@ -286,7 +286,7 @@ def run_check(
 
     report = CheckReport(
         target=target, schedules=schedules, seed=seed,
-        options=Options(options or {}).to_json(),
+        options=Options(options).to_json(),
     )
     for entry in entries:
         graph = entry.graph()

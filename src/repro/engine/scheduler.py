@@ -191,7 +191,7 @@ def sweep_options(solvers: Sequence[str], options=None) -> Dict[str, Options]:
     silently dead), and a ``scheduler`` name is checked against the
     registry here, before any solve.
     """
-    options = Options(options or {})
+    options = Options(options)
     infos = {name: get_solver(name) for name in solvers}
     for key in options:
         if not any(info.accepts(key) for info in infos.values()):

@@ -265,7 +265,7 @@ def run_traced_solve(
     result = get_solver(solver).solve(
         SolveRequest(
             graph=graph, source=source, spec=spec, cost=cost,
-            options=Options(options or {}, tracer=tracer),
+            options=Options(options, tracer=tracer),
         )
     )
     paths: List[Path] = []
