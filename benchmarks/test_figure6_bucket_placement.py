@@ -30,7 +30,7 @@ def place(delta):
     q = BucketQueue(
         SimMemory(), GlobalPool(16, words_per_block=32), cfg, initial_delta=delta
     )
-    return q.rel_bands_for(DISTS).tolist(), q.high_clips
+    return q.rel_bands_list(DISTS), q.high_clips
 
 
 def test_figure6_bucket_placement(rtx2080, benchmark, report):

@@ -25,7 +25,6 @@ documented in ``docs/benchmarks.md`` / ``docs/schema.md``.
 from __future__ import annotations
 
 import cProfile
-import hashlib
 import json
 import platform
 import pstats
@@ -43,6 +42,7 @@ from repro.calibration import default_cost, default_gpu
 from repro.core.scheduler import DEFAULT_SCHEDULER
 from repro.engine import EngineConfig, plan_cells, run_cells
 from repro.errors import ReproError
+from repro.validation import dist_sha256
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -89,12 +89,6 @@ def _peak_rss_kb(*, getrusage=None, sys_platform: Optional[str] = None) -> Optio
     if sys_platform == "darwin":
         ru //= 1024
     return ru
-
-
-def _dist_sha256(dist: np.ndarray) -> str:
-    """Endianness-pinned content hash of the distance vector."""
-    buf = np.ascontiguousarray(dist, dtype=np.float64).astype("<f8")
-    return hashlib.sha256(buf.tobytes()).hexdigest()
 
 
 #: Rows kept in the per-cell ``profile.top`` table (by cumulative time).
@@ -325,7 +319,7 @@ def run_bench(
                 work_count=int(reference.work_count),
                 reached=reference.reached(),
                 n_vertices=int(reference.dist.size),
-                dist_sha256=_dist_sha256(reference.dist),
+                dist_sha256=dist_sha256(reference.dist),
                 peak_rss_kb=_peak_rss_kb(),
                 atomics=int(stats.get("atomics", 0)),
                 fences=int(stats.get("fences", 0)),

@@ -35,10 +35,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.baselines.common import Options, SolveRequest, get_solver
 from repro.bench.matrix import matrix_entries
 from repro.calibration import default_cost, default_gpu
-from repro.check.runner import _dist_sha256, schedule_seed
+from repro.check.runner import schedule_seed
 from repro.dynamic import apply_updates
 from repro.errors import ReproError
 from repro.graphs.generators import update_stream
+from repro.validation import dist_sha256
 
 __all__ = [
     "UpdateLane",
@@ -269,7 +270,7 @@ def run_update_check(
             oracle = _solve(
                 graph, UpdateLane(solver="dijkstra"), source, spec, cost
             )
-            bc.oracle_sha256 = _dist_sha256(oracle.dist)
+            bc.oracle_sha256 = dist_sha256(oracle.dist)
             for lane in lanes:
                 try:
                     inc = _solve(
@@ -283,7 +284,7 @@ def run_update_check(
                     )
                     warm[lane.label] = oracle.dist  # re-sync, report once
                     continue
-                sha = _dist_sha256(inc.dist)
+                sha = dist_sha256(inc.dist)
                 bc.lane_sha256[lane.label] = sha
                 if sha != bc.oracle_sha256:
                     bc.problems.append(

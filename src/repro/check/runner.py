@@ -38,11 +38,8 @@ oracle only.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.baselines.common import Options, SolveRequest, get_solver, solver_names
 from repro.bench.matrix import matrix_entries, matrix_solvers
@@ -50,6 +47,7 @@ from repro.calibration import default_cost, default_gpu
 from repro.check.invariants import ProtocolChecker
 from repro.engine.scheduler import sweep_options
 from repro.errors import ReproError
+from repro.validation import dist_sha256
 
 __all__ = [
     "CHECKABLE_SOLVERS",
@@ -74,11 +72,6 @@ def schedule_seed(seed: int, index: int) -> int:
     is ``solve_adds(..., perturb_seed=schedule_seed(seed, i))``.
     """
     return (seed * 1_000_003 + index) % (2**31 - 1)
-
-
-def _dist_sha256(dist: np.ndarray) -> str:
-    buf = np.ascontiguousarray(dist, dtype=np.float64).astype("<f8")
-    return hashlib.sha256(buf.tobytes()).hexdigest()
 
 
 @dataclass
@@ -226,7 +219,7 @@ def _run_schedule(
         if checker is not None:
             run.checked_ops = checker.checked_ops
         return run
-    run.dist_sha256 = _dist_sha256(result.dist)
+    run.dist_sha256 = dist_sha256(result.dist)
     run.work_count = int(result.work_count)
     run.time_us = float(result.time_us)
     run.reached = int(result.reached())

@@ -175,7 +175,7 @@ def solve_adds(
         if delta is not None
         else config.initial_delta
         if config.initial_delta is not None
-        else davidson_delta(graph, config.delta_constant)
+        else davidson_delta(graph)
     )
     if initial_delta <= 0:
         raise SolverError("initial delta must be positive")
@@ -328,7 +328,6 @@ def solve_adds(
         ("timeline_clamps", device.timeline.clamps),
         ("wakeups", device.wakeups),
         ("spurious_wakeups", device.spurious_wakeups),
-        ("fallback_polls", device.fallback_polls),
         ("missed_wakeups", device.missed_wakeups),
     ):
         metrics.counter(key).inc(value)

@@ -19,6 +19,13 @@ class AddsConfig:
     dynamic Δ controller on.  The two ablation rows of Table 5 are
     ``dynamic_delta=False`` (Static-Δ) and additionally ``n_buckets=2``
     (2-Buckets).
+
+    Only knobs some caller sets are fields.  The controller's fixed
+    constants — utilization band, settling switches, EWMA factor and Δ
+    growth step — are module constants of
+    :mod:`repro.core.delta_controller`; the MTB's idle re-scan interval
+    is :data:`repro.core.mtb.MTB_IDLE_CYCLES`; the initial-Δ heuristic
+    uses :data:`repro.baselines.NEAR_FAR_C`.
     """
 
     #: Number of buckets in the circular work queue (paper: "a fixed
@@ -64,19 +71,6 @@ class AddsConfig:
     #: Starting Δ; None → Davidson heuristic (same as the baselines).
     initial_delta: Optional[float] = None
 
-    #: C for the initial-Δ heuristic.
-    delta_constant: float = 32.0
-
-    #: Utilization band, in in-flight edges per hardware thread.  The MTB
-    #: keeps assigned work inside [util_low, util_high] × total_threads ×
-    #: divergence-adjustment (§5.5 "correlating the number of threads with
-    #: the average degree").
-    util_low: float = 0.25
-    util_high: float = 0.55
-
-    #: Head-bucket switches to wait between Δ adjustments (§5.5 settling).
-    settle_switches: int = 2
-
     #: Fallback settling horizon in MTB passes, for executions that rotate
     #: rarely or never (e.g. when Δ already covers the whole distance
     #: range).  The paper counts head-bucket switches only; at simulation
@@ -92,19 +86,11 @@ class AddsConfig:
     #: adjusting is likely to be counterproductive").
     warmup_passes: int = 150
 
-    #: Smoothing factor for the utilization signal (EWMA of in-flight
-    #: edges sampled each MTB pass) — the paper's "some utilization
-    #: fluctuations will dampen" made concrete.
-    ewma_alpha: float = 0.15
-
     #: Clip guard: if the tail bucket received at least this fraction of
     #: pushes since the last check, Δ is below the clipping bound (§5.5:
     #: "the tail bucket contains at least 65% of the total number of
     #: assigned work items").
     clip_fraction: float = 0.65
-
-    #: Multiplicative Δ step for the controller.
-    delta_growth: float = 2.0
 
     #: Hard floor for Δ.  None → a quarter of the smallest positive edge
     #: weight (below that, every band boundary falls between weights and
@@ -119,10 +105,6 @@ class AddsConfig:
     #: Consecutive empty sweeps of the work queue before terminating
     #: (§5.4: "two sweeps are needed").
     termination_sweeps: int = 2
-
-    #: Idle MTB pass interval, cycles (how often the manager re-scans when
-    #: nothing changed).
-    mtb_idle_cycles: float = 400.0
 
     #: TESTS ONLY — §5.4's failure mode: rotate the head bucket as soon as
     #: it looks empty, without waiting for its CWC to match resv_ptr.
@@ -143,12 +125,8 @@ class AddsConfig:
             raise SolverError("pool needs at least one block per bucket")
         if self.max_chunk < 1:
             raise SolverError("max_chunk must be positive")
-        if not (0 < self.util_low <= self.util_high):
-            raise SolverError("need 0 < util_low <= util_high")
         if not (0 < self.clip_fraction <= 1):
             raise SolverError("clip_fraction must be in (0, 1]")
-        if self.delta_growth <= 1:
-            raise SolverError("delta_growth must exceed 1")
         if not (1 <= self.min_active_buckets <= self.max_active_buckets <= self.n_buckets):
             raise SolverError("invalid active-bucket bounds")
         if self.termination_sweeps < 1:
@@ -157,8 +135,6 @@ class AddsConfig:
             raise SolverError("settle_passes must be >= 1")
         if self.warmup_passes < 0:
             raise SolverError("warmup_passes must be >= 0")
-        if not (0 < self.ewma_alpha <= 1):
-            raise SolverError("ewma_alpha must be in (0, 1]")
 
     def replace(self, **kw) -> "AddsConfig":
         """A copy with fields overridden (ablations, sweeps)."""

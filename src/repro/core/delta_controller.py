@@ -6,7 +6,7 @@ pass:
 - **utilization band** — the MTB monitors "the number of work items that
   it currently has assigned at any time", here measured in in-flight
   *edges* (items × average degree, which is what occupies hardware
-  threads), and keeps it between ``util_low`` and ``util_high`` times the
+  threads), and keeps it between ``UTIL_LOW`` and ``UTIL_HIGH`` times the
   device's thread count.  The degree term is the paper's "correlating the
   number of threads with the average degree of the input graph": for
   low-degree graphs more items are needed to cover the same thread count
@@ -34,6 +34,24 @@ from repro.gpu.specs import DeviceSpec
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = ["DeltaController"]
+
+#: Utilization band, in in-flight edges per hardware thread.  The MTB
+#: keeps assigned work inside [UTIL_LOW, UTIL_HIGH] × total_threads ×
+#: divergence-adjustment (§5.5 "correlating the number of threads with
+#: the average degree").
+UTIL_LOW = 0.25
+UTIL_HIGH = 0.55
+
+#: Head-bucket switches to wait between Δ adjustments (§5.5 settling).
+SETTLE_SWITCHES = 2
+
+#: Smoothing factor for the utilization signal (EWMA of in-flight
+#: edges sampled each MTB pass) — the paper's "some utilization
+#: fluctuations will dampen" made concrete.
+EWMA_ALPHA = 0.15
+
+#: Multiplicative Δ step for the controller.
+DELTA_GROWTH = 2.0
 
 
 @dataclass
@@ -84,7 +102,7 @@ class DeltaController:
 
     def observe(self, inflight_edges: float) -> None:
         """One MTB pass worth of utilization signal (EWMA-smoothed)."""
-        a = self.config.ewma_alpha
+        a = EWMA_ALPHA
         self.util_ewma = a * float(inflight_edges) + (1 - a) * self.util_ewma
         self.passes_since_change += 1
         self.passes_total += 1
@@ -111,9 +129,9 @@ class DeltaController:
     def adjust_active_buckets(self) -> int:
         """High-frequency knob: widen/narrow the assignable bucket window."""
         u = self.utilization(self.util_ewma)
-        if u < self.config.util_low and self.active_buckets < self.config.max_active_buckets:
+        if u < UTIL_LOW and self.active_buckets < self.config.max_active_buckets:
             self.active_buckets += 1
-        elif u > self.config.util_high and self.active_buckets > self.config.min_active_buckets:
+        elif u > UTIL_HIGH and self.active_buckets > self.config.min_active_buckets:
             self.active_buckets -= 1
         return self.active_buckets
 
@@ -127,7 +145,7 @@ class DeltaController:
         if self.passes_total < self.config.warmup_passes:
             return False
         return (
-            rotations - self.rotations_at_last_change >= self.config.settle_switches
+            rotations - self.rotations_at_last_change >= SETTLE_SWITCHES
             or self.passes_since_change >= self.config.settle_passes
         )
 
@@ -142,13 +160,13 @@ class DeltaController:
         if not self.settled(rotations):
             return self.delta
 
-        g = self.config.delta_growth
+        g = DELTA_GROWTH
         u = self.utilization(self.util_ewma)
         if tail_fraction >= self.config.clip_fraction:
             # clip guard: Δ is below the clipping bound, grow regardless
             self.growth_frozen = False
             self._grow(rotations, g)
-        elif u < self.config.util_low:
+        elif u < UTIL_LOW:
             # starved even with extra buckets open: coarsen for parallelism
             if self.util_at_growth is not None and not self.growth_frozen:
                 # the previous growth has settled; did it help?  A zero
@@ -167,7 +185,7 @@ class DeltaController:
                     self._change(rotations, self.delta / g)
             if not self.growth_frozen:
                 self._grow(rotations, g)
-        elif u > self.config.util_high:
+        elif u > UTIL_HIGH:
             # saturated: refine for work efficiency (never below the clip
             # bound; the guard above pushes back if this overshoots).  The
             # active-bucket knob keeps damping short fluctuations on its

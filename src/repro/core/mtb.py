@@ -33,6 +33,10 @@ from repro.core.wtb import AF_ASSIGNED, AF_IDLE, AF_STOP
 
 __all__ = ["mtb_program"]
 
+#: Idle MTB pass interval, cycles (how often the manager re-scans when
+#: nothing changed).
+MTB_IDLE_CYCLES = 400.0
+
 
 def mtb_program(state):
     """Generator program for the manager thread block."""
@@ -218,4 +222,4 @@ def mtb_program(state):
         if assignments or rotated:
             yield ("busy", cost.mtb_pass_cost(segments_scanned, assignments))
         else:
-            yield ("busy", max(cfg.mtb_idle_cycles, cost.mtb_pass_cost(segments_scanned, 0)))
+            yield ("busy", max(MTB_IDLE_CYCLES, cost.mtb_pass_cost(segments_scanned, 0)))

@@ -256,13 +256,21 @@ class WorkScheduler:
     # priority-band mapping (shared; parameterized by ``_band_limit``)
     # ------------------------------------------------------------------ #
 
-    def _clip_bands(self, raw: list) -> list:
-        """Clamp raw band indices into ``[0, _band_limit]`` in place,
-        counting clips — the one scalar clip rule shared by
-        :meth:`rel_bands_for`'s single-item path and
-        :meth:`rel_bands_list` (§5.5 / Figure 6(b): below-window clips
-        to the head band, beyond-window clips to the tail band)."""
+    def rel_bands_list(self, dists: np.ndarray) -> list:
+        """Band index (0 = head) for each distance, with clipping.
+
+        Below-window distances clip to the head band (work spawned for an
+        already-rotated band, §5.4); beyond-window distances clip to the
+        tail band (Figure 6(b)).  Clip counts feed the Δ controller.
+
+        The WTB groups its pushes with scalar code, so the bands come
+        back as a plain list.  The division stays the ``np.floor_divide``
+        kernel — its fmod-corrected floor division differs from
+        ``floor(a/b)`` at band boundaries; its float results are integral
+        and far below 2**53, so ``int()`` on them is exact.
+        """
         limit = self._band_limit
+        raw = np.floor_divide(dists - self.base_dist, self.delta).tolist()
         for i, r in enumerate(raw):
             r = int(r)
             if r < 0:
@@ -273,54 +281,6 @@ class WorkScheduler:
                 r = limit
             raw[i] = r
         return raw
-
-    def rel_bands_for(self, dists: np.ndarray) -> np.ndarray:
-        """Band index (0 = head) for each distance, with clipping.
-
-        Below-window distances clip to the head band (work spawned for an
-        already-rotated band, §5.4); beyond-window distances clip to the
-        tail band (Figure 6(b)).  Clip counts feed the Δ controller.
-        """
-        limit = self._band_limit
-        if dists.size == 1:
-            # scalar path: one ufunc dispatch instead of three full-array
-            # ones (the modal WTB push is one winner).  Must stay the
-            # numpy kernel — its fmod-corrected floor division differs
-            # from floor(a/b) at band boundaries.
-            r = self._clip_bands(
-                [np.floor_divide(dists.item() - self.base_dist, self.delta)]
-            )[0]
-            return np.array([r], dtype=np.int64)
-        rel = np.floor_divide(dists - self.base_dist, self.delta).astype(np.int64)
-        if 0 <= int(rel.min()) and int(rel.max()) <= limit:
-            return rel  # common case: nothing clips
-        # vectorized variant of the _clip_bands rule, same counts
-        low = rel < 0
-        high = rel > limit
-        n_low = int(np.count_nonzero(low))
-        n_high = int(np.count_nonzero(high))
-        if n_low:
-            self.low_clips += n_low
-            rel[low] = 0
-        if n_high:
-            self.high_clips += n_high
-            rel[high] = limit
-        return rel
-
-    def rel_bands_list(self, dists: np.ndarray) -> list:
-        """:meth:`rel_bands_for` as a plain list (hot WTB push path).
-
-        The WTB groups its pushes with scalar code, so handing it a list
-        skips the int64 cast, the min/max early-out reduction and the
-        clip masks of the array variant.  The division itself stays the
-        ``np.floor_divide`` kernel (same boundary semantics); its float
-        results are integral and far below 2**53, so ``int()`` on them
-        is exact, and clips are counted per element exactly as the array
-        variant counts them.
-        """
-        return self._clip_bands(
-            np.floor_divide(dists - self.base_dist, self.delta).tolist()
-        )
 
     # ------------------------------------------------------------------ #
     # writer (WTB) side

@@ -169,31 +169,6 @@ class CostModel:
 
     # -- ADDS worker batches ----------------------------------------------- #
 
-    def wtb_batch_cycles(
-        self,
-        edges: int,
-        avg_degree: float,
-        *,
-        concurrent_blocks: int = 1,
-        float_weights: bool = False,
-    ) -> float:
-        """Duration of one WTB processing a batch with ``edges`` edge relaxations.
-
-        The block's 256 threads pipeline the latency chain; DRAM bandwidth
-        is shared equally among the ``concurrent_blocks`` currently busy
-        (an approximation that lets the event engine price a batch at
-        dispatch time without global feedback).
-        """
-        if edges <= 0:
-            return self.min_batch_cycles / 4
-        tpb = self.spec.threads_per_block
-        waves = math.ceil(edges / tpb)
-        latency_bound = self.edge_latency_cycles * waves
-        share = self.spec.bytes_per_cycle / max(1, concurrent_blocks)
-        bw_bound = edges * self.effective_edge_bytes(avg_degree) / share
-        atomic = self._atomic_by_fw[bool(float_weights)]
-        return max(latency_bound + atomic, bw_bound, self.min_batch_cycles)
-
     def wtb_batch_latency(
         self, edges: int, *, float_weights: bool = False
     ) -> float:

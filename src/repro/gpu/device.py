@@ -14,46 +14,36 @@ Events a program may yield
 ``("busy", cycles)``
     The block computes/accesses memory for ``cycles`` cycles.
 
-``("relax", cycles, edges)``
-    Like ``busy``, but the engine tracks ``edges`` as in-flight work for
-    the parallelism timeline (Figures 11–15).
-
 ``("relax", latency_cycles, edges, bytes)``
-    The bandwidth-managed form: the engine owns a DRAM reservation clock
-    and serializes the ``bytes`` of all relax batches through the device's
-    peak bandwidth, so aggregate memory throughput is exactly the spec's
-    peak when saturated and the batch's duration is
-    ``max(latency_cycles, queueing delay + own transfer time)``.  This is
-    what makes saturated executions bandwidth-bound and starved ones
-    latency-bound without any per-batch sharing guesswork.
-
-``("wait", predicate)``
-    The block sleeps until ``predicate()`` is true.  This registers on
-    the **fallback channel**: the predicate is re-evaluated after every
-    event completion, exactly like the original global-rescan engine.  A
-    fallback wait whose predicate is already true at registration resumes
-    inline at zero cost (no poll charge, no heap round-trip) — there was
-    never anything to wait for.
+    A batch of ``edges`` edge relaxations.  The engine tracks ``edges``
+    as in-flight work for the parallelism timeline (Figures 11–15) and
+    owns a DRAM reservation clock that serializes the ``bytes`` of all
+    relax batches through the device's peak bandwidth, so aggregate
+    memory throughput is exactly the spec's peak when saturated and the
+    batch's duration is ``max(latency_cycles, queueing delay + own
+    transfer time)``.  This is what makes saturated executions
+    bandwidth-bound and starved ones latency-bound without any
+    per-batch sharing guesswork.
 
 ``("wait", predicate, channel)``
-    The targeted form: the wait registers on the named *wake channel*
-    (any hashable key).  The predicate is only re-evaluated when a writer
-    calls :meth:`Device.notify` with the same key — O(notifications)
-    instead of O(events × waiters).  Channel waits model a hardware
-    thread block spinning on a flag in scratchpad, so resuming always
-    charges one :attr:`CostModel.af_poll_cycles` — the successful poll
-    that noticed the flag — *including* when the flag was already set at
-    registration time (the write raced ahead of the worker's first
-    poll).  This is why migrating a wait to a channel never changes
-    simulated timing: the charge structure is identical to the rescan
-    engine's; only the host-side evaluation count drops.
+    The block sleeps until ``predicate()`` is true, registered on the
+    named *wake channel* (any hashable key).  The predicate is only
+    re-evaluated when a writer calls :meth:`Device.notify` with the same
+    key — O(notifications), not O(events × waiters).  A wait models a
+    hardware thread block spinning on a flag in scratchpad, so resuming
+    always charges one :attr:`CostModel.af_poll_cycles` — the successful
+    poll that noticed the flag — *including* when the flag was already
+    set at registration time (the write raced ahead of the worker's
+    first poll).
 
-The wake-channel protocol (who notifies, tie-break rules, fallback
-semantics) is documented in ``docs/simulator.md``.  Channel efficiency is
-observable through :attr:`Device.wakeups` / :attr:`Device.spurious_wakeups`
-(and, for unmigrated call sites, :attr:`Device.fallback_polls`); a missed
-notification is rescued by the deadlock-detection rescan and counted in
-:attr:`Device.missed_wakeups` so writer bugs cannot hide.
+Any other event kind, or one of these kinds with the wrong number of
+fields, raises :class:`DeviceError` naming the block.
+
+The wake-channel protocol (who notifies, tie-break rules, the rescue
+rescan) is documented in ``docs/simulator.md``.  Channel efficiency is
+observable through :attr:`Device.wakeups` / :attr:`Device.spurious_wakeups`;
+a missed notification is rescued by the deadlock-detection rescan and
+counted in :attr:`Device.missed_wakeups` so writer bugs cannot hide.
 
 Programs finish by returning.  :meth:`Device.run` returns when every
 program has finished; if all remaining programs are waiting and no
@@ -82,6 +72,21 @@ Program = Generator[tuple, None, None]
 
 #: Sentinel two-arg ``next`` returns when a program generator finishes.
 _FINISHED = object()
+
+#: The one accepted shape of each event kind (see the module docstring).
+_EVENT_FORMS = {
+    "busy": "('busy', cycles)",
+    "relax": "('relax', latency_cycles, edges, bytes)",
+    "wait": "('wait', predicate, channel)",
+}
+
+
+def _malformed(ctx: BlockContext, event: tuple) -> DeviceError:
+    kind = event[0]
+    return DeviceError(
+        f"{ctx.name}: malformed {kind!r} event with {len(event)} fields; "
+        f"expected {_EVENT_FORMS[kind]}"
+    )
 
 
 @dataclass(slots=True)
@@ -171,27 +176,21 @@ class Device:
         # exactly the order the rescan engine's waiting list had — the
         # tie-break feeding next(self._seq) is semantics, not style.
         self._channels: dict = {}
-        self._fallback: List[Tuple[int, BlockContext, Callable[[], bool]]] = []
         self._notified: set = set()
         self._wait_reg = 0
-        #: Channel waiters resumed (each charged one AF poll).
+        #: Waiters resumed (each charged one AF poll).
         self.wakeups = 0
         #: Channel predicate evaluations that failed after a notify
         #: (the writer's channel was too coarse for this waiter).
         self.spurious_wakeups = 0
-        #: Fallback-channel predicate re-evaluations that failed — the
-        #: per-event rescan cost unmigrated waits still pay.
-        self.fallback_polls = 0
-        #: Channel waiters rescued by the deadlock-detection rescan: a
-        #: writer changed their predicate without notifying.  Loud in
-        #: metrics because it means a migration bug, not a slow path.
+        #: Waiters rescued by the deadlock-detection rescan: a writer
+        #: changed their predicate without notifying.  Loud in metrics
+        #: because it means a writer bug, not a slow path.
         self.missed_wakeups = 0
-        self._relax_blocks = 0
         self._relax_edges = 0.0
         self._relax_integral = 0.0  # ∫ edges-in-flight dt, edge·cycles
         self._relax_changed_at = 0.0
         self._bw_clock = 0.0  # DRAM reservation clock, cycles
-        self._bytes_moved = 0.0
         self._total_events = 0
         self._ran = False
         self._current_ctx: Optional[BlockContext] = None
@@ -229,10 +228,6 @@ class Device:
         synchronously between its yields."""
         ctx = self._current_ctx
         return None if ctx is None else ctx.name
-
-    def active_relax_blocks(self) -> int:
-        """Blocks currently inside a ``relax`` event (bandwidth sharers)."""
-        return self._relax_blocks
 
     def active_relax_edges(self) -> float:
         """Edges currently in flight (the figures' 'parallelism')."""
@@ -301,14 +296,13 @@ class Device:
             self._schedule(ctx, self.now)
         heap = self._heap
         step = self._step
-        # _notified and _fallback are mutated in place everywhere, so the
-        # per-event emptiness test can run on hoisted bindings.
+        # _notified is mutated in place everywhere, so the per-event
+        # emptiness test can run on a hoisted binding.
         notified = self._notified
-        fallback = self._fallback
         process_wakes = self._process_wakes
         while True:
             if not heap:
-                if not (self._channels or fallback):
+                if not self._channels:
                     break  # every program finished
                 self._rescue_or_deadlock()
                 continue
@@ -321,7 +315,7 @@ class Device:
                 self.now = t
             while heap and heap[0][0] == t:
                 step(heappop(heap)[2])
-                if notified or fallback:
+                if notified:
                     process_wakes()
         return self.now
 
@@ -343,45 +337,31 @@ class Device:
         heappush(self._heap, (now + self._af_poll, self._next_prio(), ctx))
 
     def _process_wakes(self) -> None:
-        """Evaluate notified channels plus the fallback channel; wake every
-        satisfied waiter in registration order (the rescan engine's order)."""
+        """Evaluate the notified channels; wake every satisfied waiter in
+        registration order (the rescan engine's order)."""
         ready: Optional[List[Tuple[int, BlockContext, Callable[[], bool]]]] = None
         notified = self._notified
-        if notified:
-            channels = self._channels
-            for key in notified:
-                waiters = channels.get(key)
-                if not waiters:
-                    continue
-                keep = None
-                for item in waiters:
-                    if item[2]():
-                        if ready is None:
-                            ready = []
-                        ready.append(item)
-                    else:
-                        self.spurious_wakeups += 1
-                        if keep is None:
-                            keep = []
-                        keep.append(item)
-                if keep is None:
-                    del channels[key]
-                else:
-                    channels[key] = keep
-            notified.clear()
-        fallback = self._fallback
-        if fallback:
-            keep_fb = []
-            for item in fallback:
+        channels = self._channels
+        for key in notified:
+            waiters = channels.get(key)
+            if not waiters:
+                continue
+            keep = None
+            for item in waiters:
                 if item[2]():
                     if ready is None:
                         ready = []
                     ready.append(item)
                 else:
-                    self.fallback_polls += 1
-                    keep_fb.append(item)
-            if len(keep_fb) != len(fallback):
-                fallback[:] = keep_fb  # in place: run() holds a binding
+                    self.spurious_wakeups += 1
+                    if keep is None:
+                        keep = []
+                    keep.append(item)
+            if keep is None:
+                del channels[key]
+            else:
+                channels[key] = keep
+        notified.clear()
         if ready is None:
             return
         if len(ready) > 1:
@@ -406,52 +386,32 @@ class Device:
     def _rescue_or_deadlock(self) -> None:
         """Heap empty with blocks waiting: the full-rescan safety net.
 
-        A satisfied channel waiter found here means a writer changed its
+        A satisfied waiter found here means a writer changed its
         predicate without a notify — woken anyway (counted in
-        :attr:`missed_wakeups`) so a migration bug degrades instead of
-        hanging.  Nothing satisfied is a genuine deadlock."""
-        # One block may be parked under several registrations (a keyed
-        # entry plus a fallback entry left behind by an earlier rescue):
-        # dedupe by waiter identity so each block wakes — and is counted
-        # in ``wakeups``/``missed_wakeups`` — at most once per rescan.
-        items: List[Tuple[int, BlockContext, Callable[[], bool]]] = []
-        for waiters in self._channels.values():
-            items.extend(waiters)
-        items.extend(self._fallback)
-        stuck: List[Tuple[int, BlockContext, Callable[[], bool]]] = []
-        rescued = 0
-        woken: set = set()
-        stuck_ids: set = set()
-        for item in items:
-            ident = id(item[1])
-            if ident in woken:
-                continue
-            if item[2]():
-                woken.add(ident)
-                self._wake(item[1])
-                rescued += 1
-                if ident in stuck_ids:
-                    # An earlier duplicate looked unsatisfied; the block
-                    # is awake now, so drop its stale registration too.
-                    stuck = [it for it in stuck if id(it[1]) != ident]
-                    stuck_ids.discard(ident)
-            elif ident not in stuck_ids:
-                stuck.append(item)
-                stuck_ids.add(ident)
+        :attr:`missed_wakeups`) so a writer bug degrades instead of
+        hanging.  Unsatisfied waiters stay registered on their own
+        channel, so a later notify on that key still wakes them.
+        Nothing satisfied is a genuine deadlock."""
+        channels = self._channels
+        rescued: List[Tuple[int, BlockContext, Callable[[], bool]]] = []
+        for key in list(channels):
+            keep = []
+            for item in channels[key]:
+                (rescued if item[2]() else keep).append(item)
+            if keep:
+                channels[key] = keep
+            else:
+                del channels[key]
         if not rescued:
-            stuck.sort()
+            stuck = sorted(item for waiters in channels.values() for item in waiters)
             waiters = ", ".join(item[1].name for item in stuck)
             raise DeviceError(f"deadlock: blocks waiting forever: {waiters}")
-        self.missed_wakeups += rescued
-        self.wakeups += rescued
-        self._channels.clear()
-        self._fallback[:] = stuck  # in place: run() holds a binding
-        self._notified.clear()
-        # Re-key the survivors: stuck channel waiters fall back to the
-        # rescan channel (their writer already proved unreliable).
+        for item in rescued:
+            self._wake(item[1])
+        self.missed_wakeups += len(rescued)
+        self.wakeups += len(rescued)
 
     def _finish_relax(self, edges: float) -> None:
-        self._relax_blocks -= 1
         self._bump_relax(-edges)
         self.timeline.record(self.now_us, max(0.0, self._relax_edges))
 
@@ -463,115 +423,99 @@ class Device:
             self._finish_relax(pending)
             ctx._pending_relax = None
 
-        program = ctx.program
-        heap = self._heap
-        prio = self._next_prio
         now = self.now  # the clock only advances in run(), never mid-step
-        events = self._total_events
-        max_events = self.max_events
-        # One try/finally per *step* (not per event) keeps the budget
-        # counter and _current_ctx exact on every exit path while the
-        # loop itself runs on locals only.
+        self._total_events += 1
+        if self._total_events > self.max_events:
+            raise DeviceError(
+                f"event budget exceeded ({self.max_events}); "
+                "likely a livelock in a block program"
+            )
         self._current_ctx = ctx
         try:
-            while True:
-                events += 1
-                if events > max_events:
-                    raise DeviceError(
-                        f"event budget exceeded ({self.max_events}); "
-                        "likely a livelock in a block program"
-                    )
-                # Two-arg next traps StopIteration in C — no try/except
-                # on the per-event path.
-                event = next(program, _FINISHED)
-                if event is _FINISHED:
-                    ctx.finished = True
-                    return
+            # Two-arg next traps StopIteration in C — no try/except
+            # on the per-event path.
+            event = next(ctx.program, _FINISHED)
+            if event is _FINISHED:
+                ctx.finished = True
+                return
 
-                ctx.events += 1
-                kind = event[0]
-                if kind == "busy":
-                    cycles = float(event[1])
-                    if cycles < 0:
-                        raise DeviceError(f"{ctx.name}: negative busy duration")
-                    ctx.busy_cycles += cycles
-                    if self._trace_on:
-                        name, args = self._take_annotation(ctx, "busy")
-                        self.tracer.span(
-                            ctx.name, name, self.now_us,
-                            self.spec.cycles_to_us(cycles), cat="compute", **args,
-                        )
-                    heappush(heap, (now + cycles, prio(), ctx))
+            ctx.events += 1
+            kind = event[0]
+            if kind == "busy":
+                try:
+                    _, cycles = event
+                except ValueError:
+                    raise _malformed(ctx, event) from None
+                cycles = float(cycles)
+                if cycles < 0:
+                    raise DeviceError(f"{ctx.name}: negative busy duration")
+                ctx.busy_cycles += cycles
+                if self._trace_on:
+                    name, args = self._take_annotation(ctx, "busy")
+                    self.tracer.span(
+                        ctx.name, name, self.now_us,
+                        self.spec.cycles_to_us(cycles), cat="compute", **args,
+                    )
+                heappush(self._heap, (now + cycles, self._next_prio(), ctx))
+                return
+            if kind == "relax":
+                try:
+                    _, cycles, edges, nbytes = event
+                except ValueError:
+                    raise _malformed(ctx, event) from None
+                cycles, edges = float(cycles), float(edges)
+                if cycles < 0 or edges < 0:
+                    raise DeviceError(f"{ctx.name}: negative relax event")
+                nbytes = float(nbytes)
+                if nbytes < 0:
+                    raise DeviceError(f"{ctx.name}: negative relax bytes")
+                # serialize the batch's bytes through DRAM
+                service_start = max(now, self._bw_clock)
+                dram_wait = service_start - now
+                transfer_done = service_start + nbytes / self.spec.bytes_per_cycle
+                self._bw_clock = transfer_done
+                cycles = max(cycles, transfer_done - now)
+                ctx.busy_cycles += cycles
+                self._bump_relax(edges)
+                self.timeline.record(self.now_us, self._relax_edges)
+                if self._trace_on:
+                    name, args = self._take_annotation(ctx, "relax")
+                    args.setdefault("edges", edges)
+                    if dram_wait > 0:
+                        args["dram_wait_us"] = self.spec.cycles_to_us(dram_wait)
+                    self.tracer.span(
+                        ctx.name, name, self.now_us,
+                        self.spec.cycles_to_us(cycles), cat="relax", **args,
+                    )
+                ctx._pending_relax = edges
+                heappush(self._heap, (now + cycles, self._next_prio(), ctx))
+                return
+            if kind == "wait":
+                try:
+                    _, pred, channel = event
+                except ValueError:
+                    raise _malformed(ctx, event) from None
+                if not callable(pred):
+                    raise DeviceError(
+                        f"{ctx.name}: wait predicate must be callable"
+                    )
+                if pred():
+                    # A wait models spinning on a hardware flag: the
+                    # flag being set before the first poll still
+                    # costs that poll.
+                    self.wakeups += 1
+                    heappush(self._heap, (now + self._af_poll, self._next_prio(), ctx))
                     return
-                if kind == "relax":
-                    cycles, edges = float(event[1]), float(event[2])
-                    if cycles < 0 or edges < 0:
-                        raise DeviceError(f"{ctx.name}: negative relax event")
-                    dram_wait = 0.0
-                    if len(event) >= 4:
-                        # bandwidth-managed form: serialize bytes through DRAM
-                        nbytes = float(event[3])
-                        if nbytes < 0:
-                            raise DeviceError(f"{ctx.name}: negative relax bytes")
-                        service_start = max(now, self._bw_clock)
-                        dram_wait = service_start - now
-                        transfer_done = service_start + nbytes / self.spec.bytes_per_cycle
-                        self._bw_clock = transfer_done
-                        self._bytes_moved += nbytes
-                        cycles = max(cycles, transfer_done - now)
-                    ctx.busy_cycles += cycles
-                    self._relax_blocks += 1
-                    self._bump_relax(edges)
-                    self.timeline.record(self.now_us, self._relax_edges)
-                    if self._trace_on:
-                        name, args = self._take_annotation(ctx, "relax")
-                        args.setdefault("edges", edges)
-                        if dram_wait > 0:
-                            args["dram_wait_us"] = self.spec.cycles_to_us(dram_wait)
-                        self.tracer.span(
-                            ctx.name, name, self.now_us,
-                            self.spec.cycles_to_us(cycles), cat="relax", **args,
-                        )
-                    ctx._pending_relax = edges
-                    heappush(heap, (now + cycles, prio(), ctx))
-                    return
-                if kind == "wait":
-                    pred = event[1]
-                    if not callable(pred):
-                        raise DeviceError(
-                            f"{ctx.name}: wait predicate must be callable"
-                        )
-                    channel = event[2] if len(event) >= 3 else None
-                    if channel is None:
-                        if pred():
-                            # Nothing to wait for: resume inline, free.
-                            # (The loop keeps charging the event budget,
-                            # so a program spinning on a true predicate
-                            # still trips the livelock guard.)
-                            continue
-                        self._wait_reg += 1
-                        ctx._wait_started = now
-                        self._fallback.append((self._wait_reg, ctx, pred))
-                        return
-                    if pred():
-                        # A channel wait models spinning on a hardware
-                        # flag: the flag being set before the first poll
-                        # still costs that poll, identically to the
-                        # rescan engine.
-                        self.wakeups += 1
-                        heappush(heap, (now + self._af_poll, prio(), ctx))
-                        return
-                    self._wait_reg += 1
-                    ctx._wait_started = now
-                    waiters = self._channels.get(channel)
-                    if waiters is None:
-                        self._channels[channel] = [(self._wait_reg, ctx, pred)]
-                    else:
-                        waiters.append((self._wait_reg, ctx, pred))
-                    return
-                raise DeviceError(f"{ctx.name}: unknown event kind {kind!r}")
+                self._wait_reg += 1
+                ctx._wait_started = now
+                waiters = self._channels.get(channel)
+                if waiters is None:
+                    self._channels[channel] = [(self._wait_reg, ctx, pred)]
+                else:
+                    waiters.append((self._wait_reg, ctx, pred))
+                return
+            raise DeviceError(f"{ctx.name}: unknown event kind {kind!r}")
         finally:
-            self._total_events = events
             self._current_ctx = None
 
     @staticmethod
@@ -590,7 +534,6 @@ class Device:
         return {
             "wakeups": self.wakeups,
             "spurious_wakeups": self.spurious_wakeups,
-            "fallback_polls": self.fallback_polls,
             "missed_wakeups": self.missed_wakeups,
         }
 

@@ -5,8 +5,8 @@ program runs uninterrupted between ``yield`` points), so the *values*
 produced by these atomics are trivially correct; what this module adds is
 
 - the **API shape** of the CUDA primitives the paper's kernels use
-  (``atomicAdd``/``atomicMin``/``atomicCAS``, ``__threadfence``), so the
-  ADDS code reads like the algorithm in §5;
+  (``atomicAdd``/``atomicMin``, ``__threadfence``), so the ADDS code
+  reads like the algorithm in §5;
 - **operation counters**, which feed reports and tests (e.g. the tests
   that assert the MTB performs a fence before trusting ``resv_ptr``); and
 - a **pre-allocated arena** (:class:`GlobalPool`) from which the ADDS
@@ -34,19 +34,11 @@ WORDS_PER_BLOCK = 1 << 16
 class MemoryStats:
     """Counters of simulated memory operations, by kind."""
 
-    global_reads: int = 0
-    global_writes: int = 0
-    scratchpad_reads: int = 0
-    scratchpad_writes: int = 0
     atomics: int = 0
     fences: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
-            "global_reads": self.global_reads,
-            "global_writes": self.global_writes,
-            "scratchpad_reads": self.scratchpad_reads,
-            "scratchpad_writes": self.scratchpad_writes,
             "atomics": self.atomics,
             "fences": self.fences,
         }
@@ -55,10 +47,9 @@ class MemoryStats:
 class SimMemory:
     """Atomic primitives over NumPy arrays, with operation accounting.
 
-    One instance is shared by all thread-block programs on a device; the
-    distinction between "global" and "scratchpad" exists only in the
-    counters (and in the cost events programs emit), exactly as on real
-    hardware where it is an address-space property.
+    One instance is shared by all thread-block programs on a device.
+    Plain loads and stores are priced by the cost events programs emit,
+    not counted here.
     """
 
     def __init__(self) -> None:
@@ -217,33 +208,13 @@ class SimMemory:
             checker.on_atomic_min_batch(arr, indices, values, pre_vals, winners)
         return winners
 
-    def atomic_cas(self, arr: np.ndarray, index: int, expected, desired) -> int:
-        """``atomicCAS``: conditional swap, returns the old value."""
-        self.stats.atomics += 1
-        old = arr.item(index)
-        if old == expected:
-            arr[index] = desired
-        return old
-
-    # -- fences and plain accesses ------------------------------------------ #
+    # -- fences ------------------------------------------------------------ #
 
     def fence(self) -> None:
         """``__threadfence``: in the cooperative simulator ordering is
         already sequential; the call is counted so protocol tests can
         assert it happened where §5.2 requires it."""
         self.stats.fences += 1
-
-    def read(self, n: int = 1, *, scratchpad: bool = False) -> None:
-        if scratchpad:
-            self.stats.scratchpad_reads += n
-        else:
-            self.stats.global_reads += n
-
-    def write(self, n: int = 1, *, scratchpad: bool = False) -> None:
-        if scratchpad:
-            self.stats.scratchpad_writes += n
-        else:
-            self.stats.global_writes += n
 
 
 class GlobalPool:

@@ -21,6 +21,7 @@ populates the uniform key set ``atomics``, ``fences``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, List, Tuple, Union
 
 from repro.errors import TraceError
@@ -60,15 +61,19 @@ SERVE_COUNTER_KEYS = (
 
 @dataclass
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count.
+
+    Integer increments (NumPy integers included) keep the value a Python
+    ``int``, so counts serialize as ``189``, never ``189.0``; a float
+    increment makes it a ``float``."""
 
     name: str
-    value: float = 0.0
+    value: Union[int, float] = 0
 
     def inc(self, n: Union[int, float] = 1) -> None:
         if n < 0:
             raise TraceError(f"counter {self.name!r} cannot decrease (inc {n})")
-        self.value += n
+        self.value += int(n) if isinstance(n, Integral) else float(n)
 
 
 @dataclass

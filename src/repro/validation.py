@@ -9,6 +9,7 @@ the on-disk ``*_final_dist`` workflow.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Union
@@ -26,7 +27,15 @@ __all__ = [
     "write_dist_file",
     "read_dist_file",
     "verify_dist_files",
+    "dist_sha256",
 ]
+
+
+def dist_sha256(dist: np.ndarray) -> str:
+    """Endianness-pinned content hash of the distance vector (the
+    ``dist_sha256`` field of bench and check payloads)."""
+    buf = np.ascontiguousarray(dist, dtype=np.float64).astype("<f8")
+    return hashlib.sha256(buf.tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def test_run_update_check_detects_divergence(monkeypatch):
     the report must flag it."""
     import repro.check.dynamic as dynmod
 
-    real = dynmod._dist_sha256
+    real = dynmod.dist_sha256
     calls = {"n": 0}
 
     def skewed(dist):
@@ -81,7 +81,7 @@ def test_run_update_check_detects_divergence(monkeypatch):
             return "deadbeef" * 8
         return real(dist)
 
-    monkeypatch.setattr(dynmod, "_dist_sha256", skewed)
+    monkeypatch.setattr(dynmod, "dist_sha256", skewed)
     report = run_update_check(
         entries=[_entry(2)], batches=1, batch_size=5, schedules=0, seed=1
     )

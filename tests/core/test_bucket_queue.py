@@ -43,20 +43,20 @@ class TestDistCodec:
 class TestBandMapping:
     def test_bands_by_delta(self):
         q = make_queue(delta=10.0)
-        rel = q.rel_bands_for(np.array([0.0, 9.9, 10.0, 25.0]))
-        assert rel.tolist() == [0, 0, 1, 2]
+        rel = q.rel_bands_list(np.array([0.0, 9.9, 10.0, 25.0]))
+        assert rel == [0, 0, 1, 2]
 
     def test_high_clip_to_tail(self):
         q = make_queue(n_buckets=4, delta=10.0)
-        rel = q.rel_bands_for(np.array([1000.0]))
-        assert rel.tolist() == [3]
+        rel = q.rel_bands_list(np.array([1000.0]))
+        assert rel == [3]
         assert q.high_clips == 1
 
     def test_low_clip_to_head(self):
         q = make_queue(delta=10.0)
         q.base_dist = 50.0
-        rel = q.rel_bands_for(np.array([5.0]))
-        assert rel.tolist() == [0]
+        rel = q.rel_bands_list(np.array([5.0]))
+        assert rel == [0]
         assert q.low_clips == 1
 
     def test_slot_wraps_circularly(self):
@@ -257,7 +257,7 @@ class TestCompletionAndRotation:
     def test_delta_change(self):
         q = make_queue(delta=10.0)
         q.set_delta(20.0)
-        assert q.rel_bands_for(np.array([25.0])).tolist() == [1]
+        assert q.rel_bands_list(np.array([25.0])) == [1]
         with pytest.raises(ProtocolError):
             q.set_delta(0)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import AddsConfig
@@ -25,6 +27,15 @@ class TestDefaults:
         assert cfg.n_buckets == 8
         assert AddsConfig().n_buckets == 32
 
+    def test_fixed_constants_are_not_fields(self):
+        # values no caller sets live as module constants where they are read
+        names = {f.name for f in dataclasses.fields(AddsConfig)}
+        fixed = {
+            "util_low", "util_high", "settle_switches", "ewma_alpha",
+            "delta_growth", "mtb_idle_cycles", "delta_constant",
+        }
+        assert not names & fixed
+
 
 class TestValidation:
     @pytest.mark.parametrize(
@@ -36,17 +47,13 @@ class TestValidation:
             {"slots_per_block": 100, "segment_size": 32},
             {"pool_blocks": 8},
             {"max_chunk": 0},
-            {"util_low": 0.0},
-            {"util_low": 2.0, "util_high": 1.0},
             {"clip_fraction": 0.0},
             {"clip_fraction": 1.5},
-            {"delta_growth": 1.0},
             {"min_active_buckets": 0},
             {"min_active_buckets": 5, "max_active_buckets": 3},
             {"max_active_buckets": 64},
             {"termination_sweeps": 0},
             {"settle_passes": 0},
-            {"ewma_alpha": 0.0},
             {"warmup_passes": -1},
         ],
     )

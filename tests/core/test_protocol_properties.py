@@ -124,7 +124,7 @@ class TestBandMappingProperties:
         q.set_delta(delta)
         q.base_dist = base
         arr = np.sort(np.asarray(dists))
-        rel = q.rel_bands_for(arr)
+        rel = np.asarray(q.rel_bands_list(arr))
         assert (rel >= 0).all() and (rel <= q.n_buckets - 1).all()
         assert (np.diff(rel) >= 0).all()  # clipping preserves order
 

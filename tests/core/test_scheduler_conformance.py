@@ -26,7 +26,7 @@ import pytest
 
 from repro.baselines.common import SolveRequest, get_solver_info
 from repro.bench.matrix import MATRICES
-from repro.bench.runner import _dist_sha256
+from repro.validation import dist_sha256
 from repro.calibration import default_cost, default_gpu
 from repro.core.config import AddsConfig
 from repro.core.scheduler import (
@@ -212,13 +212,14 @@ class TestProtocolConformance:
         assert slot in q.head_slots()
 
     def test_clip_counting_matches_across_paths(self, name):
-        """Scalar, list and vectorized band mapping share one clip rule."""
+        """Mapping a batch and mapping its items one at a time give the
+        same bands and the same clip counts."""
         qa = make_scheduler(name, delta=10.0)
         qb = make_scheduler(name, delta=10.0)
         dists = np.array([-5.0, 0.0, 15.0, 1e12])
-        bands_vec = qa.rel_bands_for(dists).tolist()
+        bands_one = [qa.rel_bands_list(dists[i : i + 1])[0] for i in range(dists.size)]
         bands_list = qb.rel_bands_list(dists)
-        assert bands_vec == bands_list
+        assert bands_one == bands_list == [0, 0, 1, qa._band_limit]
         assert (qa.low_clips, qa.high_clips) == (qb.low_clips, qb.high_clips)
         assert qa.low_clips == 1 and qa.high_clips == 1
 
@@ -300,7 +301,7 @@ class TestGoldenSchedule:
                     options={"scheduler": DEFAULT_SCHEDULER},
                 )
             )
-            assert _dist_sha256(result.dist) == cell["dist_sha256"], graph_name
+            assert dist_sha256(result.dist) == cell["dist_sha256"], graph_name
             assert float(result.time_us) == cell["time_us"], graph_name
             assert int(result.work_count) == cell["work_count"], graph_name
             checked += 1

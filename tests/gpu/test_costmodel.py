@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpu import CPU_I9_7900X, RTX_2080TI, RTX_3090, CostModel
+from repro.gpu import CPU_I9_7900X, RTX_2080TI, RTX_3090, CostModel, Device
 from repro.gpu.costmodel import CpuCostModel
 
 
@@ -76,25 +76,44 @@ class TestBspSuperstep:
 
 
 class TestWtbBatch:
+    """A WTB batch is priced as a latency floor plus DRAM bytes; the
+    device's reservation clock turns the bytes into bandwidth time."""
+
     def test_min_batch_floor(self, cm):
-        assert cm.wtb_batch_cycles(1, 4.0) >= cm.min_batch_cycles
+        assert cm.wtb_batch_latency(1) >= cm.min_batch_cycles
 
     def test_scales_with_edges(self, cm):
-        small = cm.wtb_batch_cycles(256, 8.0)
-        large = cm.wtb_batch_cycles(25600, 8.0)
-        assert large > small * 10
+        assert cm.wtb_batch_latency(25600) > cm.wtb_batch_latency(256) * 10
+        assert cm.wtb_batch_bytes(25600, 8.0) == pytest.approx(
+            100 * cm.wtb_batch_bytes(256, 8.0)
+        )
 
     def test_bandwidth_sharing(self, cm):
-        alone = cm.wtb_batch_cycles(200_000, 8.0, concurrent_blocks=1)
-        crowded = cm.wtb_batch_cycles(200_000, 8.0, concurrent_blocks=64)
+        # 64 concurrent batches queue on one DRAM reservation clock, so
+        # together they outlast one batch alone.
+        edges = 200_000
+        event = ("relax", cm.wtb_batch_latency(edges), edges,
+                 cm.wtb_batch_bytes(edges, 8.0))
+
+        def run(blocks):
+            d = Device(RTX_2080TI, cm)
+            for i in range(blocks):
+                d.add_block(f"w{i}", iter([event]))
+            return d.run()
+
+        transfer = event[3] / RTX_2080TI.bytes_per_cycle
+        alone, crowded = run(1), run(64)
+        assert alone == pytest.approx(max(event[1], transfer))
+        assert crowded == pytest.approx(max(event[1], 64 * transfer))
         assert crowded > alone
 
     def test_empty_batch_cheap(self, cm):
-        assert cm.wtb_batch_cycles(0, 8.0) < cm.min_batch_cycles
+        assert cm.wtb_batch_bytes(0, 8.0) == 0
+        assert cm.wtb_batch_latency(0) == cm.wtb_batch_latency(1)
 
     def test_float_atomic_surcharge(self, cm):
-        i = cm.wtb_batch_cycles(256, 8.0)
-        f = cm.wtb_batch_cycles(256, 8.0, float_weights=True)
+        i = cm.wtb_batch_latency(256)
+        f = cm.wtb_batch_latency(256, float_weights=True)
         assert f > i
 
 

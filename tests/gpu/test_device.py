@@ -113,11 +113,31 @@ class TestEventValidation:
 
     def test_non_callable_wait(self):
         def prog():
-            yield ("wait", 42)
+            yield ("wait", 42, "k")
 
         d = make_device()
         d.add_block("p", prog())
         with pytest.raises(DeviceError, match="callable"):
+            d.run()
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            ("wait", lambda: True),  # retired unkeyed wait
+            ("relax", 100, 10),  # retired relax without bytes
+            ("busy",),
+            ("busy", 10, 20),
+            ("wait", lambda: True, "k", "extra"),
+        ],
+        ids=["wait-unkeyed", "relax-no-bytes", "busy-short", "busy-long", "wait-long"],
+    )
+    def test_malformed_event_rejected(self, event):
+        def prog():
+            yield event
+
+        d = make_device()
+        d.add_block("p", prog())
+        with pytest.raises(DeviceError, match=rf"^p: malformed '{event[0]}' event"):
             d.run()
 
     def test_event_budget_livelock_guard(self):
@@ -139,10 +159,11 @@ class TestWaiting:
         def setter():
             yield ("busy", 500)
             flag[0] = 1
+            d.notify("flag")
             order.append("set")
 
         def waiter():
-            yield ("wait", lambda: flag[0] == 1)
+            yield ("wait", lambda: flag[0] == 1, "flag")
             order.append("woke")
 
         d = make_device()
@@ -151,24 +172,9 @@ class TestWaiting:
         d.run()
         assert order == ["set", "woke"]
 
-    def test_fallback_wait_already_true_is_free(self):
-        # There was never anything to wait for: no poll charge, no heap
-        # round-trip (the pre-wake-channel engine charged af_poll_cycles
-        # here — the regression this pins down).
-        def prog():
-            yield ("wait", lambda: True)
-            yield ("busy", 10)
-
-        d = make_device()
-        d.add_block("p", prog())
-        total = d.run()
-        assert total == pytest.approx(10.0)
-        assert d.wakeups == 0
-
     def test_channel_wait_already_true_charges_one_poll(self):
-        # A channel wait models spinning on a hardware flag: the flag
-        # being set before the first poll still costs that poll, so
-        # migrating a wait onto a channel never changes simulated cycles.
+        # A wait models spinning on a hardware flag: the flag being set
+        # before the first poll still costs that poll.
         def prog():
             yield ("wait", lambda: True, ("af", 0))
 
@@ -179,11 +185,11 @@ class TestWaiting:
         assert d.wakeups == 1
 
     def test_inline_true_wait_spin_trips_event_budget(self):
-        # A program spinning on an always-true fallback wait must still
-        # hit the livelock guard even though it never touches the heap.
+        # A program spinning on an always-true wait must still hit the
+        # livelock guard: each resume is one more event.
         def spinner():
             while True:
-                yield ("wait", lambda: True)
+                yield ("wait", lambda: True, "k")
 
         d = make_device(max_events=1000)
         d.add_block("p", spinner())
@@ -192,7 +198,7 @@ class TestWaiting:
 
     def test_deadlock_detected(self):
         def forever():
-            yield ("wait", lambda: False)
+            yield ("wait", lambda: False, "k")
 
         d = make_device()
         d.add_block("stuck", forever())
@@ -205,9 +211,10 @@ class TestWaiting:
         def setter():
             yield ("busy", 1000)
             flag[0] = 1
+            d.notify("flag")
 
         def waiter():
-            yield ("wait", lambda: flag[0] == 1)
+            yield ("wait", lambda: flag[0] == 1, "flag")
 
         d = make_device()
         w = d.add_block("w", waiter())
@@ -221,7 +228,7 @@ class TestRelaxTracking:
         observed = []
 
         def worker(dev, edges, dur):
-            yield ("relax", dur, edges)
+            yield ("relax", dur, edges, 0)
             observed.append(dev.active_relax_edges())
 
         d = make_device()
@@ -232,26 +239,9 @@ class TestRelaxTracking:
         # when w2 finishes, nothing is left
         assert observed == [200.0, 0.0]
 
-    def test_concurrent_relax_blocks_counter(self):
-        counts = []
-
-        def observer(dev):
-            yield ("busy", 25)
-            counts.append(dev.active_relax_blocks())
-
-        def worker():
-            yield ("relax", 100, 10)
-
-        d = make_device()
-        d.add_block("o", observer(d))
-        d.add_block("w1", worker())
-        d.add_block("w2", worker())
-        d.run()
-        assert counts == [2]
-
     def test_timeline_records_parallelism(self):
         def worker():
-            yield ("relax", 1000, 500)
+            yield ("relax", 1000, 500, 0)
 
         d = make_device()
         d.add_block("w", worker())
@@ -262,7 +252,7 @@ class TestRelaxTracking:
 
     def test_negative_relax_rejected(self):
         def prog():
-            yield ("relax", 10, -1)
+            yield ("relax", 10, -1, 0)
 
         d = make_device()
         d.add_block("p", prog())
@@ -300,9 +290,9 @@ class TestSharedState:
 
 
 class TestRescueWaiterDedupe:
-    """A waiter reachable through several registrations (a keyed channel
-    entry plus a fallback entry) must be rescued exactly once: one wake,
-    one ``wakeups``/``missed_wakeups`` increment, one heap entry."""
+    """Each waiting block has exactly one registration, on its own
+    channel: the rescue rescan wakes a satisfied waiter once and leaves
+    an unsatisfied one where it is."""
 
     def _park(self, d, name):
         def prog():
@@ -313,32 +303,6 @@ class TestRescueWaiterDedupe:
         ctx._wait_started = 0.0
         return ctx
 
-    def test_dual_registration_rescued_once(self):
-        d = make_device()
-        ctx = self._park(d, "W")
-        pred = lambda: True  # noqa: E731
-        d._channels.setdefault("chan", []).append((0, ctx, pred))
-        d._fallback.append((1, ctx, pred))
-        d._rescue_or_deadlock()
-        assert d.wakeups == 1
-        assert d.missed_wakeups == 1
-        assert sum(1 for e in d._heap if e[2] is ctx) == 1
-        assert not d._channels and not d._fallback
-
-    def test_stale_keyed_entry_dropped_when_woken_via_fallback(self):
-        # The keyed predicate looks unsatisfied but the fallback one is
-        # satisfied: the block wakes once and its stale keyed
-        # registration must not survive into the next rescan round.
-        d = make_device()
-        ctx = self._park(d, "W")
-        d._channels.setdefault("chan", []).append((0, ctx, lambda: False))
-        d._fallback.append((1, ctx, lambda: True))
-        d._rescue_or_deadlock()
-        assert d.wakeups == 1
-        assert d.missed_wakeups == 1
-        assert sum(1 for e in d._heap if e[2] is ctx) == 1
-        assert not d._fallback
-
     def test_distinct_waiters_still_rescued_independently(self):
         d = make_device()
         a = self._park(d, "A")
@@ -347,4 +311,7 @@ class TestRescueWaiterDedupe:
         d._channels.setdefault("c2", []).append((1, b, lambda: False))
         d._rescue_or_deadlock()
         assert d.wakeups == 1 and d.missed_wakeups == 1
-        assert [it[1] is b for it in d._fallback] == [True]
+        assert [e[2] for e in d._heap] == [a]
+        # the unsatisfied waiter keeps its one registration
+        assert list(d._channels) == ["c2"]
+        assert [it[1] for it in d._channels["c2"]] == [b]

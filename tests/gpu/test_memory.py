@@ -31,28 +31,12 @@ class TestAtomics:
         assert mem.atomic_min(a, 0, 9) is False
         assert a[0] == 5
 
-    def test_atomic_cas_success(self, mem):
-        a = np.array([1], dtype=np.int64)
-        assert mem.atomic_cas(a, 0, 1, 42) == 1
-        assert a[0] == 42
-
-    def test_atomic_cas_failure(self, mem):
-        a = np.array([2], dtype=np.int64)
-        assert mem.atomic_cas(a, 0, 1, 42) == 2
-        assert a[0] == 2
-
     def test_counters(self, mem):
         a = np.array([0], dtype=np.int64)
         mem.atomic_add(a, 0, 1)
         mem.atomic_min(a, 0, -1)
         mem.fence()
-        mem.read(3)
-        mem.write(2, scratchpad=True)
-        s = mem.stats.snapshot()
-        assert s["atomics"] == 2
-        assert s["fences"] == 1
-        assert s["global_reads"] == 3
-        assert s["scratchpad_writes"] == 2
+        assert mem.stats.snapshot() == {"atomics": 2, "fences": 1}
 
 
 class TestAtomicMinBatch:

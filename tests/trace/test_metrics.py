@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
@@ -21,6 +22,15 @@ def test_counter_monotonic():
     assert c.value == 5.0
     with pytest.raises(TraceError):
         c.inc(-1)
+
+
+def test_counter_keeps_integer_type():
+    c = Counter("clips")
+    c.inc()
+    c.inc(np.int64(3))
+    assert c.value == 4 and type(c.value) is int
+    c.inc(0.5)
+    assert c.value == 4.5 and type(c.value) is float
 
 
 def test_gauge_last_value_wins():

@@ -43,3 +43,10 @@ def test_work_count_matches_stats(small_road):
     for name in sorted(SOLVERS):
         result = get_solver(name).solve(SolveRequest(graph=small_road))
         assert result.stats["work_count"] == result.work_count
+
+
+def test_adds_counts_are_integers(small_road):
+    """Counts serialize as ``189``, never ``189.0``, in reports."""
+    stats = get_solver("adds").solve(SolveRequest(graph=small_road)).stats
+    for key in ("atomics", "high_clips"):
+        assert type(stats[key]) is int, (key, stats[key])
