@@ -21,7 +21,7 @@ from repro.baselines.common import (
     init_tree,
     register_solver,
     resolve_sources,
-    solver_metrics,
+    uniform_stats,
 )
 from repro.gpu.costmodel import CostModel
 from repro.gpu.kernels import BspMachine
@@ -78,14 +78,14 @@ def bellman_ford_frontier(
         )
         frontier = np.unique(dsts[winners])
 
-    metrics = solver_metrics(
+    stats = uniform_stats(
         atomics=mem.stats.atomics,
         fences=mem.stats.fences,
         kernel_launches=machine.kernel_launches,
         work_count=work,
     )
-    metrics.counter("supersteps").inc(supersteps)
-    metrics.counter("timeline_clamps").inc(machine.timeline.clamps)
+    stats["supersteps"] = int(supersteps)
+    stats["timeline_clamps"] = int(machine.timeline.clamps)
     return SSSPResult(
         solver=solver_name,
         graph_name=graph.name,
@@ -95,8 +95,7 @@ def bellman_ford_frontier(
         work_count=work,
         time_us=machine.elapsed_us,
         timeline=machine.timeline,
-        metrics=metrics,
-        stats=metrics.snapshot(),
+        stats=stats,
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.gpu.timeline import Timeline
-from repro.trace.metrics import MetricsRegistry, UNIFORM_SOLVER_KEYS
+from repro.trace.metrics import UNIFORM_SOLVER_KEYS
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
@@ -43,7 +43,7 @@ __all__ = [
     "init_distances",
     "init_tree",
     "resolve_sources",
-    "solver_metrics",
+    "uniform_stats",
 ]
 
 #: Version of the JSON payloads emitted by :meth:`SSSPResult.to_json_dict`
@@ -76,13 +76,9 @@ class SSSPResult:
         time.
     stats:
         Solver-specific extras (supersteps, final Δ, pool high-water, …).
-        Numeric entries come from :attr:`metrics`; every solver reports
-        at least the uniform key set
-        :data:`~repro.trace.metrics.UNIFORM_SOLVER_KEYS`.
-    metrics:
-        The :class:`~repro.trace.MetricsRegistry` the solver populated
-        (typed counters/gauges/histograms behind the flat ``stats``
-        view); None for results built without one.
+        Every count is a Python ``int``; every solver reports at least
+        the uniform key set
+        :data:`~repro.trace.metrics.UNIFORM_SOLVER_KEYS`, first.
     """
 
     solver: str
@@ -93,7 +89,6 @@ class SSSPResult:
     time_us: float
     timeline: Timeline = field(repr=False, default_factory=Timeline)
     stats: Dict[str, object] = field(default_factory=dict)
-    metrics: Optional[MetricsRegistry] = field(repr=False, default=None)
     #: shortest-path tree: predecessors[v] is the vertex preceding v on a
     #: shortest path from the source (-1 for the source itself and for
     #: unreachable vertices).  None if the solver did not track it.
@@ -185,22 +180,23 @@ def _json_safe(v):
     return v
 
 
-def solver_metrics(
+def uniform_stats(
     *,
     atomics: int = 0,
     fences: int = 0,
     kernel_launches: int = 0,
     work_count: int = 0,
-) -> MetricsRegistry:
-    """A registry pre-populated with the uniform solver key set
-    (:data:`~repro.trace.metrics.UNIFORM_SOLVER_KEYS`), so every solver
-    reports the same comparison vocabulary."""
-    reg = MetricsRegistry()
-    for key, value in zip(
-        UNIFORM_SOLVER_KEYS, (atomics, fences, kernel_launches, work_count)
-    ):
-        reg.counter(key).inc(value)
-    return reg
+) -> Dict[str, int]:
+    """The uniform solver key set
+    (:data:`~repro.trace.metrics.UNIFORM_SOLVER_KEYS`) as Python ``int``
+    counts, so every solver's ``stats`` open with the same comparison
+    vocabulary."""
+    return dict(
+        zip(
+            UNIFORM_SOLVER_KEYS,
+            map(int, (atomics, fences, kernel_launches, work_count)),
+        )
+    )
 
 
 class Options(Mapping):

@@ -27,7 +27,7 @@ from repro.baselines.common import (
     init_tree,
     register_solver,
     resolve_sources,
-    solver_metrics,
+    uniform_stats,
 )
 from repro.baselines.heuristics import davidson_delta
 from repro.errors import SolverError
@@ -105,11 +105,11 @@ def solve_cpu_ds(
             pending = np.unique(same)
 
     # multicore CPU: atomic relaxations but no kernel launches
-    metrics = solver_metrics(
+    stats = uniform_stats(
         atomics=mem.stats.atomics, fences=mem.stats.fences, work_count=work
     )
-    metrics.counter("rounds").inc(rounds)
-    metrics.set("delta", delta)
+    stats["rounds"] = int(rounds)
+    stats["delta"] = delta
     return SSSPResult(
         solver="cpu-ds",
         graph_name=graph.name,
@@ -119,6 +119,5 @@ def solve_cpu_ds(
         work_count=work,
         time_us=time_us,
         timeline=tl,
-        metrics=metrics,
-        stats=metrics.snapshot(),
+        stats=stats,
     )

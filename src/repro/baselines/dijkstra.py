@@ -24,7 +24,7 @@ from repro.baselines.common import (
     init_tree,
     register_solver,
     resolve_sources,
-    solver_metrics,
+    uniform_stats,
 )
 from repro.gpu.costmodel import CpuCostModel
 from repro.gpu.specs import CPU_I9_7900X, CpuSpec
@@ -109,19 +109,17 @@ def solve_dijkstra(
     tl.record(0.0, 1.0)
     tl.record(time_us, 0.0)
     # serial CPU code: no atomics, no fences, no kernels
-    metrics = solver_metrics(work_count=expanded)
-    metrics.counter("heap_ops").inc(heap_ops)
-    metrics.counter("stale_pops").inc(pops - expanded)
-    metrics.counter("edges_relaxed").inc(edges_relaxed)
+    stats = uniform_stats(work_count=expanded)
+    stats["heap_ops"] = int(heap_ops)
+    stats["stale_pops"] = int(pops - expanded)
+    stats["edges_relaxed"] = int(edges_relaxed)
     if seed_info is not None:
         # only on warm runs, so canonical stats stay bit-identical
-        metrics.update(
-            {
-                "warm_start": True,
-                "warm_roots": seed_info["roots"],
-                "warm_invalidated": seed_info["invalidated"],
-                "warm_frontier": seed_info["frontier"],
-            }
+        stats.update(
+            warm_start=True,
+            warm_roots=seed_info["roots"],
+            warm_invalidated=seed_info["invalidated"],
+            warm_frontier=seed_info["frontier"],
         )
     return SSSPResult(
         solver="dijkstra",
@@ -132,6 +130,5 @@ def solve_dijkstra(
         work_count=expanded,
         time_us=time_us,
         timeline=tl,
-        metrics=metrics,
-        stats=metrics.snapshot(),
+        stats=stats,
     )

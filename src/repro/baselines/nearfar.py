@@ -34,7 +34,7 @@ from repro.baselines.common import (
     init_tree,
     register_solver,
     resolve_sources,
-    solver_metrics,
+    uniform_stats,
 )
 from repro.baselines.heuristics import davidson_delta
 from repro.errors import SolverError
@@ -142,17 +142,17 @@ def near_far(
         else:
             near = np.empty(0, dtype=np.int64)
 
-    metrics = solver_metrics(
+    stats = uniform_stats(
         atomics=mem.stats.atomics,
         fences=mem.stats.fences,
         kernel_launches=machine.kernel_launches,
         work_count=work,
     )
-    metrics.counter("supersteps").inc(machine.supersteps)
-    metrics.counter("far_splits").inc(far_splits)
-    metrics.counter("duplicates_filtered").inc(duplicates_filtered)
-    metrics.counter("timeline_clamps").inc(machine.timeline.clamps)
-    metrics.set("delta", delta)
+    stats["supersteps"] = int(machine.supersteps)
+    stats["far_splits"] = int(far_splits)
+    stats["duplicates_filtered"] = int(duplicates_filtered)
+    stats["timeline_clamps"] = int(machine.timeline.clamps)
+    stats["delta"] = delta
     return SSSPResult(
         solver=solver_name,
         graph_name=graph.name,
@@ -162,8 +162,7 @@ def near_far(
         work_count=work,
         time_us=machine.elapsed_us,
         timeline=machine.timeline,
-        metrics=metrics,
-        stats=metrics.snapshot(),
+        stats=stats,
     )
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.baselines.common import RESULT_SCHEMA_VERSION, Options, SSSPResult
 from repro.bench.matrix import matrix_entries, matrix_solvers
-from repro.calibration import default_cost, default_gpu
+from repro.calibration import resolve_device
 from repro.core.scheduler import DEFAULT_SCHEDULER
 from repro.engine import EngineConfig, plan_cells, run_cells
 from repro.errors import ReproError
@@ -236,8 +236,7 @@ def run_bench(
     """
     if repeats < 1:
         raise ReproError(f"repeats must be >= 1 (got {repeats})")
-    spec = spec or default_gpu()
-    cost = cost or default_cost(spec)
+    spec, cost = resolve_device(spec, cost)
     notify = progress or (lambda msg: None)
 
     entries = matrix_entries(matrix)

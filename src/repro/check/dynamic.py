@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.baselines.common import Options, SolveRequest, get_solver
 from repro.bench.matrix import matrix_entries
-from repro.calibration import default_cost, default_gpu
+from repro.calibration import resolve_device
 from repro.check.runner import schedule_seed
 from repro.dynamic import apply_updates
 from repro.errors import ReproError
@@ -226,8 +226,7 @@ def run_update_check(
         raise ReproError(f"batches must be >= 1 (got {batches})")
     if batch_size < 1:
         raise ReproError(f"batch_size must be >= 1 (got {batch_size})")
-    spec = spec or default_gpu()
-    cost = cost or default_cost(spec)
+    spec, cost = resolve_device(spec, cost)
     notify = progress or (lambda msg: None)
     if entries is None:
         target = matrix

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.common import Options, SolveRequest, get_solver, solver_names
 from repro.bench.matrix import matrix_entries, matrix_solvers
-from repro.calibration import default_cost, default_gpu
+from repro.calibration import resolve_device
 from repro.check.invariants import ProtocolChecker
 from repro.engine.scheduler import sweep_options
 from repro.errors import ReproError
@@ -261,8 +261,7 @@ def run_check(
     """
     if schedules < 0:
         raise ReproError(f"schedules must be >= 0 (got {schedules})")
-    spec = spec or default_gpu()
-    cost = cost or default_cost(spec)
+    spec, cost = resolve_device(spec, cost)
     notify = progress or (lambda msg: None)
     factory = checker_factory or ProtocolChecker
 

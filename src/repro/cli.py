@@ -376,8 +376,8 @@ def cmd_serve_bench(ns) -> int:
             f"p99 {lat['p99']:.2f}  max {lat['max']:.2f}"
         )
         print(
-            f"cache: {res['cache']['hits']:.0f} hits / "
-            f"{res['cache']['misses']:.0f} misses "
+            f"cache: {res['cache']['lookup_hits']:.0f} lookup hits / "
+            f"{res['cache']['lookup_misses']:.0f} lookup misses "
             f"(hit rate {res['cache']['hit_rate']:.1%}), "
             f"mean batch {res['batch_mean']:.1f}"
         )

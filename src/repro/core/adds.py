@@ -22,6 +22,7 @@ from repro.baselines.common import (
     init_tree,
     register_solver,
     resolve_sources,
+    uniform_stats,
 )
 from repro.baselines.heuristics import davidson_delta
 from repro.calibration import resolve_device
@@ -40,7 +41,7 @@ from repro.gpu.device import Device
 from repro.gpu.memory import GlobalPool
 from repro.gpu.specs import DeviceSpec
 from repro.graphs.csr import CSRGraph
-from repro.trace import MetricsRegistry, Tracer, coalesce
+from repro.trace import Tracer, coalesce
 
 __all__ = ["solve_adds", "AddsState"]
 
@@ -310,12 +311,13 @@ def solve_adds(
     if checker is not None:
         checker.finalize()  # the no-lost-work oracle
 
-    metrics = MetricsRegistry()
+    stats = uniform_stats(
+        atomics=device.mem.stats.atomics,
+        fences=device.mem.stats.fences,
+        kernel_launches=1,  # one persistent kernel
+        work_count=state.work_count,
+    )
     for key, value in (
-        ("atomics", device.mem.stats.atomics),
-        ("fences", device.mem.stats.fences),
-        ("kernel_launches", 1),  # one persistent kernel
-        ("work_count", state.work_count),
         ("delta_adjustments", controller.adjustments),
         ("rotations", queue.rotations),
         ("head_switches", state.head_switches),
@@ -330,28 +332,24 @@ def solve_adds(
         ("spurious_wakeups", device.spurious_wakeups),
         ("missed_wakeups", device.missed_wakeups),
     ):
-        metrics.counter(key).inc(value)
-    metrics.update(
-        {
-            "initial_delta": initial_delta,
-            "final_delta": queue.delta,
-            "pool_high_water": pool.high_water,
-            "active_buckets_final": controller.active_buckets,
-            "n_wtbs": n_wtbs,
-        }
+        stats[key] = int(value)
+    stats.update(
+        initial_delta=initial_delta,
+        final_delta=queue.delta,
+        pool_high_water=pool.high_water,
+        active_buckets_final=controller.active_buckets,
+        n_wtbs=n_wtbs,
     )
     if perturb_seed is not None:
         # only on perturbed runs, so canonical stats stay bit-identical
-        metrics.update({"perturb_seed": perturb_seed})
+        stats["perturb_seed"] = perturb_seed
     if seed_info is not None:
         # only on warm runs, so canonical stats stay bit-identical
-        metrics.update(
-            {
-                "warm_start": True,
-                "warm_roots": seed_info["roots"],
-                "warm_invalidated": seed_info["invalidated"],
-                "warm_frontier": seed_info["frontier"],
-            }
+        stats.update(
+            warm_start=True,
+            warm_roots=seed_info["roots"],
+            warm_invalidated=seed_info["invalidated"],
+            warm_frontier=seed_info["frontier"],
         )
 
     return SSSPResult(
@@ -363,9 +361,8 @@ def solve_adds(
         work_count=state.work_count,
         time_us=spec.cycles_to_us(cycles),
         timeline=device.timeline,
-        metrics=metrics,
         stats={
-            **metrics.snapshot(),
+            **stats,
             "scheduler": scheduler_name,
             "delta_trace": list(state.delta_trace),
         },

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,9 +80,19 @@ class EdgeUpdate:
             raise DynamicError(
                 f"unknown update kind {self.kind!r}; one of {UPDATE_KINDS}"
             )
+        for end in (self.src, self.dst):
+            # Python or NumPy integers; a bool is no vertex id
+            if not isinstance(end, Integral) or isinstance(end, bool):
+                raise DynamicError(
+                    f"{self.kind} update: vertex {end!r} is not an integer"
+                )
         if self.kind in _WEIGHT_KINDS:
             if self.weight is None:
                 raise DynamicError(f"{self.kind} update needs a weight")
+            if not isinstance(self.weight, Real):
+                raise DynamicError(
+                    f"{self.kind} weight {self.weight!r} is not a number"
+                )
             if not np.isfinite(self.weight) or self.weight < 0:
                 raise DynamicError(
                     f"{self.kind} weight must be finite and non-negative "

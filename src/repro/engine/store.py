@@ -15,9 +15,9 @@ Line shapes (all carry ``"schema": 1`` — see ``docs/schema.md``)::
 
 Distance vectors round-trip *exactly* (base64 of the float64 buffer), so
 a resumed sweep verifies and reports identically to an uninterrupted one.
-Timelines, tracers and the typed metrics registry are deliberately not
-persisted — they are observability artifacts, not sweep state; a restored
-result carries its flat ``stats`` dict and ``metrics=None``.
+Timelines and tracers are deliberately not persisted — they are
+observability artifacts, not sweep state; a restored result carries its
+flat ``stats`` dict.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def result_to_json(result: SSSPResult) -> Dict[str, object]:
 def result_from_json(payload: Dict[str, object]) -> SSSPResult:
     """Rebuild a result persisted by :func:`result_to_json`.
 
-    The distance vector is bit-exact; timeline/metrics/predecessors are
-    not persisted and come back empty/None.
+    The distance vector is bit-exact; timeline/predecessors are not
+    persisted and come back empty/None.
     """
     try:
         dist = np.frombuffer(

@@ -34,7 +34,7 @@ from repro.baselines.common import (
     SOLVERS,
     SSSPResult,
     register_solver,
-    solver_metrics,
+    uniform_stats,
 )
 from repro.errors import SolverError
 
@@ -46,7 +46,6 @@ FAULT_SOLVER_NAMES = ("eng-const", "eng-crash", "eng-hang", "eng-flaky")
 def _const_result(graph, source: int, solver: str) -> SSSPResult:
     dist = np.full(graph.num_vertices, np.inf, dtype=np.float64)
     dist[source] = 0.0
-    metrics = solver_metrics(work_count=1)
     return SSSPResult(
         solver=solver,
         graph_name=graph.name,
@@ -54,8 +53,7 @@ def _const_result(graph, source: int, solver: str) -> SSSPResult:
         dist=dist,
         work_count=1,
         time_us=1.0,
-        metrics=metrics,
-        stats=metrics.snapshot(),
+        stats=uniform_stats(work_count=1),
     )
 
 

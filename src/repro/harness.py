@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.distributions import Distribution, bin_ratios
 from repro.baselines.common import Options, SSSPResult, SolveRequest, get_solver
-from repro.calibration import default_cost, default_gpu
+from repro.calibration import resolve_device
 from repro.engine import (
     EngineConfig,
     FailedRun,
@@ -36,7 +36,7 @@ from repro.gpu.costmodel import CostModel
 from repro.gpu.specs import DeviceSpec
 from repro.graphs.csr import CSRGraph
 from repro.graphs.suite import SuiteEntry, build_suite
-from repro.trace import MetricsRegistry, Tracer, write_trace_artifacts
+from repro.trace import Tracer, write_trace_artifacts
 from repro.validation import verify_results
 
 __all__ = [
@@ -184,8 +184,7 @@ def run_suite(
     solvers = tuple(solvers)
     if suite is None:
         suite = build_suite()
-    spec = spec or default_gpu()
-    cost = cost or default_cost(spec)
+    spec, cost = resolve_device(spec, cost)
 
     config = EngineConfig(
         jobs=jobs,
@@ -259,8 +258,7 @@ def run_traced_solve(
     parameter, or one given an option it does not take, is rejected
     loudly rather than producing a silently empty trace.
     """
-    spec = spec or default_gpu()
-    cost = cost or default_cost(spec)
+    spec, cost = resolve_device(spec, cost)
     tracer = Tracer()
     result = get_solver(solver).solve(
         SolveRequest(
@@ -270,9 +268,8 @@ def run_traced_solve(
     )
     paths: List[Path] = []
     if out_dir is not None:
-        metrics = result.metrics if result.metrics is not None else MetricsRegistry()
         paths = write_trace_artifacts(
-            out_dir, tracer, metrics,
+            out_dir, tracer, result.stats,
             title=f"{solver} on {graph.name} (source {source})",
         )
     return result, tracer, paths

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Version of the JSON payload emitted by :func:`run_serve_bench`.
-SERVE_BENCH_SCHEMA_VERSION = 1
+SERVE_BENCH_SCHEMA_VERSION = 2
 
 #: (graph_id, source, targets-or-None) — one query of a replay trace.
 TraceQuery = Tuple[str, int, Optional[Tuple[int, ...]]]

@@ -5,7 +5,7 @@ one source — answers *every* point-to-point query from that source.  The
 cache therefore stores full solves keyed ``(graph_id, source)`` and
 treats each cached source as a **landmark**: a target query ``(s, t)``
 is answered by indexing the cached array of ``s``, never by a separate
-solve (:meth:`DistanceCache.targets`).  Because the repo's solvers are
+solve.  Because the repo's solvers are
 deterministic, a cached array is bit-identical to what a fresh solve
 would produce, so serving from cache never changes an answer.
 
@@ -24,7 +24,7 @@ to write take an explicit ``.copy()``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +43,10 @@ class DistanceCache:
             raise ValueError(f"max_entries must be >= 1 (got {max_entries})")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple[str, int], np.ndarray]" = OrderedDict()
-        #: Lookup outcomes (landmark target lookups included).
-        self.hits = 0
-        self.misses = 0
+        #: Outcomes of :meth:`get`, one per *source* lookup (a session's
+        #: ``serve_cache_hits`` counts *queries* instead).
+        self.lookup_hits = 0
+        self.lookup_misses = 0
         #: Entries dropped by LRU pressure (invalidation counts separately).
         self.evictions = 0
         self.invalidated = 0
@@ -64,44 +65,16 @@ class DistanceCache:
         key = (graph_id, int(source))
         dist = self._entries.get(key)
         if dist is None:
-            self.misses += 1
+            self.lookup_misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self.lookup_hits += 1
         return dist
 
     def peek(self, graph_id: str, source: int) -> Optional[np.ndarray]:
         """Like :meth:`get` but touching neither counters nor LRU order
         (for introspection and tests)."""
         return self._entries.get((graph_id, int(source)))
-
-    def targets(
-        self, graph_id: str, source: int, targets: Sequence[int]
-    ) -> Optional[np.ndarray]:
-        """Landmark reuse: distances ``source -> targets`` sliced out of
-        the cached full solve of ``source``, or ``None`` on miss.  The
-        slice is a fresh (writable) array; the cached full array stays
-        read-only and resident.
-
-        Target ids are bounds-checked against the cached array *before*
-        indexing: an out-of-range id raises :class:`~repro.errors.
-        ServeError` naming the offending id, instead of letting numpy's
-        negative-index wraparound silently answer for vertex ``n + t``.
-        """
-        dist = self.get(graph_id, source)
-        if dist is None:
-            return None
-        idx = np.asarray(list(targets), dtype=np.int64)
-        bad = (idx < 0) | (idx >= dist.size)
-        if bad.any():
-            from repro.errors import ServeError
-
-            offender = int(idx[bad][0])
-            raise ServeError(
-                f"target vertex {offender} out of range for graph "
-                f"{graph_id!r} with {dist.size} vertices"
-            )
-        return dist[idx]
 
     # -- updates ------------------------------------------------------------ #
 
@@ -168,15 +141,15 @@ class DistanceCache:
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        total = self.lookup_hits + self.lookup_misses
+        return self.lookup_hits / total if total else 0.0
 
     def stats(self) -> Dict[str, float]:
         return {
             "entries": len(self._entries),
             "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
+            "lookup_hits": self.lookup_hits,
+            "lookup_misses": self.lookup_misses,
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
             "invalidated": self.invalidated,

@@ -45,14 +45,13 @@ source is incremental when the solver takes ``warm_from=``.  Every
 update bumps the graph's generation, and answers whose solve straddled
 a generation change are failed at demux instead of served or cached.
 
-Counters (``SERVE_COUNTER_KEYS``) live in a
-:class:`~repro.trace.MetricsRegistry`: every submission increments
+Counters (``SERVE_COUNTER_KEYS``) live in a plain dict of ``int`` counts
+(:meth:`Session.counters`): every submission increments
 ``serve_admitted`` or ``serve_rejected``; every answered query
 increments exactly one of ``serve_cache_hits`` (source was cached at
 planning time), ``serve_batched`` (source solved by this dispatch) or
-``serve_timeouts``.  Batch sizes are additionally kept as raw samples
-(:attr:`Session.batch_sizes`) because the registry's streaming
-histogram keeps no shape.
+``serve_timeouts``.  Batch sizes are kept as raw samples, one per
+dispatched plan (:attr:`Session.batch_sizes`).
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,9 +73,16 @@ from repro.errors import AdmissionError, ServeError, ServeTimeout
 from repro.graphs.csr import CSRGraph
 from repro.serve.batcher import Batcher, BatchPlan, Query
 from repro.serve.cache import DistanceCache
-from repro.trace import SERVE_COUNTER_KEYS, MetricsRegistry
+from repro.trace import SERVE_COUNTER_KEYS
 
 __all__ = ["QueryResult", "Session"]
+
+
+def _is_vertex_id(v: object, n: int) -> bool:
+    """Whether ``v`` names one of ``n`` vertices.  Python or NumPy
+    integers only: ``int()`` would silently truncate a float or parse a
+    string, and a bool is no vertex id."""
+    return isinstance(v, Integral) and not isinstance(v, bool) and 0 <= v < n
 
 
 @dataclass(frozen=True)
@@ -135,9 +142,6 @@ class Session:
     spec / cost:
         Device model forwarded to each dispatched :class:`SolveRequest`
         (used by device solvers only).
-    metrics:
-        A shared :class:`MetricsRegistry` to wire the serve counters
-        into; a fresh one is created by default.
     autostart:
         Start the daemon batcher thread (asynchronous mode).  With
         ``False`` the caller drains via :meth:`serve_pending`.
@@ -163,7 +167,6 @@ class Session:
         jobs: int = 1,
         spec=None,
         cost=None,
-        metrics: Optional[MetricsRegistry] = None,
         autostart: bool = True,
         store_path=None,
         incremental: bool = True,
@@ -186,11 +189,8 @@ class Session:
         self.batcher = Batcher(window_s=window_s, max_batch=max_batch)
         self.cache = DistanceCache(cache_entries)
         self.executor = QueryExecutor(jobs=jobs, store_path=store_path)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        for key in SERVE_COUNTER_KEYS:
-            self.metrics.counter(key)  # exist-at-zero, so snapshots are total
-        #: Raw batch-size samples (one per dispatched plan), the shape
-        #: the registry's min/max/mean histogram cannot keep.
+        self._counters: Dict[str, int] = dict.fromkeys(SERVE_COUNTER_KEYS, 0)
+        #: Raw batch-size samples, one per dispatched plan.
         self.batch_sizes: List[int] = []
         self._graphs: Dict[str, CSRGraph] = {}
         #: Per-graph update generation, bumped by any mutation of the
@@ -344,20 +344,23 @@ class Session:
                 raise ServeError("session is closed")
             graph = self.graph(graph_id)
             n = graph.num_vertices
-            if not 0 <= int(source) < n:
+            if not _is_vertex_id(source, n):
                 raise ServeError(
-                    f"source {source} out of range for {graph_id!r} ({n} vertices)"
+                    f"source {source!r} not an integer or out of range for "
+                    f"{graph_id!r} ({n} vertices)"
                 )
             tgt: Optional[Tuple[int, ...]] = None
             if targets is not None:
-                tgt = tuple(int(t) for t in targets)
-                bad = [t for t in tgt if not 0 <= t < n]
+                tgt = tuple(targets)
+                bad = [t for t in tgt if not _is_vertex_id(t, n)]
                 if bad:
                     raise ServeError(
-                        f"targets {bad} out of range for {graph_id!r} ({n} vertices)"
+                        f"targets {bad!r} not integers or out of range for "
+                        f"{graph_id!r} ({n} vertices)"
                     )
+                tgt = tuple(int(t) for t in tgt)
             if len(self._pending) >= self.max_pending:
-                self.metrics.inc("serve_rejected")
+                self._counters["serve_rejected"] += 1
                 raise AdmissionError(
                     f"pending queue full ({self.max_pending} queries); "
                     f"retry after the current window drains"
@@ -374,7 +377,7 @@ class Session:
                 deadline=None if timeout_s is None else now_mono + timeout_s,
             )
             self._pending.append(q)
-            self.metrics.inc("serve_admitted")
+            self._counters["serve_admitted"] += 1
             self._lock.notify_all()
             return q.future
 
@@ -461,7 +464,6 @@ class Session:
             return len(plan.queries)
 
         self.batch_sizes.append(plan.size)
-        self.metrics.observe("serve_batch_size", plan.size)
 
         # one full solve per unique uncached source; cached sources are
         # the landmark-reuse path, stashed warm starts the incremental one
@@ -508,8 +510,7 @@ class Session:
             )
             for src in to_solve
         ]
-        for src in warm:
-            self.metrics.inc("serve_incremental")
+        self._counters["serve_incremental"] += len(warm)
         for src, fut in futures:
             kind, detail, _elapsed, _span = fut.result()
             if kind != "ok":
@@ -520,7 +521,7 @@ class Session:
                     # the graph was updated while this solve ran; an
                     # in-place patch may have torn it mid-relaxation, so
                     # the answer is untrustworthy — fail, don't cache
-                    self.metrics.inc("serve_stale")
+                    self._counters["serve_stale"] += 1
                     errors[src] = (
                         "stale: the graph was updated while the solve "
                         "was in flight; resubmit against the new state"
@@ -556,9 +557,9 @@ class Session:
                 else None
             )
             if cached[q.source]:
-                self.metrics.inc("serve_cache_hits")
+                self._counters["serve_cache_hits"] += 1
             else:
-                self.metrics.inc("serve_batched")
+                self._counters["serve_batched"] += 1
             q.future.set_result(
                 QueryResult(
                     graph_id=plan.graph_id,
@@ -576,7 +577,7 @@ class Session:
         return settled
 
     def _fail_timeout(self, q: Query) -> None:
-        self.metrics.inc("serve_timeouts")
+        self._counters["serve_timeouts"] += 1
         q.future.set_exception(
             ServeTimeout(
                 f"query ({q.graph_id!r}, source {q.source}) missed its "
@@ -586,9 +587,9 @@ class Session:
 
     # -- reporting / lifecycle ----------------------------------------------- #
 
-    def counters(self) -> Dict[str, float]:
-        """The serve counters as a plain dict (all keys always present)."""
-        return {k: self.metrics.value(k) for k in SERVE_COUNTER_KEYS}
+    def counters(self) -> Dict[str, int]:
+        """A copy of the serve counters (all keys always present)."""
+        return dict(self._counters)
 
     def close(self) -> None:
         """Settle outstanding queries, stop the thread, free the pool.

@@ -4,21 +4,15 @@ Three pieces, designed to be adopted independently:
 
 - :class:`~repro.trace.tracer.Tracer` — typed span/instant/counter
   events on named tracks, zero-cost when disabled (the default);
-- :class:`~repro.trace.metrics.MetricsRegistry` — named counters/
-  gauges/histograms replacing the solvers' ad-hoc ``stats`` dicts;
+- :mod:`repro.trace.metrics` — the stats key sets every solver
+  (``UNIFORM_SOLVER_KEYS``) and serving session (``SERVE_COUNTER_KEYS``)
+  reports;
 - :mod:`repro.trace.export` — Chrome/Perfetto ``trace.json``, counters
   CSV, and text-summary writers (the ``python -m repro trace`` CLI's
   artifact set).
 """
 
-from repro.trace.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    SERVE_COUNTER_KEYS,
-    UNIFORM_SOLVER_KEYS,
-)
+from repro.trace.metrics import SERVE_COUNTER_KEYS, UNIFORM_SOLVER_KEYS
 from repro.trace.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer, coalesce
 from repro.trace.export import (
     counters_csv,
@@ -35,10 +29,6 @@ __all__ = [
     "NULL_TRACER",
     "TraceEvent",
     "coalesce",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "SERVE_COUNTER_KEYS",
     "UNIFORM_SOLVER_KEYS",
     "to_perfetto",

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from numbers import Real
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.trace.metrics import MetricsRegistry
 from repro.trace.tracer import COUNTER, INSTANT, SPAN, Tracer
 
 __all__ = [
@@ -125,17 +125,25 @@ def write_trace_json(path: Union[str, Path], tracer: Tracer, **kw) -> Path:
 # counters CSV
 # --------------------------------------------------------------------- #
 
-def counters_csv(metrics: MetricsRegistry) -> str:
-    """Flat ``name,kind,value`` CSV of the registry."""
-    lines = ["name,kind,value"]
-    for name, kind, value in metrics.rows():
-        lines.append(f"{name},{kind},{value:g}")
+def _numeric_rows(stats: Mapping[str, object]) -> List[Tuple[str, float]]:
+    """The numeric entries of a stats mapping as ``(name, value)``
+    rows, sorted by name (strings, lists and ``None`` are skipped)."""
+    return sorted(
+        (name, value) for name, value in stats.items() if isinstance(value, Real)
+    )
+
+
+def counters_csv(stats: Mapping[str, object]) -> str:
+    """Flat ``name,value`` CSV of the numeric entries of ``stats``."""
+    lines = ["name,value"]
+    for name, value in _numeric_rows(stats):
+        lines.append(f"{name},{value:g}")
     return "\n".join(lines) + "\n"
 
 
-def write_counters_csv(path: Union[str, Path], metrics: MetricsRegistry) -> Path:
+def write_counters_csv(path: Union[str, Path], stats: Mapping[str, object]) -> Path:
     path = Path(path)
-    path.write_text(counters_csv(metrics))
+    path.write_text(counters_csv(stats))
     return path
 
 
@@ -145,7 +153,7 @@ def write_counters_csv(path: Union[str, Path], metrics: MetricsRegistry) -> Path
 
 def text_summary(
     tracer: Tracer,
-    metrics: Optional[MetricsRegistry] = None,
+    stats: Optional[Mapping[str, object]] = None,
     title: str = "trace summary",
 ) -> str:
     """A human-readable digest: per-track event/busy totals + counters."""
@@ -165,18 +173,19 @@ def text_summary(
             f"{track:<12} {len(evs):>7} {len(spans):>7} {busy:>10.1f} "
             f"{100.0 * busy / total:>6.1f}%"
         )
-    if metrics is not None and len(metrics):
+    rows = _numeric_rows(stats or {})
+    if rows:
         lines.append("")
-        lines.append(f"{'metric':<32} {'kind':<10} {'value':>14}")
-        for name, kind, value in metrics.rows():
-            lines.append(f"{name:<32} {kind:<10} {value:>14g}")
+        lines.append(f"{'metric':<32} {'value':>14}")
+        for name, value in rows:
+            lines.append(f"{name:<32} {value:>14g}")
     return "\n".join(lines) + "\n"
 
 
 def write_trace_artifacts(
     out_dir: Union[str, Path],
     tracer: Tracer,
-    metrics: Optional[MetricsRegistry] = None,
+    stats: Optional[Mapping[str, object]] = None,
     *,
     title: str = "trace summary",
 ) -> List[Path]:
@@ -185,8 +194,8 @@ def write_trace_artifacts(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [write_trace_json(out_dir / "trace.json", tracer)]
-    if metrics is not None:
-        paths.append(write_counters_csv(out_dir / "counters.csv", metrics))
-    (out_dir / "summary.txt").write_text(text_summary(tracer, metrics, title=title))
+    if stats is not None:
+        paths.append(write_counters_csv(out_dir / "counters.csv", stats))
+    (out_dir / "summary.txt").write_text(text_summary(tracer, stats, title=title))
     paths.append(out_dir / "summary.txt")
     return paths

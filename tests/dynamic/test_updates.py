@@ -40,6 +40,21 @@ class TestEdgeUpdateValidation:
             with pytest.raises(DynamicError):
                 EdgeUpdate(kind="insert", src=0, dst=1, weight=w)
 
+    @pytest.mark.parametrize(
+        "src, dst, weight",
+        [(1.5, 1, 3.0), (True, 1, 3.0), (0, 1, "7")],
+        ids=["float-vertex", "bool-vertex", "string-weight"],
+    )
+    def test_non_integer_vertex_or_non_numeric_weight(self, src, dst, weight):
+        """Rejected at construction, not later and untyped inside
+        ``apply_updates``."""
+        with pytest.raises(DynamicError):
+            EdgeUpdate(kind="increase", src=src, dst=dst, weight=weight)
+
+    def test_numpy_scalars_accepted(self):
+        u = EdgeUpdate("insert", np.int64(0), np.int32(1), np.float32(2.0))
+        assert (u.src, u.dst, u.weight) == (0, 1, 2.0)
+
     def test_out_of_range_vertex_rejected_at_apply(self):
         g = _line_graph()
         for src, dst in ((-1, 1), (0, 99)):

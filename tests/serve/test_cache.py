@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve import DistanceCache
+from repro.serve import DistanceCache, Session
 
 
 def _dist(n, offset=0.0):
@@ -19,7 +19,7 @@ class TestLookup:
         c.put("g", 0, _dist(5))
         got = c.get("g", 0)
         assert np.array_equal(got, _dist(5))
-        assert c.hits == 1 and c.misses == 1
+        assert c.lookup_hits == 1 and c.lookup_misses == 1
 
     def test_distinct_sources_are_distinct_entries(self):
         c = DistanceCache(4)
@@ -40,19 +40,16 @@ class TestLookup:
         with pytest.raises(ValueError):
             c.get("g", 0)[0] = 99.0
 
-    def test_landmark_targets_slice(self):
-        c = DistanceCache(4)
-        c.put("g", 0, _dist(10))
-        got = c.targets("g", 0, [7, 2, 2])
-        assert np.array_equal(got, [7.0, 2.0, 2.0])
-        # the slice is a fresh writable array, not a view of the entry
-        got[0] = -1.0
-        assert c.peek("g", 0)[7] == 7.0
-
-    def test_targets_miss_returns_none(self):
-        c = DistanceCache(4)
-        assert c.targets("g", 3, [0]) is None
-        assert c.misses == 1
+    def test_landmark_targets_slice(self, line_graph):
+        with Session(solver="dijkstra", autostart=False) as s:
+            s.add_graph("g", line_graph)
+            s.query("g", 0)  # the landmark: a full solve from source 0
+            r = s.query("g", 0, targets=[5, 2, 2])
+            assert r.from_cache
+            assert np.array_equal(r.target_dist, [5.0, 2.0, 2.0])
+            # the slice is a fresh writable array, not a view of the entry
+            r.target_dist[0] = -1.0
+            assert s.cache.peek("g", 0)[5] == 5.0
 
 
 class TestEviction:
@@ -114,5 +111,5 @@ class TestInvalidate:
         c.get("a", 1)
         s = c.stats()
         assert s["entries"] == 1
-        assert s["hits"] == 1 and s["misses"] == 1
+        assert s["lookup_hits"] == 1 and s["lookup_misses"] == 1
         assert s["hit_rate"] == 0.5

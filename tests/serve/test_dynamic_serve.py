@@ -20,24 +20,31 @@ def grid():
 
 
 class TestCacheTargets:
-    def test_out_of_range_target_raises_with_id(self):
-        c = DistanceCache(4)
-        c.put("g", 0, np.arange(5, dtype=np.float64))
-        with pytest.raises(ServeError, match="7"):
-            c.targets("g", 0, [1, 7])
+    """Target ids are bounds-checked before a cached landmark is sliced."""
 
-    def test_negative_target_raises_instead_of_wrapping(self):
-        c = DistanceCache(4)
-        c.put("g", 0, np.arange(5, dtype=np.float64))
-        # numpy would silently answer dist[-1]; the cache must not
-        with pytest.raises(ServeError, match="-1"):
-            c.targets("g", 0, [-1])
+    def _session(self, grid):
+        s = Session(solver="dijkstra", autostart=False)
+        s.add_graph("g", grid)
+        s.query("g", 0)  # cache the landmark
+        return s
 
-    def test_in_range_targets_still_served(self):
-        c = DistanceCache(4)
-        c.put("g", 0, np.arange(5, dtype=np.float64))
-        got = c.targets("g", 0, [4, 0])
-        assert np.array_equal(got, [4.0, 0.0])
+    def test_out_of_range_target_raises_with_id(self, grid):
+        with self._session(grid) as s:
+            with pytest.raises(ServeError, match="64"):
+                s.submit("g", 0, targets=[1, 64])
+
+    def test_negative_target_raises_instead_of_wrapping(self, grid):
+        with self._session(grid) as s:
+            # numpy would silently answer dist[-1]; the session must not
+            with pytest.raises(ServeError, match="-1"):
+                s.submit("g", 0, targets=[-1])
+
+    def test_in_range_targets_still_served(self, grid):
+        with self._session(grid) as s:
+            r = s.query("g", 0, targets=[63, 0])
+            assert r.from_cache
+            assert np.array_equal(r.target_dist, r.dist[[63, 0]])
+            assert r.target_dist[1] == 0.0
 
 
 class TestCachePutOwnership:

@@ -67,7 +67,7 @@ class TestPayload:
         assert sum(int(s) * n for s, n in res["batch_size_hist"].items()) == 250
 
     def test_cache_hit_rate_nonzero_on_skewed_trace(self, payload):
-        assert payload["results"]["cache"]["hits"] > 0
+        assert payload["results"]["cache"]["lookup_hits"] > 0
         assert payload["results"]["counters"]["serve_cache_hits"] > 0
 
     def test_verification_passes_bit_exact(self, payload):

@@ -114,7 +114,7 @@ class TestCoalescing:
             s.serve_pending()
             assert all(f.result().batch_size == 4 for f in futs)
             assert s.counters()["serve_batched"] == 4
-            assert s.metrics.histogram("serve_batch_size").count == 1
+            assert s.batch_sizes == [4]
 
 
 class TestCacheIntegration:
@@ -187,6 +187,29 @@ class TestAdmissionAndErrors:
                 s.submit("line", 99)
             with pytest.raises(ServeError, match="out of range"):
                 s.submit("line", 0, targets=[99])
+            # numpy would silently answer dist[-1]; the session must not
+            with pytest.raises(ServeError, match="-1"):
+                s.submit("line", 0, targets=[1, -1])
+
+    @pytest.mark.parametrize(
+        "source, targets",
+        [(1.5, None), ("3", None), (True, None), (0, [2.7]), (0, ["2"]), (0, [False])],
+    )
+    def test_non_integer_source_or_target_rejected(self, line_graph, source, targets):
+        """``int()`` would serve source 1 for 1.5 and target 2 for 2.7."""
+        with make_session() as s:
+            s.add_graph("line", line_graph)
+            with pytest.raises(ServeError, match="integer"):
+                s.submit("line", source, targets)
+            assert s.counters()["serve_admitted"] == 0
+
+    def test_numpy_integer_source_and_targets_served(self, line_graph):
+        with make_session() as s:
+            s.add_graph("line", line_graph)
+            r = s.query("line", np.int64(0), targets=np.array([5, 2], dtype=np.int32))
+            assert r.source == 0 and type(r.source) is int
+            assert r.targets == (5, 2)
+            assert np.array_equal(r.target_dist, [5.0, 2.0])
 
     def test_bad_requests_consume_no_queue_space(self, small_road):
         with make_session(max_pending=1) as s:

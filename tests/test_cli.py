@@ -232,6 +232,18 @@ class TestTrace:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["delta"] == 500.0
 
+    def test_full_size_trace_matches_solve(self, gr_file, tmp_path, capsys):
+        """Both front doors price a full-size card with the stock cost
+        model (the full kernel-launch cost)."""
+        times = {}
+        for command in ("trace", "solve"):
+            argv = [command, gr_file, "-a", "nf", "--full-size", "--json"]
+            if command == "trace":
+                argv += ["--out", str(tmp_path / "tr")]
+            assert main(argv) == 0
+            times[command] = json.loads(capsys.readouterr().out)["time_us"]
+        assert times["trace"] == times["solve"]
+
     @pytest.mark.parametrize("command", ["trace", "solve"])
     def test_delta_the_solver_lacks_is_rejected(
         self, command, gr_file, tmp_path, capsys

@@ -7,7 +7,6 @@ import json
 import numpy as np
 
 from repro.trace import (
-    MetricsRegistry,
     Tracer,
     counters_csv,
     text_summary,
@@ -54,28 +53,26 @@ def test_perfetto_phase_mapping():
 
 
 def test_counters_csv_format():
-    m = MetricsRegistry()
-    m.inc("atomics", 7)
-    m.set("delta", 32.0)
-    lines = counters_csv(m).strip().splitlines()
-    assert lines[0] == "name,kind,value"
-    assert "atomics,counter,7" in lines
-    assert "delta,gauge,32" in lines
+    stats = {
+        "work_count": 5, "atomics": np.int64(7), "delta": 32.0,
+        "scheduler": "bucket", "delta_trace": [1.0], "missing": None,
+    }
+    lines = counters_csv(stats).strip().splitlines()
+    # numeric entries only, sorted by name
+    assert lines == ["name,value", "atomics,7", "delta,32", "work_count,5"]
 
 
 def test_text_summary_mentions_tracks_and_metrics():
-    m = MetricsRegistry()
-    m.inc("atomics", 3)
-    out = text_summary(make_tracer(), m, title="unit test")
+    out = text_summary(make_tracer(), {"atomics": 3}, title="unit test")
     assert "unit test" in out
     assert "MTB" in out and "WTB0" in out
     assert "atomics" in out
 
 
 def test_write_trace_artifacts(tmp_path):
-    m = MetricsRegistry()
-    m.inc("work_count", 5)
-    paths = write_trace_artifacts(tmp_path / "out", make_tracer(), m)
+    paths = write_trace_artifacts(
+        tmp_path / "out", make_tracer(), {"work_count": 5}
+    )
     names = {p.name for p in paths}
     assert names == {"trace.json", "counters.csv", "summary.txt"}
     for p in paths:

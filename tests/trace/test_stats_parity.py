@@ -2,8 +2,8 @@
 
 The paper's cross-solver tables (3 and 4) compare atomics / kernel
 launches / work across algorithms; this only works if every solver
-spells those keys the same way.  The MetricsRegistry enforces the
-vocabulary — this test enforces that every solver uses it.
+spells those keys the same way, and reports every count as a Python
+``int``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.common import SOLVERS, SolveRequest, get_solver
-from repro.trace import MetricsRegistry, UNIFORM_SOLVER_KEYS
+from repro.trace import UNIFORM_SOLVER_KEYS
+
+#: Stats entries that are not counts: Δ values, labels, traces, and
+#: figures a solver does not report.
+NON_COUNT_KEYS = {
+    "initial_delta", "final_delta", "delta", "scheduler", "delta_trace",
+    "work_count_public",
+}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -19,9 +26,17 @@ def test_solver_reports_uniform_keys(name, small_road):
     result = get_solver(name).solve(SolveRequest(graph=small_road))
     missing = [k for k in UNIFORM_SOLVER_KEYS if k not in result.stats]
     assert not missing, f"{name} stats missing {missing}"
-    assert isinstance(result.metrics, MetricsRegistry)
-    for k in UNIFORM_SOLVER_KEYS:
-        assert k in result.metrics
+    assert tuple(result.stats)[: len(UNIFORM_SOLVER_KEYS)] == UNIFORM_SOLVER_KEYS
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_every_count_is_a_python_int(name, small_road):
+    """NumPy integers and floats never leak into a count."""
+    stats = get_solver(name).solve(SolveRequest(graph=small_road)).stats
+    counts = {k: v for k, v in stats.items() if k not in NON_COUNT_KEYS}
+    assert counts
+    for key, value in counts.items():
+        assert type(value) is int, (name, key, value)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
