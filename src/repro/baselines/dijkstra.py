@@ -53,6 +53,12 @@ def solve_dijkstra(
     dirty frontier instead of the sources, and the lazy-deletion loop —
     a label corrector once seeded with upper bounds — converges to
     distances bit-identical to a from-scratch run.
+
+    The loop runs on Python scalars: it reads the CSR arrays and reads
+    and writes ``dist``/``pred`` through memoryviews, which index to
+    Python ints and floats without copying (a NumPy scalar boxed per
+    edge would double the solve time), keep per-solve memory at the two
+    result arrays, and see in-place weight patches without re-preparing.
     """
     from repro.errors import SolverError
 
@@ -71,38 +77,39 @@ def solve_dijkstra(
     else:
         dist = init_distances(n, source, sources)
     pred = init_tree(n)
-    row = graph.row_offsets
-    cols = graph.col_indices
-    wts = graph.weights
+    dist_v = memoryview(dist)
+    pred_v = memoryview(pred)
+    row = memoryview(graph.row_offsets)
+    cols = memoryview(graph.col_indices)
+    wts = memoryview(graph.weights)
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     if warm_from is None:
-        heap = [(0.0, int(s)) for s in srcs]
+        heap = [(0.0, s) for s in srcs.tolist()]
     else:
-        heap = [
-            (float(d), int(v)) for d, v in zip(frontier_dists, frontier)
-        ]
+        heap = list(zip(frontier_dists.tolist(), frontier.tolist()))
         heapq.heapify(heap)
     heap_ops = len(heap)
     pops = 0
     expanded = 0
     edges_relaxed = 0
     while heap:
-        d, v = heapq.heappop(heap)
-        heap_ops += 1
+        d, v = heappop(heap)
         pops += 1
-        if d > dist[v]:
+        if d > dist_v[v]:
             continue  # stale entry (lazy deletion)
         expanded += 1
-        lo, hi = int(row[v]), int(row[v + 1])
+        lo, hi = row[v], row[v + 1]
+        edges_relaxed += hi - lo
         for i in range(lo, hi):
-            u = int(cols[i])
-            nd = d + float(wts[i])
-            edges_relaxed += 1
-            if nd < dist[u]:
-                dist[u] = nd
-                pred[u] = v
-                heapq.heappush(heap, (nd, u))
+            u = cols[i]
+            nd = d + wts[i]
+            if nd < dist_v[u]:
+                dist_v[u] = nd
+                pred_v[u] = v
+                heappush(heap, (nd, u))
                 heap_ops += 1
+    heap_ops += pops
 
     time_us = cost.dijkstra_us(edges_relaxed, heap_ops, n)
     tl = Timeline(label="dijkstra")

@@ -244,13 +244,30 @@ def _check_vertex(n: int, u: EdgeUpdate) -> None:
 
 
 def _coerce_weight(graph: CSRGraph, u: EdgeUpdate) -> float:
+    """The update's weight as the graph stores it: an integral value in
+    int32 range, or the float32 rounding of the value.  Every weight a
+    batch records (arrays, ``w64`` twin, deltas) is this one value."""
     w = float(u.weight)
-    if graph.is_integer_weighted and not w.is_integer():
+    if graph.is_integer_weighted:
+        if not w.is_integer():
+            raise DynamicError(
+                f"{u.kind} ({u.src}->{u.dst}): weight {w!r} is not integral "
+                f"but {graph.name!r} has int32 weights"
+            )
+        if w > np.iinfo(np.int32).max:
+            raise DynamicError(
+                f"{u.kind} ({u.src}->{u.dst}): weight {w!r} does not fit "
+                f"the int32 weights of {graph.name!r}"
+            )
+        return w
+    with np.errstate(over="ignore"):
+        rounded = float(np.float32(w))
+    if math.isinf(rounded):
         raise DynamicError(
-            f"{u.kind} ({u.src}->{u.dst}): weight {w!r} is not integral "
-            f"but {graph.name!r} has int32 weights"
+            f"{u.kind} ({u.src}->{u.dst}): weight {w!r} overflows the "
+            f"float32 weights of {graph.name!r}"
         )
-    return w
+    return rounded
 
 
 def _apply_weight_only(graph: CSRGraph, batch: UpdateBatch) -> UpdateResult:
@@ -397,8 +414,9 @@ def apply_updates(
     Weight-only batches mutate ``graph`` (weights plus its prepared
     float64 twin) and return the same object; batches with inserts or
     deletes return a rebuilt, unprepared :class:`CSRGraph`.  Updates
-    apply sequentially; an invalid one (missing edge, wrong direction,
-    out-of-range vertex, duplicate insert) raises
+    apply sequentially; each new weight is rounded to the graph's dtype.
+    An invalid update (missing edge, wrong direction, out-of-range vertex,
+    duplicate insert, a weight the dtype cannot hold) raises
     :class:`~repro.errors.DynamicError` and rejects the whole batch —
     the input graph is never left half-patched.
     """

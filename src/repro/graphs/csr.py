@@ -3,9 +3,10 @@
 All SSSP solvers in this repository consume :class:`CSRGraph`.  The layout
 mirrors what the GPU implementations in the paper use: a ``row_offsets``
 array of length ``n + 1``, a ``col_indices`` array of length ``m`` and a
-parallel ``weights`` array.  Topology arrays are ``int32`` (the artifact's
-GR format is 32-bit) and weights are either ``int32`` or ``float32`` —
-matching the paper's ``*_int`` / ``*_float`` build pair.
+parallel ``weights`` array.  Row offsets are native ``int64``, column
+indices native ``int32`` (the artifact's GR format is 32-bit) and weights
+either ``int32`` or ``float32`` — matching the paper's ``*_int`` /
+``*_float`` build pair.
 
 Weights must be non-negative; like the paper (§6.1.1) we convert negative
 weights to positive magnitudes at construction time when asked to.
@@ -81,6 +82,20 @@ class CSRGraph:
         ro, ci, w = self.row_offsets, self.col_indices, self.weights
         if ro.ndim != 1 or ci.ndim != 1 or w.ndim != 1:
             raise GraphConstructionError("CSR arrays must be one-dimensional")
+        # native int64/int32 exactly: solvers index these through
+        # memoryviews, which cannot read non-native byte orders
+        if ro.dtype != np.dtype(np.int64):
+            raise GraphConstructionError(
+                f"row_offsets must be native int64, got {ro.dtype.str}"
+            )
+        if ci.dtype != np.dtype(np.int32):
+            raise GraphConstructionError(
+                f"col_indices must be native int32, got {ci.dtype.str}"
+            )
+        if w.dtype not in (np.dtype(np.int32), np.dtype(np.float32)):
+            raise GraphConstructionError(
+                f"weights must be native int32 or float32, got {w.dtype.str}"
+            )
         if ro.size == 0:
             raise GraphConstructionError("row_offsets must have length n + 1 >= 1")
         if ci.size != w.size:
@@ -95,13 +110,11 @@ class CSRGraph:
             raise GraphConstructionError("row_offsets must be non-decreasing")
         if ci.size and (int(ci.min()) < 0 or int(ci.max()) >= self.num_vertices):
             raise GraphConstructionError("col_indices out of range")
-        if w.size and w.dtype.kind in "if" and float(w.min()) < 0:
+        if w.dtype.kind == "f" and np.isnan(w).any():
+            raise GraphConstructionError("NaN edge weight")
+        if w.size and float(w.min()) < 0:
             raise GraphConstructionError(
                 "negative edge weight; pass negate_negative_weights=True to the builder"
-            )
-        if w.dtype not in (np.dtype(np.int32), np.dtype(np.float32)):
-            raise GraphConstructionError(
-                f"weights must be int32 or float32, got {w.dtype}"
             )
 
     # -- basic properties ---------------------------------------------------

@@ -124,6 +124,46 @@ class TestWeightOnlyBatch:
         assert float(res.deltas.old_w[0]) == 1.0
         assert float(res.deltas.new_w[0]) == 4.0
 
+    def test_float_weight_rounded_to_float32(self):
+        """The patched graph, its float64 twin and the recorded delta
+        hold the same float32 value, so ADDS (which reads the twin)
+        agrees with a fresh copy and with Dijkstra."""
+        from repro.baselines import solve_dijkstra
+        from repro.core.adds import solve_adds
+        from repro.graphs import CSRGraph, grid_road
+
+        g = grid_road(4, 4, seed=1).as_float().prepare()
+        assert int(g.col_indices[0]) == 1
+        res = apply_updates(g, [EdgeUpdate("decrease", 0, 1, 0.1)])
+        w = float(np.float32(0.1))
+        assert float(g.weights[0]) == float(g.prepared().w64[0]) == w
+        assert float(res.deltas.new_w[0]) == w
+        fresh = CSRGraph(
+            g.row_offsets.copy(), g.col_indices.copy(), g.weights.copy()
+        )
+        patched = solve_adds(g, 0).dist.tobytes()
+        assert patched == solve_adds(fresh, 0).dist.tobytes()
+        assert patched == solve_dijkstra(fresh, 0).dist.tobytes()
+
+    @pytest.mark.parametrize(
+        "as_float, weight", [(False, 2**31), (True, 1e39)],
+        ids=["int32", "float32"],
+    )
+    def test_overflowing_weight_rejects_whole_batch(self, as_float, weight):
+        g = _line_graph()
+        g = (g.as_float() if as_float else g).prepare()
+        before = g.weights.tobytes(), g.prepared().w64.tobytes()
+        batch = [
+            EdgeUpdate(kind="increase", src=0, dst=1, weight=6.0),  # valid
+            EdgeUpdate(kind="increase", src=1, dst=2, weight=weight),
+        ]
+        with pytest.raises(DynamicError, match="int32|float32"):
+            apply_updates(g, batch)
+        assert (g.weights.tobytes(), g.prepared().w64.tobytes()) == before
+        # a topology batch validates the same way
+        with pytest.raises(DynamicError, match="int32|float32"):
+            apply_updates(g, [EdgeUpdate("insert", 0, 3, weight)])
+
     def test_stats_cache_dropped_on_weight_change(self):
         g = _line_graph()
         before = g.max_weight()

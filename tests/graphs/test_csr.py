@@ -111,6 +111,37 @@ class TestCSRGraphValidation:
                 weights=np.array([1, 2], dtype=np.int32),
             )
 
+    @pytest.mark.parametrize(
+        "row_dtype, col_dtype, w_dtype",
+        [
+            (np.float64, np.int32, np.int32),
+            (np.uint64, np.int32, np.int32),
+            (">i8", np.int32, np.int32),
+            (np.int32, np.int32, np.int32),
+            (np.int64, np.int16, np.int32),
+            (np.int64, np.int64, np.int32),
+            (np.int64, ">i4", np.int32),
+            (np.int64, np.int32, ">f4"),
+        ],
+        ids=["f8-rows", "u8-rows", "big-endian-rows", "i4-rows",
+             "i2-cols", "i8-cols", "big-endian-cols", "big-endian-weights"],
+    )
+    def test_dtypes_must_be_native(self, row_dtype, col_dtype, w_dtype):
+        with pytest.raises(GraphConstructionError, match="native"):
+            CSRGraph(
+                row_offsets=np.array([0, 1, 1], dtype=row_dtype),
+                col_indices=np.array([1], dtype=col_dtype),
+                weights=np.array([1], dtype=w_dtype),
+            )
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(GraphConstructionError, match="NaN"):
+            CSRGraph(
+                row_offsets=np.array([0, 1, 2], dtype=np.int64),
+                col_indices=np.array([1, 0], dtype=np.int32),
+                weights=np.array([np.nan, 1.0], dtype=np.float32),
+            )
+
 
 class TestProperties:
     def test_degrees(self, tiny_graph):

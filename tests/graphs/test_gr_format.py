@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, ReproError
 from repro.graphs import grid_road, read_gr, rmat, write_gr
 from repro.graphs.gr_format import read_dimacs, write_dimacs
 
@@ -146,6 +146,18 @@ class TestGrErrors:
         p.write_bytes(body)
         with pytest.raises(GraphFormatError, match="out_idx"):
             read_gr(p)
+
+    def test_nan_float_weight_rejected(self, tmp_path):
+        # 2 vertices, edges 0->1 (NaN) and 1->0 (1.0): a NaN weight
+        # would make Dijkstra silently report vertex 1 unreachable
+        p = tmp_path / "nan.gr"
+        body = struct.pack("<QQQQ", 1, 4, 2, 2)
+        body += struct.pack("<QQ", 1, 2)
+        body += struct.pack("<II", 1, 0)
+        body += struct.pack("<ff", float("nan"), 1.0)
+        p.write_bytes(body)
+        with pytest.raises(ReproError, match="NaN"):
+            read_gr(p, float_weights=True)
 
 
 class TestDimacs:
