@@ -254,7 +254,7 @@ class SolveRequest:
     options:
         Every other per-solve setting, as keyword arguments of the
         solver function: ``sources``, ``delta``, ``config``, ``tracer``,
-        ``scheduler``, ``warm_from``/``updates`` and so on.  A key the
+        ``perturb_seed``, ``warm_from``/``updates`` and so on.  A key the
         solver does not take is rejected (see :meth:`SolverInfo.solve`).
     """
 

@@ -56,8 +56,8 @@ def solve_cpu_ds(
     cost = cost if cost is not None else CpuCostModel(cpu or CPU_I9_7900X)
     if delta is None:
         delta = davidson_delta(graph)
-    if delta <= 0:
-        raise SolverError("cpu-ds requires a positive delta")
+    if not delta > 0:  # also rejects NaN
+        raise SolverError(f"cpu-ds requires a positive delta (got {delta})")
 
     dist = init_distances(graph.num_vertices, source, sources)
     pred = init_tree(graph.num_vertices)

@@ -68,8 +68,8 @@ def near_far(
     """The shared Near-Far loop; ``dedup_filter`` selects NF vs Gun-NF."""
     if delta is None:
         delta = davidson_delta(graph)
-    if delta <= 0:
-        raise SolverError("near-far requires a positive delta")
+    if not delta > 0:  # also rejects NaN
+        raise SolverError(f"near-far requires a positive delta (got {delta})")
 
     n = graph.num_vertices
     dist = init_distances(n, source, sources)

@@ -39,7 +39,6 @@ import numpy as np
 from repro.baselines.common import RESULT_SCHEMA_VERSION, Options, SSSPResult
 from repro.bench.matrix import matrix_entries, matrix_solvers
 from repro.calibration import resolve_device
-from repro.core.scheduler import DEFAULT_SCHEDULER
 from repro.engine import EngineConfig, plan_cells, run_cells
 from repro.errors import ReproError
 from repro.validation import dist_sha256
@@ -174,10 +173,9 @@ class BenchReport:
     cells: List[BenchCell] = field(default_factory=list)
     host: Dict[str, str] = field(default_factory=dict)
     created: Optional[str] = None
-    #: JSON-native per-solve options the matrix ran with, including the
-    #: WorkScheduler of the scheduler-accepting solvers.  Additive within
-    #: bench_schema 1; reports written before it carry a top-level
-    #: ``scheduler`` instead.
+    #: JSON-native per-solve options the matrix ran with.  Additive within
+    #: bench_schema 1; readers ignore the retired ``scheduler`` key, both
+    #: top-level and inside ``options``.
     options: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -261,7 +259,7 @@ def run_bench(
             "rss_unit": RSS_UNIT,
         },
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        options={"scheduler": DEFAULT_SCHEDULER, **Options(options).to_json()},
+        options=Options(options).to_json(),
     )
 
     for cell in cells:

@@ -13,7 +13,7 @@ Two halves (see ``docs/checking.md``):
 
 A third half (PR 8): :func:`run_update_check` fuzzes **edge-update
 streams** — after every generated batch, incremental re-solves (warm
-Dijkstra; ADDS × registered schedulers × perturbed schedules) must be
+Dijkstra; ADDS on canonical and perturbed schedules) must be
 bit-identical to a from-scratch solve (``python -m repro check
 --updates N``).
 

@@ -7,9 +7,9 @@ batch by batch, and after every batch compares
 - a **from-scratch** solve of the post-update graph (serial Dijkstra,
   the repo's reference oracle), against
 - an **incremental** re-solve per *lane*: each lane is one warm-start
-  capable solver plus its options (Dijkstra warm mode; ADDS under each
-  registered WorkScheduler × canonical + perturbed schedules)
-  seeded from the lane's *own previous answer* plus the batch's
+  capable solver plus its options (Dijkstra warm mode; ADDS on the
+  canonical and on perturbed schedules) seeded from the lane's *own
+  previous answer* plus the batch's
   :class:`~repro.dynamic.updates.EdgeDeltas`.
 
 The acceptance bar is **bit-equality** (sha256 of the float64 distance
@@ -30,7 +30,7 @@ invalidation or seeding bug, never harmless float noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.baselines.common import Options, SolveRequest, get_solver
 from repro.bench.matrix import matrix_entries
@@ -53,7 +53,7 @@ __all__ = [
 @dataclass(frozen=True)
 class UpdateLane:
     """One incremental configuration chained across the stream: a solver
-    and its per-solve options (e.g. ``scheduler``, ``perturb_seed``)."""
+    and its per-solve options (e.g. ``perturb_seed``)."""
 
     solver: str
     options: Mapping[str, object] = field(default_factory=Options)
@@ -178,26 +178,20 @@ def _solve(graph, lane: UpdateLane, source, spec, cost, *, warm=None, deltas=Non
     return get_solver(lane.solver).solve(request)
 
 
-def default_update_lanes(
-    schedules: int, seed: int, schedulers: Tuple[str, ...] = ("bucket", "mlmq")
-) -> List[UpdateLane]:
-    """The standard lane set: warm Dijkstra, plus ADDS under every named
-    scheduler on the canonical schedule and ``schedules`` perturbed
-    ones."""
-    lanes = [UpdateLane(solver="dijkstra")]
-    for sched in schedulers:
-        lanes.append(UpdateLane(solver="adds", options={"scheduler": sched}))
-        for i in range(schedules):
-            lanes.append(
-                UpdateLane(
-                    solver="adds",
-                    options={
-                        "scheduler": sched,
-                        "perturb_seed": schedule_seed(seed, i),
-                    },
-                )
+def default_update_lanes(schedules: int, seed: int) -> List[UpdateLane]:
+    """The standard lane set: warm Dijkstra, plus ADDS on the canonical
+    schedule and on ``schedules`` perturbed ones."""
+    return [
+        UpdateLane(solver="dijkstra"),
+        UpdateLane(solver="adds"),
+        *(
+            UpdateLane(
+                solver="adds",
+                options={"perturb_seed": schedule_seed(seed, i)},
             )
-    return lanes
+            for i in range(schedules)
+        ),
+    ]
 
 
 def run_update_check(

@@ -253,11 +253,8 @@ def run_check(
     :mod:`repro.check.testing`).
 
     ``options`` are per-solve options, each applied to the solvers that
-    accept it (:func:`~repro.engine.sweep_options`).  A ``scheduler``
-    reaches only the scheduler-accepting solvers; the others run
-    canonically and still join the cross-solver distance oracle — which
-    is exactly how a rival scheduler's distances get checked bit-for-bit
-    against the baselines (see docs/scheduling.md).
+    accept it (:func:`~repro.engine.sweep_options`); the others run
+    without it and still join the cross-solver distance oracle.
     """
     if schedules < 0:
         raise ReproError(f"schedules must be >= 0 (got {schedules})")

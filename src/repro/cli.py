@@ -53,7 +53,6 @@ from repro.bench import (
 from repro.calibration import sim_cost, sim_gpu
 from repro.check import run_check
 from repro.check.testing import FAULTS
-from repro.core.scheduler import DEFAULT_SCHEDULER, scheduler_names
 from repro.errors import ReproError
 from repro.graphs import (
     build_suite,
@@ -93,7 +92,7 @@ def _device_args(ns):
 
 #: Flags that are per-solve options; a subcommand without the flag, or a
 #: flag left unset (None), leaves the solver's default in place.
-_OPTION_FLAGS = ("delta", "scheduler", "sources")
+_OPTION_FLAGS = ("delta", "sources")
 
 
 def _options(ns) -> Options:
@@ -535,13 +534,6 @@ def _add_device_flags(p):
                    help="use the unscaled device (see repro.calibration)")
 
 
-def _add_scheduler_flag(p):
-    p.add_argument("--scheduler", choices=scheduler_names(), default=None,
-                   help="WorkScheduler for scheduler-accepting solvers "
-                        f"(default: the solver's own, i.e. "
-                        f"{DEFAULT_SCHEDULER!r}; see docs/scheduling.md)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro",
@@ -588,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a machine-readable JSON result")
     s.add_argument("--json-dist", action="store_true",
                    help="include the full distance array in --json output")
-    _add_scheduler_flag(s)
     _add_device_flags(s)
     s.set_defaults(fn=cmd_solve)
 
@@ -612,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--resume", metavar="STORE",
                    help="JSONL result store; completed cells found in it "
                         "are restored instead of re-run")
-    _add_scheduler_flag(r)
     _add_device_flags(r)
     r.set_defaults(fn=cmd_suite)
 
@@ -639,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--verbose", "-v", action="store_true")
     b.add_argument("--json", action="store_true",
                    help="emit the report (plus compare verdict) as JSON")
-    _add_scheduler_flag(b)
     _add_device_flags(b)
     b.set_defaults(fn=cmd_bench)
 
@@ -687,7 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--verbose", "-v", action="store_true")
     sv.add_argument("--json", action="store_true",
                     help="print the payload as JSON")
-    _add_scheduler_flag(sv)
     _add_device_flags(sv)
     sv.set_defaults(fn=cmd_serve_bench)
 
@@ -714,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the unchecked per-seed replay pass")
     ck.add_argument("--updates", type=int, default=0, metavar="N",
                     help="fuzz N-batch edge-update streams instead: "
-                         "incremental re-solves (warm dijkstra + adds × "
-                         "schedulers × --schedules perturbed seeds) must "
+                         "incremental re-solves (warm dijkstra, adds on "
+                         "the canonical and --schedules perturbed seeds) must "
                          "be bit-identical to from-scratch solves")
     ck.add_argument("--update-size", type=int, default=8, metavar="K",
                     help="edge updates per batch with --updates (default 8)")
@@ -725,7 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--verbose", "-v", action="store_true")
     ck.add_argument("--json", action="store_true",
                     help="emit the report as JSON")
-    _add_scheduler_flag(ck)
     _add_device_flags(ck)
     ck.set_defaults(fn=cmd_check)
 

@@ -8,14 +8,9 @@ module                  paper section
 ``config``              tunables + the Table 5 ablation switches
 ``block_alloc``         §5.3 memory management: FIFO block allocator,
                         16/16-bit index split, translation caches
-``scheduler``           the ``WorkScheduler`` plugin API: the SRMW slot
-                        machinery shared by every queue design, plus the
-                        ``SCHEDULERS`` registry (docs/scheduling.md)
 ``bucket_queue``        §5.2/§5.4: the circular 32-bucket priority queue,
                         ``resv_ptr`` / segment ``WCC`` / ``read_ptr`` /
                         ``CWC`` protocol, rotation, clipping
-``mlmq``                the multi-level multi-queue rival scheduler
-                        (arXiv:2602.10080) behind the same API
 ``delta_controller``    §5.5: run-time Δ selection (utilization band, clip
                         guard, settling in head-bucket switches, dynamic
                         active-bucket count)
@@ -30,27 +25,5 @@ module                  paper section
 from repro.core.adds import solve_adds
 from repro.core.bucket_queue import BucketQueue
 from repro.core.config import AddsConfig
-from repro.core.mlmq import MLMQScheduler
-from repro.core.scheduler import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    SchedulerInfo,
-    WorkScheduler,
-    get_scheduler_info,
-    register_scheduler,
-    scheduler_names,
-)
 
-__all__ = [
-    "solve_adds",
-    "AddsConfig",
-    "WorkScheduler",
-    "BucketQueue",
-    "MLMQScheduler",
-    "SchedulerInfo",
-    "SCHEDULERS",
-    "DEFAULT_SCHEDULER",
-    "register_scheduler",
-    "get_scheduler_info",
-    "scheduler_names",
-]
+__all__ = ["solve_adds", "AddsConfig", "BucketQueue"]

@@ -26,14 +26,10 @@ from repro.baselines.common import (
 )
 from repro.baselines.heuristics import davidson_delta
 from repro.calibration import resolve_device
+from repro.core.bucket_queue import BucketQueue
 from repro.core.config import AddsConfig
 from repro.core.delta_controller import DeltaController
 from repro.core.mtb import mtb_program
-from repro.core.scheduler import (
-    DEFAULT_SCHEDULER,
-    WorkScheduler,
-    get_scheduler_info,
-)
 from repro.core.wtb import AF_IDLE, make_relax, wtb_program
 from repro.errors import SolverError
 from repro.gpu.costmodel import CostModel
@@ -52,7 +48,7 @@ class AddsState:
 
     graph: CSRGraph
     device: Device
-    queue: WorkScheduler
+    queue: BucketQueue
     config: AddsConfig
     controller: DeltaController
     dist: np.ndarray
@@ -109,7 +105,6 @@ def solve_adds(
     tracer: Optional[Tracer] = None,
     checker: Optional[object] = None,
     perturb_seed: Optional[int] = None,
-    scheduler: Optional[str] = None,
     warm_from: Optional[np.ndarray] = None,
     updates: Optional[object] = None,
 ) -> SSSPResult:
@@ -146,23 +141,18 @@ def solve_adds(
         ``None`` (default) keeps the canonical, bit-reproducible
         schedule.  Final distances are schedule-invariant; ``work_count``
         and timing legitimately vary across seeds (racing relaxations).
-    scheduler:
-        Registered :class:`~repro.core.scheduler.WorkScheduler` name
-        (``"bucket"``, the paper's queue and the default, or
-        ``"mlmq"``).  Final distances are scheduler-invariant — only
-        the work schedule, and hence work/time, differ.
     warm_from / updates:
         Incremental re-solve (ROADMAP item 2): ``warm_from`` is the
         exact distance array of the same source on the graph *before*
         the edge changes in ``updates`` (an
         :class:`~repro.dynamic.updates.EdgeDeltas`) were applied to it.
-        The solver invalidates stale distances, seeds the scheduler
-        from the **dirty frontier** (violated-edge tails at their warm
+        The solver invalidates stale distances, seeds the queue from
+        the **dirty frontier** (violated-edge tails at their warm
         distances) instead of the source, and converges — by the same
-        label-correction property that makes schedules and schedulers
-        interchangeable — to distances bit-identical to a from-scratch
-        solve.  Works with any registered scheduler.  The predecessor
-        tree is rebuilt only for re-relaxed vertices (``-1`` elsewhere).
+        label-correction property that makes schedules interchangeable
+        — to distances bit-identical to a from-scratch solve.  The
+        predecessor tree is rebuilt only for re-relaxed vertices
+        (``-1`` elsewhere).
     """
     spec, cost = resolve_device(spec, cost)
     config = config or AddsConfig()
@@ -178,8 +168,8 @@ def solve_adds(
         if config.initial_delta is not None
         else davidson_delta(graph)
     )
-    if initial_delta <= 0:
-        raise SolverError("initial delta must be positive")
+    if not initial_delta > 0:  # also rejects NaN
+        raise SolverError(f"initial delta must be positive (got {initial_delta})")
 
     tracer = coalesce(tracer)
     device = Device(spec, cost, tracer=tracer, perturb_seed=perturb_seed)
@@ -197,10 +187,7 @@ def solve_adds(
     pool = GlobalPool(
         _pool_blocks_for(graph, config), words_per_block=config.slots_per_block
     )
-    scheduler_name = scheduler if scheduler is not None else DEFAULT_SCHEDULER
-    queue = get_scheduler_info(scheduler_name).create(
-        device.mem, pool, config, initial_delta=initial_delta
-    )
+    queue = BucketQueue(device.mem, pool, config, initial_delta=initial_delta)
     if config.delta_floor is not None:
         delta_floor = config.delta_floor
     else:
@@ -231,7 +218,7 @@ def solve_adds(
         col64, w64, adj = prep.col64, prep.w64, prep.adj
 
     # Incremental mode: start from the warm distances and seed the
-    # scheduler from the dirty frontier instead of the source.
+    # queue from the dirty frontier instead of the source.
     seed_info = None
     if warm_from is not None:
         from repro.dynamic.frontier import incremental_seed
@@ -270,22 +257,20 @@ def solve_adds(
         checker.attach(device=device, queue=queue, state=state)
     if warm_from is None:
         seed = resolve_sources(graph.num_vertices, source, sources)
-        seed_slot = queue.seed_slot()
+        head = queue.head
         queue.ensure_capacity(
-            seed_slot, config.segment_size * (1 + seed.size // config.segment_size)
+            head, config.segment_size * (1 + seed.size // config.segment_size)
         )
-        start = queue.reserve(seed_slot, int(seed.size))
-        queue.publish(seed_slot, start, seed, np.zeros(seed.size))
+        start = queue.reserve(head, int(seed.size))
+        queue.publish(head, start, seed, np.zeros(seed.size))
     elif frontier.size:
-        # Warm start: seed the scheduler from the dirty frontier at its
-        # warm distances.  base_dist is purely relative, so anchoring it
-        # at the nearest frontier vertex avoids spinning through empty
-        # bands; push_slots_list maps each item to its physical slot
-        # under whichever policy (bucket / mlmq) is installed.
+        # Warm start: seed the queue from the dirty frontier at its warm
+        # distances.  base_dist is purely relative, so anchoring it at
+        # the nearest frontier vertex avoids spinning through empty
+        # bands; push_slots_list maps each item to its bucket exactly as
+        # a WTB push would.
         queue.base_dist = float(frontier_dists.min())
-        slots = np.asarray(
-            queue.push_slots_list(frontier, frontier_dists), dtype=np.int64
-        )
+        slots = np.asarray(queue.push_slots_list(frontier_dists), dtype=np.int64)
         for slot in np.unique(slots):
             mask = slots == slot
             verts = frontier[mask]
@@ -361,9 +346,5 @@ def solve_adds(
         work_count=state.work_count,
         time_us=spec.cycles_to_us(cycles),
         timeline=device.timeline,
-        stats={
-            **stats,
-            "scheduler": scheduler_name,
-            "delta_trace": list(state.delta_trace),
-        },
+        stats={**stats, "delta_trace": list(state.delta_trace)},
     )

@@ -68,8 +68,7 @@ def mtb_program(state):
     retire_read_blocks = q.retire_read_blocks
     readable_upper = q.readable_upper
     advance_read = q.advance_read
-    assign_slots = q.assign_slots
-    head_slots = q.head_slots
+    n_buckets = q.n_buckets
     resv = q.resv
     af_slot = state.af_slot
     af_start = state.af_start
@@ -98,16 +97,17 @@ def mtb_program(state):
         for slot in resv.nonzero()[0].tolist():
             ensure_capacity(slot, resv.item(slot) + lookahead)
             retire_read_blocks(slot)
-        for slot in head_slots():
-            if not resv.item(slot):
-                ensure_capacity(slot, lookahead)
-                retire_read_blocks(slot)
+        head = q.head
+        if not resv.item(head):
+            ensure_capacity(head, lookahead)
+            retire_read_blocks(head)
 
         # ---- 2. scan + assign ------------------------------------------------
         idle = (af_state == AF_IDLE).nonzero()[0].tolist()
-        for slot in assign_slots(ctrl.active_buckets):
+        for rel in range(ctrl.active_buckets):
             if not idle:
                 break
+            slot = (head + rel) % n_buckets
             upper, scanned = readable_upper(slot)
             segments_scanned += scanned
             rd = q_read.item(slot)
@@ -140,23 +140,24 @@ def mtb_program(state):
 
         # ---- 3. rotation ---------------------------------------------------------
         rotated = 0
-        while rotated < q.max_rotate_burst:
-            heads = head_slots()
-            if not all(q.bucket_read_out(h) for h in heads):
+        # at most n_buckets - 1 in a row, so the head never laps itself
+        while rotated < n_buckets - 1:
+            head = q.head
+            if not q.bucket_read_out(head):
                 break
             if cfg.unsafe_rotation:
                 # Even the broken variant cannot recycle storage a WTB is
                 # still reading from — the paper's failure mode is spawned
                 # work landing in a rotated band, not a use-after-free.
                 pinned = bool(
-                    np.any((af_state == AF_ASSIGNED) & np.isin(af_slot, heads))
+                    np.any((af_state == AF_ASSIGNED) & (af_slot == head))
                 )
                 if pinned:
                     break
-            elif not all(q.bucket_drained(h) for h in heads):
+            elif not q.bucket_drained(head):
                 break
             unread = resv > q_read
-            unread[list(heads)] = False
+            unread[head] = False
             pending_elsewhere = bool(unread.any())
             in_flight = state.outstanding_edges > 0 or q.outstanding() > 0
             if not (pending_elsewhere or in_flight):

@@ -220,7 +220,7 @@ def wtb_program(state, wid: int, relax):
         # ---- publication at batch completion ---------------------------------
         if nw:
             new_d = dist[new_v]
-            slots_l = push_slots_list(new_v, new_d)
+            slots_l = push_slots_list(new_d)
             push_cost = 0.0
             s0 = slots_l[0]
             if nw == 1 or slots_l.count(s0) == nw:

@@ -188,8 +188,7 @@ def sweep_options(solvers: Sequence[str], options=None) -> Dict[str, Options]:
     Each option goes only to the solvers that accept it, so a sweep
     mixing ADDS with baselines stays valid.  An option that *no* solver
     of the sweep accepts is an :class:`EngineError` (it would be
-    silently dead), and a ``scheduler`` name is checked against the
-    registry here, before any solve.
+    silently dead).
     """
     options = Options(options)
     infos = {name: get_solver(name) for name in solvers}
@@ -200,10 +199,6 @@ def sweep_options(solvers: Sequence[str], options=None) -> Dict[str, Options]:
                 f"accepts it; solvers that do: "
                 f"{solver_names(accepts=key) or 'none'}"
             )
-    if "scheduler" in options:
-        from repro.core.scheduler import get_scheduler_info
-
-        get_scheduler_info(options["scheduler"])
     return {
         name: Options({k: v for k, v in options.items() if info.accepts(k)})
         for name, info in infos.items()

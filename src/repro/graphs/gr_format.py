@@ -123,14 +123,18 @@ def read_gr(
     if m % 2 == 1:
         off += 4
     if edata_size == 4:
-        if float_weights:
-            weights = np.frombuffer(data, dtype="<f4", count=m, offset=off).astype(
-                np.float32
-            )
-        else:
-            weights = np.frombuffer(data, dtype="<u4", count=m, offset=off).astype(
-                np.int32
-            )
+        # Check the raw payload: after the cast a uint32 above int32 max
+        # would wrap negative and be misreported downstream.
+        raw = np.frombuffer(
+            data, dtype="<f4" if float_weights else "<u4", count=m, offset=off
+        )
+        int_max = np.iinfo(np.int32).max
+        bad = ~(raw >= 0) if float_weights else raw > int_max
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            why = "is negative or NaN" if float_weights else f"exceeds {int_max}"
+            raise GraphFormatError(f"{path}: weights[{j}] = {raw[j].item()} {why}")
+        weights = raw.astype(np.float32 if float_weights else np.int32)
     else:
         weights = np.ones(m, dtype=np.float32 if float_weights else np.int32)
     ro = np.zeros(n + 1, dtype=np.int64)

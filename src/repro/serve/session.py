@@ -120,7 +120,7 @@ class Session:
         solver works — device solvers get ``spec``/``cost``).
     options:
         Per-solve options applied to every solve this session dispatches
-        (e.g. ``scheduler`` for ``adds``).  An option the solver does not
+        (e.g. ``delta`` for ``adds``).  An option the solver does not
         take raises :class:`~repro.errors.EngineError` at construction,
         not per query (:func:`~repro.engine.sweep_options`).
     window_s / max_batch:

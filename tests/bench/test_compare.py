@@ -164,13 +164,29 @@ class TestLegacyPayloads:
     def test_retired_scheduler_field_is_ignored(self):
         """Reports written before the ``options`` object carry a top-level
         ``scheduler``; they must still load as baselines against current
-        reports, which record it under ``options``."""
+        reports, which omit it."""
         path = Path(__file__).resolve().parents[2] / "BENCH_pr10.json"
         base = json.loads(path.read_text())
         assert base["scheduler"] == "bucket"
         cur = copy.deepcopy(base)
-        cur["options"] = {"scheduler": cur.pop("scheduler")}
+        del cur["scheduler"]
         del cur["exec_mode"]
+        cur["options"] = {}
+        cmp = compare_reports(base, cur, threshold_pct=10)
+        assert cmp.ok
+        assert not cmp.mismatches and not cmp.missing and not cmp.field_gaps
+        assert len(cmp.deltas) == len(base["cells"])
+
+    def test_retired_scheduler_option_is_ignored(self):
+        """Reports written while ADDS took a ``scheduler`` option carry
+        it under ``options``; they must still load as baselines against
+        current reports, whose ``options`` omit it."""
+        path = Path(__file__).resolve().parents[2] / "BENCH_pr10.json"
+        base = json.loads(path.read_text())
+        base["options"] = {"scheduler": base.pop("scheduler")}
+        del base["exec_mode"]
+        cur = copy.deepcopy(base)
+        cur["options"] = {}
         cmp = compare_reports(base, cur, threshold_pct=10)
         assert cmp.ok
         assert not cmp.mismatches and not cmp.missing and not cmp.field_gaps

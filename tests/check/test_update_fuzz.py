@@ -1,5 +1,5 @@
 """Update-stream fuzz: incremental re-solves must be bit-identical to
-from-scratch solves across seeds, schedulers, and perturbed schedules."""
+from-scratch solves across seeds and perturbed schedules."""
 
 from __future__ import annotations
 
@@ -25,25 +25,22 @@ def _entry(seed: int) -> SuiteEntry:
     )
 
 
-@pytest.mark.parametrize("scheduler", ["bucket", "mlmq"])
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_incremental_bit_equal_across_seeds(seed, scheduler):
-    """Direct fuzz loop: one graph, one scheduler, one stream seed."""
+def test_incremental_bit_equal_across_seeds(seed):
+    """Direct fuzz loop: one graph, one stream seed."""
     g = generators.grid_road(6, 6, seed=seed).prepare()
-    warm = solve_adds(g, source=0, scheduler=scheduler).dist
+    warm = solve_adds(g, source=0).dist
     for batch in update_stream(g, batches=2, batch_size=6, seed=seed * 31 + 7):
         res = apply_updates(g, batch)
         g = res.graph.prepare()
-        full = solve_adds(g, source=0, scheduler=scheduler)
-        inc = solve_adds(
-            g, source=0, scheduler=scheduler, warm_from=warm, updates=res.deltas
-        )
+        full = solve_adds(g, source=0)
+        inc = solve_adds(g, source=0, warm_from=warm, updates=res.deltas)
         assert np.array_equal(full.dist, inc.dist)
         warm = inc.dist
 
 
 def test_run_update_check_report_shape_and_pass():
-    """The runner itself: both schedulers + a perturbed lane, all green."""
+    """The runner itself: canonical + a perturbed lane, all green."""
     report = run_update_check(
         entries=[_entry(0), _entry(1)],
         batches=2,
@@ -55,8 +52,8 @@ def test_run_update_check_report_shape_and_pass():
     assert len(report.cells) == 2
     for cell in report.cells:
         assert len(cell.batches) == 2
-        # lanes: dijkstra + (bucket, mlmq) × (canonical + 1 perturbed)
-        assert len(cell.lanes) == 5
+        # lanes: dijkstra + adds × (canonical + 1 perturbed)
+        assert len(cell.lanes) == 3
         for bc in cell.batches:
             assert bc.oracle_sha256 is not None
             # every lane reported a sha, and all of them match the oracle
@@ -94,15 +91,15 @@ def test_lane_labels_and_default_lanes():
 
     lanes = default_update_lanes(schedules=1, seed=0)
     labels = [lane.label for lane in lanes]
-    assert labels[0] == "dijkstra/canonical"
-    assert "adds/bucket/canonical" in labels
-    assert "adds/mlmq/canonical" in labels
-    assert f"adds/bucket/seed={schedule_seed(0, 0)}" in labels
-    assert len(labels) == len(set(labels))
+    assert labels == [
+        "dijkstra/canonical",
+        "adds/canonical",
+        f"adds/seed={schedule_seed(0, 0)}",
+    ]
 
 
 def test_perturbed_lane_objects():
-    lane = UpdateLane(
-        solver="adds", options={"scheduler": "mlmq", "perturb_seed": 42}
-    )
-    assert lane.label == "adds/mlmq/seed=42"
+    lane = UpdateLane(solver="adds", options={"perturb_seed": 42})
+    assert lane.label == "adds/seed=42"
+    lane = UpdateLane(solver="adds", options={"delta": 5.0, "perturb_seed": 42})
+    assert lane.label == "adds/5.0/seed=42"

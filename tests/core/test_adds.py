@@ -171,22 +171,18 @@ class TestDeviceChoice:
         assert t3090 <= t2080 * 1.05
 
 
-@pytest.mark.parametrize("scheduler", ["bucket", "mlmq"])
 class TestEdgeCases:
-    def test_empty_dirty_frontier(self, scheduler):
+    def test_empty_dirty_frontier(self):
         g = grid_road(10, 10, seed=9)
-        warm = solve_adds(g, 0, scheduler=scheduler).dist
-        res = solve_adds(
-            g, 0, scheduler=scheduler,
-            warm_from=warm, updates=EdgeDeltas.empty(),
-        )
+        warm = solve_adds(g, 0).dist
+        res = solve_adds(g, 0, warm_from=warm, updates=EdgeDeltas.empty())
         np.testing.assert_array_equal(res.dist, warm)
 
-    def test_single_vertex(self, scheduler):
-        r = solve_adds(from_edge_list(1, []), 0, scheduler=scheduler)
+    def test_single_vertex(self):
+        r = solve_adds(from_edge_list(1, []), 0)
         assert r.dist[0] == 0.0
         assert r.work_count == 1
 
-    def test_single_vertex_self_loop(self, scheduler):
-        r = solve_adds(from_edge_list(1, [(0, 0, 3)]), 0, scheduler=scheduler)
+    def test_single_vertex_self_loop(self):
+        r = solve_adds(from_edge_list(1, [(0, 0, 3)]), 0)
         assert r.dist[0] == 0.0

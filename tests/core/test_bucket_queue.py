@@ -60,11 +60,9 @@ class TestBandMapping:
         assert q.low_clips == 1
 
     def test_slot_wraps_circularly(self):
-        q = make_queue(n_buckets=4)
+        q = make_queue(n_buckets=4, delta=10.0)
         q.head = 3
-        assert q.slot_of(0) == 3
-        assert q.slot_of(1) == 0
-        assert q.rel_of(0) == 1
+        assert q.push_slots_list(np.array([5.0, 15.0, 25.0])) == [3, 0, 1]
 
 
 class TestWriterProtocol:
@@ -261,11 +259,14 @@ class TestCompletionAndRotation:
         with pytest.raises(ProtocolError):
             q.set_delta(0)
 
-    def test_snapshot_keys(self):
-        q = make_queue()
-        snap = q.snapshot()
-        for key in ("head", "base_dist", "delta", "rotations", "total_pushed"):
-            assert key in snap
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1.0])
+    def test_non_positive_or_nan_delta_rejected(self, bad):
+        with pytest.raises(ProtocolError, match="positive"):
+            make_queue(delta=bad)
+        q = make_queue(delta=10.0)
+        with pytest.raises(ProtocolError, match="positive"):
+            q.set_delta(bad)
+        assert q.delta == 10.0
 
 
 class TestWccThroughSimMemory:

@@ -19,6 +19,7 @@ from repro.baselines.common import (
 )
 from repro.baselines.dijkstra import solve_dijkstra
 from repro.calibration import default_cost, default_gpu
+from repro.engine import sweep_options
 from repro.errors import EngineError, SolverError
 from repro.graphs.suite import SuiteEntry
 from repro.harness import run_suite
@@ -109,6 +110,30 @@ class TestSolveRequest:
         with pytest.raises(SolverError, match=lacking):
             repro.sssp(small_road, 0, algorithm=name, **{lacking: 1.0})
 
+    def test_retired_scheduler_option_is_rejected(self, small_road):
+        """``scheduler`` named a queue design before ADDS had one queue;
+        it is now an option no solver takes."""
+        with pytest.raises(SolverError, match="does not take option 'scheduler'"):
+            get_solver("adds").solve(
+                SolveRequest(graph=small_road, options={"scheduler": "bucket"})
+            )
+
+    @pytest.mark.parametrize("delta", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["adds", "nf", "gun-nf", "cpu-ds"])
+    def test_non_positive_or_nan_delta_rejected(self, name, delta, small_road):
+        with pytest.raises(SolverError, match="positive"):
+            get_solver(name).solve(
+                SolveRequest(graph=small_road, options={"delta": delta})
+            )
+
+    @pytest.mark.parametrize("name", ["adds", "nf", "gun-nf", "cpu-ds"])
+    def test_infinite_delta_matches_dijkstra(self, name, small_road):
+        ref = solve_dijkstra(small_road, 0).dist
+        res = get_solver(name).solve(
+            SolveRequest(graph=small_road, options={"delta": float("inf")})
+        )
+        assert np.array_equal(res.dist, ref)
+
     def test_sssp_rejects_delta_for_dijkstra(self, small_road):
         with pytest.raises(SolverError, match="cpu-ds"):
             repro.sssp(small_road, algorithm="dijkstra", delta=3.0)
@@ -125,7 +150,7 @@ class TestSolveRequest:
 
 class TestOptions:
     def test_none_means_default_and_is_dropped(self):
-        assert dict(Options(delta=None, scheduler="mlmq")) == {"scheduler": "mlmq"}
+        assert dict(Options(delta=None, perturb_seed=3)) == {"perturb_seed": 3}
 
     def test_frozen(self):
         opts = Options(delta=2.0)
@@ -135,12 +160,18 @@ class TestOptions:
         assert isinstance(request.options, Options)
 
     def test_picklable(self):
-        opts = Options(scheduler="mlmq", delta=2.0)
+        opts = Options(perturb_seed=3, delta=2.0)
         assert pickle.loads(pickle.dumps(opts)) == opts
 
     def test_to_json_keeps_scalars_only(self):
-        opts = Options(scheduler="mlmq", delta=2.0, tracer=Tracer())
-        assert opts.to_json() == {"delta": 2.0, "scheduler": "mlmq"}
+        opts = Options(perturb_seed=3, delta=2.0, tracer=Tracer())
+        assert opts.to_json() == {"delta": 2.0, "perturb_seed": 3}
+
+
+class TestSweepOptions:
+    def test_option_no_solver_takes_is_rejected(self):
+        with pytest.raises(EngineError, match="'delta' has no effect"):
+            sweep_options(("dijkstra", "nv"), {"delta": 5.0})
 
 
 class TestCapabilityFlags:

@@ -160,6 +160,40 @@ class TestGrErrors:
             read_gr(p, float_weights=True)
 
 
+    @staticmethod
+    def _two_node_gr(path, weight_bytes):
+        """A 2-node, 1-edge (0 -> 1) file with the given 4-byte weight."""
+        body = struct.pack("<QQQQ", 1, 4, 2, 1)
+        body += struct.pack("<QQ", 1, 1)
+        body += struct.pack("<I", 1) + b"\0" * 4  # col + odd-count padding
+        path.write_bytes(body + weight_bytes)
+        return path
+
+    def test_uint32_weight_above_int32_max_rejected(self, tmp_path):
+        # read as int32 it would wrap to a negative weight and be
+        # misreported as "negative edge weight"
+        p = self._two_node_gr(tmp_path / "big.gr", struct.pack("<I", 3_000_000_000))
+        with pytest.raises(
+            GraphFormatError, match=r"weights\[0\] = 3000000000 exceeds"
+        ):
+            read_gr(p)
+
+    def test_uint32_weight_at_int32_max_accepted(self, tmp_path):
+        p = self._two_node_gr(tmp_path / "max.gr", struct.pack("<I", 2**31 - 1))
+        assert read_gr(p).weights.tolist() == [2**31 - 1]
+
+    @pytest.mark.parametrize("value", [-2.5, float("nan")])
+    def test_bad_float_weight_names_edge_and_value(self, tmp_path, value):
+        p = self._two_node_gr(tmp_path / "neg.gr", struct.pack("<f", value))
+        with pytest.raises(
+            GraphFormatError, match=rf"weights\[0\] = {value} is negative or NaN"
+        ):
+            read_gr(p, float_weights=True)
+
+    def test_negative_zero_float_weight_accepted(self, tmp_path):
+        p = self._two_node_gr(tmp_path / "zero.gr", struct.pack("<f", -0.0))
+        assert read_gr(p, float_weights=True).weights.tolist() == [0.0]
+
 class TestDimacs:
     def test_roundtrip(self, tmp_path, tiny_graph):
         p = tmp_path / "g.dimacs"

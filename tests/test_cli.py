@@ -163,14 +163,6 @@ class TestSuite:
         assert payload["resumed"] == 0
         assert payload["options"] == {}
 
-    def test_suite_option_no_solver_takes_is_rejected(self, capsys):
-        rc = main([
-            "suite", "--solvers", "nf,dijkstra", "--scheduler", "mlmq",
-            "--categories", "road", "--scale", "0.25", "--max-graphs", "1",
-        ])
-        assert rc == 2
-        assert "'scheduler' has no effect" in capsys.readouterr().err
-
     def test_suite_parallel_matches_serial(self, capsys):
         args = [
             "suite", "--solvers", "adds,nf", "--categories", "road",

@@ -55,7 +55,7 @@ def test_perfetto_phase_mapping():
 def test_counters_csv_format():
     stats = {
         "work_count": 5, "atomics": np.int64(7), "delta": 32.0,
-        "scheduler": "bucket", "delta_trace": [1.0], "missing": None,
+        "solver": "adds", "delta_trace": [1.0], "missing": None,
     }
     lines = counters_csv(stats).strip().splitlines()
     # numeric entries only, sorted by name

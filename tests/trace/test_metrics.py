@@ -22,7 +22,7 @@ def test_rows_for_csv():
     non-numeric entries are left out."""
     stats = {
         **uniform_stats(atomics=2, work_count=np.int64(5)),
-        "delta": 7.5, "scheduler": "bucket", "delta_trace": [1.0],
+        "delta": 7.5, "solver": "adds", "delta_trace": [1.0],
     }
     rows = counters_csv(stats).strip().splitlines()
     assert rows == [

@@ -13,10 +13,10 @@ import pytest
 from repro.baselines.common import SOLVERS, SolveRequest, get_solver
 from repro.trace import UNIFORM_SOLVER_KEYS
 
-#: Stats entries that are not counts: Δ values, labels, traces, and
+#: Stats entries that are not counts: Δ values, traces, and
 #: figures a solver does not report.
 NON_COUNT_KEYS = {
-    "initial_delta", "final_delta", "delta", "scheduler", "delta_trace",
+    "initial_delta", "final_delta", "delta", "delta_trace",
     "work_count_public",
 }
 
