@@ -80,9 +80,9 @@ def near_far(
 
     near = resolve_sources(n, source, sources)
     far = np.empty(0, dtype=np.int64)
-    # Pre-cast CSR twins (as the ADDS WTBs do): the relax path consumes
-    # int64 indices and float64 weights, so casting once here removes
-    # two array copies from every superstep.
+    # Pre-cast CSR twins: the relax path consumes int64 indices and
+    # float64 weights, so casting once here removes two array copies
+    # from every superstep.
     exp_graph = SimpleNamespace(
         row_offsets=graph.row_offsets,
         col_indices=graph.col_indices.astype(np.int64),

@@ -330,20 +330,20 @@ class ProtocolChecker:
                 f"assignment is (bucket {aslot}, [{astart},{aend}))",
             )
         if self.queue is not None:
-            if self.queue.epoch.item(slot) != aepoch:
+            if self.queue.epoch[slot] != aepoch:
                 self._fail(
                     "fence-visibility",
                     f"{caller} read bucket {slot} in epoch "
-                    f"{self.queue.epoch.item(slot)} but was assigned in "
+                    f"{self.queue.epoch[slot]} but was assigned in "
                     f"epoch {aepoch} — the bucket's storage was recycled "
                     f"under the reader",
                 )
-            if end > self.queue.read.item(slot):
+            if end > self.queue.read[slot]:
                 self._fail(
                     "fence-visibility",
                     f"{caller} read [{start},{end}) of bucket {slot} beyond "
                     f"the advanced read pointer "
-                    f"{self.queue.read.item(slot)}",
+                    f"{self.queue.read[slot]}",
                 )
         self._check_dist("read")
 
@@ -351,9 +351,9 @@ class ProtocolChecker:
         self.checked_ops += 1
         self._require_reader("rotate", slot)
         q = self.queue
-        resv = q.resv.item(slot)
-        rd = q.read.item(slot)
-        cwc = q.cwc.item(slot)
+        resv = q.resv[slot]
+        rd = q.read[slot]
+        cwc = q.cwc[slot]
         if rd != resv:
             self._fail(
                 "rotate-guard",

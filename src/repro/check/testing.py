@@ -64,9 +64,9 @@ def _install_phantom_wcc(checker, device, queue, state) -> None:
     box = {"fired": False}
 
     def faulty_publish(slot: int, start: int, vertices, dists) -> int:
-        if not box["fired"] and int(vertices.size) >= 2:
+        if not box["fired"] and len(vertices) >= 2:
             box["fired"] = True
-            k = int(vertices.size)
+            k = len(vertices)
             # write all but the last item, then bump the last item's
             # segment WCC anyway — the classic increment-before-fence bug
             segs = orig(slot, start, vertices[:-1], dists[:-1])

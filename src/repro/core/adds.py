@@ -54,28 +54,19 @@ class AddsState:
     dist: np.ndarray
     pred: np.ndarray
     float_weights: bool
-    # per-WTB assignment flags (scratchpad on the real device)
-    af_state: np.ndarray
-    af_slot: np.ndarray
-    af_start: np.ndarray
-    af_end: np.ndarray
-    af_epoch: np.ndarray
-    af_edges: np.ndarray
+    # per-WTB assignment flags (scratchpad on the real device), one
+    # Python int (float for the edge estimate) per worker
+    af_state: List[int]
+    af_slot: List[int]
+    af_start: List[int]
+    af_end: List[int]
+    af_epoch: List[int]
+    af_edges: List[float]
     # counters
     work_count: int = 0
     outstanding_edges: float = 0.0
     head_switches: int = 0
     delta_trace: List[Tuple[float, float]] = field(default_factory=list)
-    #: int64/float64 twins of the CSR arrays — the relax path consumes
-    #: these dtypes, so cast once per solve instead of once per batch.
-    #: Optional so hand-built states (tests) fall back to per-WTB casts.
-    col64: Optional[np.ndarray] = None
-    w64: Optional[np.ndarray] = None
-    #: per-vertex adjacency cache, lazily filled by the WTB fast path:
-    #: ``adj[v] = (srcs, cols, ws)`` where the latter two are views into
-    #: the 64-bit twins.  Vertices are re-expanded a handful of times per
-    #: solve, so caching the slice objects beats re-slicing the CSR.
-    adj: Optional[list] = None
     #: dynamic protocol checker (:class:`repro.check.ProtocolChecker`);
     #: set by ``checker.attach``, consulted by the MTB/WTB programs.
     checker: Optional[object] = None
@@ -206,17 +197,6 @@ def solve_adds(
         pool.attach_tracer(tracer, clock)
         controller.attach_tracer(tracer, clock)
 
-    # A prepared graph (CSRGraph.prepare(), e.g. a serving session's load
-    # step) supplies the int64/float64 twins and the adjacency cache; the
-    # fallback casts per solve, exactly as before — same values either way.
-    prep = graph.prepared()
-    if prep is None:
-        col64 = graph.col_indices.astype(np.int64)
-        w64 = graph.weights.astype(np.float64)
-        adj: list = [None] * graph.num_vertices
-    else:
-        col64, w64, adj = prep.col64, prep.w64, prep.adj
-
     # Incremental mode: start from the warm distances and seed the
     # queue from the dirty frontier instead of the source.
     seed_info = None
@@ -238,15 +218,12 @@ def solve_adds(
         dist=dist0,
         pred=init_tree(graph.num_vertices),
         float_weights=not graph.is_integer_weighted,
-        af_state=np.full(n_wtbs, AF_IDLE, dtype=np.int64),
-        af_slot=np.zeros(n_wtbs, dtype=np.int64),
-        af_start=np.zeros(n_wtbs, dtype=np.int64),
-        af_end=np.zeros(n_wtbs, dtype=np.int64),
-        af_epoch=np.zeros(n_wtbs, dtype=np.int64),
-        af_edges=np.zeros(n_wtbs, dtype=np.float64),
-        col64=col64,
-        w64=w64,
-        adj=adj,
+        af_state=[AF_IDLE] * n_wtbs,
+        af_slot=[0] * n_wtbs,
+        af_start=[0] * n_wtbs,
+        af_end=[0] * n_wtbs,
+        af_epoch=[0] * n_wtbs,
+        af_edges=[0.0] * n_wtbs,
     )
 
     # Seed: each source is one work item in the head bucket at distance 0.

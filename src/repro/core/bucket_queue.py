@@ -23,14 +23,18 @@ Data structure recap from the paper:
 - distances outside the 32-band window are **clipped** into the tail (or
   head) bucket, losing ordering but never correctness (§5.5 / Figure 6b).
 
-Distance payloads are float64 bit-cast into the int64 slot lane, so the
-same storage serves int- and float-weighted graphs (like the artifact's
-single GR payload word).
+Each slot is a vertex word and a distance word.  The distance is written
+through a float64 view of the arena, so the word holds its float64 bit
+pattern (:func:`encode_dist` gives the same bits), and the same storage
+serves int- and float-weighted graphs (like the artifact's single GR
+payload word).  The queue's counters are Python ints and the slots move
+through Python lists: every per-batch operation touches a handful of
+values, where NumPy's per-call dispatch would cost more than the work.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,22 +47,15 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 __all__ = ["BucketQueue", "encode_dist", "decode_dist"]
 
 
-def encode_dist(d: np.ndarray) -> np.ndarray:
-    """float64 distances → int64 bit patterns (order-preserving for d ≥ 0)."""
-    if isinstance(d, np.ndarray) and d.dtype == np.float64 and d.flags.c_contiguous:
-        return d.view(np.int64)  # hot path: already the right layout
-    return np.ascontiguousarray(np.asarray(d, dtype=np.float64)).view(np.int64)
+def encode_dist(d) -> np.ndarray:
+    """float64 distances → the int64 bit patterns a slot's distance word
+    holds (order-preserving for d ≥ 0)."""
+    return np.ascontiguousarray(d, dtype=np.float64).view(np.int64)
 
 
-def decode_dist(bits: np.ndarray) -> np.ndarray:
+def decode_dist(bits) -> np.ndarray:
     """Inverse of :func:`encode_dist`."""
-    if (
-        isinstance(bits, np.ndarray)
-        and bits.dtype == np.int64
-        and bits.flags.c_contiguous
-    ):
-        return bits.view(np.float64)
-    return np.ascontiguousarray(np.asarray(bits, dtype=np.int64)).view(np.float64)
+    return np.ascontiguousarray(bits, dtype=np.int64).view(np.float64)
 
 
 class BucketQueue:
@@ -81,23 +78,20 @@ class BucketQueue:
         self.n_buckets = n_buckets
         self.segment_size = config.segment_size
 
-        # shared metadata arrays (global memory on the real device)
-        self.resv = np.zeros(n_buckets, dtype=np.int64)
-        self.read = np.zeros(n_buckets, dtype=np.int64)
-        self.cwc = np.zeros(n_buckets, dtype=np.int64)
+        # shared metadata (global memory on the real device), one int
+        # per bucket
+        self.resv = [0] * n_buckets
+        self.read = [0] * n_buckets
+        self.cwc = [0] * n_buckets
         # Bucket reuse epoch: the simulator's stand-in for the monotonic
         # 32-bit circular index.  A completion that arrives after its
         # bucket was recycled (possible only under unsafe_rotation) is
         # dropped from the recycled bucket's CWC but still counts globally.
-        self.epoch = np.zeros(n_buckets, dtype=np.int64)
-        # Per-bucket segment WCC counters, indexed by segment number.
-        # Dense int64 arrays (grown on demand as buckets gain capacity)
-        # instead of dicts: publish and readable_upper operate on whole
-        # segment ranges, which a dict forces into per-segment Python
-        # loops on the hottest writer/reader paths.
-        self.wcc: List[np.ndarray] = [
-            np.zeros(self._initial_segments(), dtype=np.int64)
-            for _ in range(n_buckets)
+        self.epoch = [0] * n_buckets
+        # Per-bucket segment WCC counters, indexed by segment number
+        # (grown on demand as buckets gain capacity).
+        self.wcc: List[List[int]] = [
+            [0] * self._initial_segments() for _ in range(n_buckets)
         ]
         self.storage = [
             BucketStorage(pool, config.slots_per_block, name=f"b{i}")
@@ -134,13 +128,11 @@ class BucketQueue:
         """WCC array size covering one storage block's worth of slots."""
         return max(1, -(-self.config.slots_per_block // self.segment_size))
 
-    def _wcc_through(self, slot: int, last_seg: int) -> np.ndarray:
-        """The bucket's WCC array, grown (×2 amortized) to index ``last_seg``."""
+    def _wcc_through(self, slot: int, last_seg: int) -> List[int]:
+        """The bucket's WCC list, grown (×2 amortized) to index ``last_seg``."""
         wcc = self.wcc[slot]
-        if last_seg >= wcc.size:
-            grown = np.zeros(max(last_seg + 1, 2 * wcc.size), dtype=np.int64)
-            grown[: wcc.size] = wcc
-            self.wcc[slot] = wcc = grown
+        if last_seg >= len(wcc):
+            wcc += [0] * (max(last_seg + 1, 2 * len(wcc)) - len(wcc))
         return wcc
 
     def attach_tracer(
@@ -176,41 +168,42 @@ class BucketQueue:
     # priority-band mapping
     # ------------------------------------------------------------------ #
 
-    def rel_bands_list(self, dists: np.ndarray) -> list:
+    def rel_bands_list(self, dists: Sequence[float]) -> list:
         """Band index (0 = head) for each distance, with clipping.
 
         Below-window distances clip to the head band (work spawned for an
         already-rotated band, §5.4); beyond-window distances clip to the
         tail band (Figure 6(b)).  Clip counts feed the Δ controller.
 
-        The WTB groups its pushes with scalar code, so the bands come
-        back as a plain list.  The division stays the ``np.floor_divide``
-        kernel — its fmod-corrected floor division differs from
-        ``floor(a/b)`` at band boundaries; its float results are integral
-        and far below 2**53, so ``int()`` on them is exact.
+        Takes a list of floats (the WTB's pushes) or a float64 array.
+        Python's float ``//`` is the same fmod-corrected floor division
+        as ``np.floor_divide`` (both differ from ``floor(a/b)`` at band
+        boundaries), so the bands match the NumPy kernel bit for bit; the
+        quotients are integral and far below 2**53, so ``int()`` on them
+        is exact.
         """
+        if isinstance(dists, np.ndarray):
+            dists = dists.tolist()
+        base = self.base_dist
+        delta = self.delta
         limit = self.n_buckets - 1
-        raw = np.floor_divide(dists - self.base_dist, self.delta).tolist()
-        for i, r in enumerate(raw):
-            r = int(r)
-            if r < 0:
-                self.low_clips += 1
-                r = 0
-            elif r > limit:
-                self.high_clips += 1
-                r = limit
-            raw[i] = r
-        return raw
+        out = [int((d - base) // delta) for d in dists]
+        if out and (min(out) < 0 or max(out) > limit):
+            for i, r in enumerate(out):
+                if r < 0:
+                    self.low_clips += 1
+                    out[i] = 0
+                elif r > limit:
+                    self.high_clips += 1
+                    out[i] = limit
+        return out
 
-    def push_slots_list(self, dists: np.ndarray) -> list:
+    def push_slots_list(self, dists: Sequence[float]) -> list:
         """Physical destination bucket for each pushed distance (hot WTB
         path): its band, counted circularly from the head."""
         head = self.head
         nb = self.n_buckets
-        out = self.rel_bands_list(dists)
-        for i, r in enumerate(out):
-            out[i] = (head + r) % nb
-        return out
+        return [(head + r) % nb for r in self.rel_bands_list(dists)]
 
     # ------------------------------------------------------------------ #
     # writer (WTB) side
@@ -220,7 +213,7 @@ class BucketQueue:
         """Atomically reserve ``k`` slots; returns the starting index."""
         if k <= 0:
             raise ProtocolError("reserve of non-positive count")
-        start = int(self.mem.atomic_add(self.resv, slot, k))
+        start = self.mem.atomic_add(self.resv, slot, k)
         self.total_pushed += k
         self.pushes_since_check += k
         if (slot - self.head) % self.n_buckets == self.n_buckets - 1:
@@ -246,44 +239,38 @@ class BucketQueue:
             self._device.notify(self.cap_keys[slot])
         return added
 
-    def publish(self, slot: int, start: int, vertices: np.ndarray, dists: np.ndarray) -> int:
+    def publish(
+        self, slot: int, start: int, vertices: Sequence[int], dists: Sequence[float]
+    ) -> int:
         """Write reserved slots, fence, bump segment WCCs (§5.2 writer path).
 
         Returns the number of segments touched (for cost accounting).
         """
-        k = int(vertices.size)
+        k = len(vertices)
         if k == 0:
             return 0
         if self._checker is not None:
             # before the write: a publish outside the writer's own
             # reservation must fail before it corrupts storage
             self._checker.on_publish(slot, int(start), k)
-        self.storage[slot].write_range(start, vertices, encode_dist(dists))
+        self.storage[slot].write_range(start, vertices, dists)
         self.mem.fence()  # items fully written before WCC increments
         ss = self.segment_size
         first = start // ss
         last = (start + k - 1) // ss
         wcc = self._wcc_through(slot, last)
-        if first == last:
-            old = self.mem.atomic_add(wcc, first, k)
-            if old + k > ss:
+        atomic_add = self.mem.atomic_add
+        lo = start
+        end = start + k
+        # one atomic per touched segment: partial ends, full middle
+        for seg in range(first, last + 1):
+            hi = min(end, (seg + 1) * ss)
+            count = atomic_add(wcc, seg, hi - lo) + hi - lo
+            if count > ss:
                 raise ProtocolError(
-                    f"bucket {slot}: segment {first} WCC {old + k} exceeds N"
+                    f"bucket {slot}: segment {seg} WCC {count} exceeds N"
                 )
-        else:
-            # contribution per touched segment: partial ends, full middle
-            counts = np.full(last - first + 1, ss, dtype=np.int64)
-            counts[0] = (first + 1) * ss - start
-            counts[-1] = (start + k) - last * ss
-            self.mem.atomic_add_batch(
-                wcc, np.arange(first, last + 1), counts
-            )
-            seg_counts = wcc[first : last + 1]
-            if int(seg_counts.max()) > ss:
-                seg = first + int((seg_counts > ss).argmax())
-                raise ProtocolError(
-                    f"bucket {slot}: segment {seg} WCC {wcc[seg]} exceeds N"
-                )
+            lo = hi
         if self._tracer.enabled:
             self._tracer.instant(
                 "queue", "bucket_push", self._clock(), cat="queue",
@@ -306,7 +293,7 @@ class BucketQueue:
         if self._checker is not None:
             self._checker.on_complete(slot, k, epoch)
         self.mem.fence()  # spawned pushes visible before the CWC update
-        if self.epoch.item(slot) == epoch:
+        if self.epoch[slot] == epoch:
             self.mem.atomic_add(self.cwc, slot, k)
         self.total_completed += k
 
@@ -320,35 +307,31 @@ class BucketQueue:
         Returns ``(upper, segments_scanned)``: all slots in
         ``[read_ptr, upper)`` are guaranteed fully written.
         """
-        r = self.read.item(slot)
+        r = self.read[slot]
         self.mem.fence()
-        resv = self.resv.item(slot)
+        resv = self.resv[slot]
         if r >= resv:
             return r, 0
         ss = self.segment_size
         wcc = self.wcc[slot]
+        n_wcc = len(wcc)
         seg0 = r // ss
-        seg_end = -(-resv // ss)  # exclusive: ceil(resv / ss)
         # The leading run of fully-written segments is safe wholesale; a
-        # reservation-only segment past the WCC array's extent counts 0.
-        window = wcc[seg0 : min(seg_end, wcc.size)]
-        if window.size:
-            not_full = window != ss
-            i = int(not_full.argmax())
-            n_full = i if not_full[i] else int(window.size)
-        else:
-            n_full = 0
-        scanned = n_full
-        upper = max(r, (seg0 + n_full) * ss)
+        # reservation-only segment past the WCC list's extent counts 0.
+        stop = min(-(-resv // ss), n_wcc)  # ceil(resv / ss), clamped
+        seg = seg0
+        while seg < stop and wcc[seg] == ss:
+            seg += 1
+        scanned = seg - seg0
+        upper = max(r, seg * ss)
         if upper < resv:
             # partial segment: trust it only if WCC accounts for every
             # reservation made in it (re-read resv after a fence so the
             # comparison is not against a stale pointer)
             scanned += 1
-            seg = seg0 + n_full
-            count = wcc.item(seg) if seg < wcc.size else 0
+            count = wcc[seg] if seg < n_wcc else 0
             self.mem.fence()
-            resv = self.resv.item(slot)
+            resv = self.resv[slot]
             if seg * ss + count == resv and resv > upper:
                 upper = resv
         if upper > resv:
@@ -366,11 +349,12 @@ class BucketQueue:
             self._checker.on_advance_read(slot, int(upto))
         self.read[slot] = upto
 
-    def read_items(self, slot: int, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Fetch items (vertices, distances) from a readable range."""
+    def read_items(self, slot: int, start: int, end: int) -> Tuple[list, list]:
+        """Fetch items (vertices, distances) from a readable range, as
+        lists of Python ints and floats."""
         if self._checker is not None:
             self._checker.on_read(slot, int(start), int(end))
-        verts, bits = self.storage[slot].read_range(start, end)
+        verts, dists = self.storage[slot].read_range(start, end)
         spb = self.storage[slot].slots_per_block
         for vb in range(start // spb, max(start, end - 1) // spb + 1):
             self.mtb_cache.access(vb)
@@ -380,19 +364,19 @@ class BucketQueue:
                 bucket=slot, rel=(slot - self.head) % self.n_buckets,
                 items=end - start,
             )
-        return verts, decode_dist(bits)
+        return verts, dists
 
     def bucket_drained(self, slot: int) -> bool:
         """Everything reserved has been read *and* completed."""
-        resv = self.resv.item(slot)
-        if self.read.item(slot) != resv:
+        resv = self.resv[slot]
+        if self.read[slot] != resv:
             return False
         self.mem.fence()
-        return self.cwc.item(slot) == self.resv.item(slot)
+        return self.cwc[slot] == self.resv[slot]
 
     def bucket_read_out(self, slot: int) -> bool:
         """Everything reserved has been read (completion not required)."""
-        return self.read.item(slot) == self.resv.item(slot)
+        return self.read[slot] == self.resv[slot]
 
     def rotate(self) -> None:
         """Recycle the head bucket as the new farthest band (§5.4).
@@ -406,14 +390,14 @@ class BucketQueue:
             self._checker.on_rotate(slot)
         if not self.bucket_read_out(slot):
             raise ProtocolError("rotation with unread work in the head bucket")
-        if not self.config.unsafe_rotation and int(self.cwc[slot]) != int(self.resv[slot]):
+        if not self.config.unsafe_rotation and self.cwc[slot] != self.resv[slot]:
             raise ProtocolError(
                 "rotation before the head bucket's CWC matched resv_ptr"
             )
         # CWC may lag resv under unsafe rotation; the epoch bump reroutes
         # those late completions to the global counter only.
         self.storage[slot].reset()
-        self.wcc[slot].fill(0)
+        self.wcc[slot] = [0] * len(self.wcc[slot])
         self.resv[slot] = 0
         self.read[slot] = 0
         self.cwc[slot] = 0
@@ -432,7 +416,7 @@ class BucketQueue:
         """Free whole blocks below both read_ptr and CWC (FIFO shrink)."""
         if self._checker is not None:
             self._checker.on_retire(slot)
-        safe = min(self.read.item(slot), self.cwc.item(slot))
+        safe = min(self.read[slot], self.cwc[slot])
         return self.storage[slot].retire_below(safe)
 
     # ------------------------------------------------------------------ #

@@ -27,8 +27,6 @@ paper (warp-wide metadata reads amortized over many work items).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.wtb import AF_ASSIGNED, AF_IDLE, AF_STOP
 
 __all__ = ["mtb_program"]
@@ -46,7 +44,7 @@ def mtb_program(state):
     cfg = state.config
     ctrl = state.controller
     af_state = state.af_state
-    n_wtbs = af_state.size
+    n_wtbs = len(af_state)
     avg_deg = max(state.graph.average_degree(), 1.0)
     target_edges = (
         cfg.target_chunk_edges
@@ -94,24 +92,25 @@ def mtb_program(state):
         # pre-grown) can hold storage blocks: a bucket leaves ``resv == 0``
         # only via reset, which drops its blocks.  Scanning the other ~30
         # empty slots every pass was a top host-side hot spot.
-        for slot in resv.nonzero()[0].tolist():
-            ensure_capacity(slot, resv.item(slot) + lookahead)
-            retire_read_blocks(slot)
+        for slot, r in enumerate(resv):
+            if r:
+                ensure_capacity(slot, r + lookahead)
+                retire_read_blocks(slot)
         head = q.head
-        if not resv.item(head):
+        if not resv[head]:
             ensure_capacity(head, lookahead)
             retire_read_blocks(head)
 
         # ---- 2. scan + assign ------------------------------------------------
-        idle = (af_state == AF_IDLE).nonzero()[0].tolist()
+        idle = [w for w, a in enumerate(af_state) if a == AF_IDLE]
         for rel in range(ctrl.active_buckets):
             if not idle:
                 break
             slot = (head + rel) % n_buckets
             upper, scanned = readable_upper(slot)
             segments_scanned += scanned
-            rd = q_read.item(slot)
-            epoch_s = q_epoch.item(slot)
+            rd = q_read[slot]
+            epoch_s = q_epoch[slot]
             while idle and rd < upper:
                 start = rd
                 end = min(start + chunk_items, upper)
@@ -149,16 +148,18 @@ def mtb_program(state):
                 # Even the broken variant cannot recycle storage a WTB is
                 # still reading from — the paper's failure mode is spawned
                 # work landing in a rotated band, not a use-after-free.
-                pinned = bool(
-                    np.any((af_state == AF_ASSIGNED) & (af_slot == head))
+                pinned = any(
+                    a == AF_ASSIGNED and s == head
+                    for a, s in zip(af_state, af_slot)
                 )
                 if pinned:
                     break
             elif not q.bucket_drained(head):
                 break
-            unread = resv > q_read
-            unread[head] = False
-            pending_elsewhere = bool(unread.any())
+            pending_elsewhere = any(
+                r > rd and s != head
+                for s, (r, rd) in enumerate(zip(resv, q_read))
+            )
             in_flight = state.outstanding_edges > 0 or q.outstanding() > 0
             if not (pending_elsewhere or in_flight):
                 break  # nothing left anywhere: rotating forever is pointless
@@ -193,7 +194,7 @@ def mtb_program(state):
             assignments == 0
             and len(idle) == n_wtbs
             and q.outstanding() == 0
-            and bool(np.array_equal(resv, q_read))
+            and resv == q_read
         )
         if queue_empty:
             empty_sweeps += 1

@@ -17,26 +17,23 @@ Each WTB loops forever:
    size (stale items included — they were assigned work), then clear the
    AF.
 
-The relaxation itself is one vectorized batch priced by the cost model;
-its memory effects land when the batch *finishes*, so concurrent WTBs
-genuinely race on the distance array and redundant work arises exactly as
-it does on hardware.
+The relaxation is one batch priced by the cost model; its memory effects
+land when the batch *finishes*, so concurrent WTBs genuinely race on the
+distance array and redundant work arises exactly as it does on hardware.
 
 Step 2 is :func:`make_relax`: one closure per solve, shared by every
-worker, holding the hoisted per-solve bindings (64-bit CSR twins, the
-per-vertex adjacency cache, the batch price memo).  Each worker's step 2
-runs alone in its own event: the single-reader MTB hands out assignments
-one at a time, so too few workers are ready at one timestamp for fusing
-their relaxations to pay (see ``docs/simulator.md``).
+worker.  It runs the batch as one loop over Python scalars, reading the
+graph's CSR arrays and reading and writing ``dist``/``pred`` through
+zero-copy memoryviews; at the five-to-hundred-item batches a WTB gets,
+NumPy's per-call dispatch would cost more than the arithmetic.  Each
+worker's step 2 runs alone in its own event: the single-reader MTB hands
+out assignments one at a time, so too few workers are ready at one
+timestamp for fusing their relaxations to pay (see ``docs/simulator.md``).
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
-
-from repro.graphs.csr import expand_frontier
 
 __all__ = ["wtb_program", "make_relax", "AF_IDLE", "AF_ASSIGNED", "AF_STOP"]
 
@@ -49,107 +46,98 @@ def make_relax(state):
     """The WTB relaxation phase (step 2) as one per-solve closure.
 
     ``relax(wid)`` decodes worker ``wid``'s AF, reads the assigned items,
-    drops stale ones, expands the live frontier, prices the batch and
-    applies its atomic-min on the distance array.  It returns the plain
-    tuple ``(slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)``
-    where ``new_v`` holds the ``nw`` winning destinations (``None`` when
-    the batch has no edges).
+    drops stale ones, relaxes the live vertices' out-edges and prices the
+    batch.  It returns the plain tuple
+    ``(slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)`` where
+    the list ``new_v`` holds the ``nw`` winning destinations.
+
+    The edges relax in batch order, each as ``atomicMin`` would: a
+    candidate below the stored distance stores itself and its source as
+    the predecessor.  So the last store at an index is the first batch
+    entry holding the batch minimum, and ``new_v`` lists the improved
+    destinations in the order of those entries — the winner semantics of
+    :meth:`~repro.gpu.memory.SimMemory.atomic_min_batch`.
     """
     dev = state.device
     cost = dev.cost
-    mem = dev.mem
+    mem_stats = dev.mem.stats
     q = state.queue
     graph = state.graph
-    dist = state.dist
-    pred_out = state.pred
     float_weights = state.float_weights
     avg_deg = max(graph.average_degree(), 1.0)
-    # Pre-cast CSR view: expand_frontier's output feeds float64 distance
-    # math and int64 atomics, so gathering from 64-bit twins of the CSR
-    # arrays skips two per-batch ``astype`` copies.  Values are identical
-    # (int32→int64 and int32/float32→float64 are exact).
-    col64 = state.col64
-    w64 = state.w64
-    exp_graph = SimpleNamespace(
-        row_offsets=graph.row_offsets, col_indices=col64, weights=w64
-    )
-    # Hoisted hot-path lookups: this closure runs once per assignment,
-    # tens of thousands of times per solve.
-    af_slot_item = state.af_slot.item
-    af_start_item = state.af_start.item
-    af_end_item = state.af_end.item
-    af_epoch_item = state.af_epoch.item
+    # Zero-copy views: indexing yields Python ints and floats, and they
+    # see the live buffers, so an in-place weight patch is relaxed with
+    # its new value.  int32/float32 → Python int/float is exact, so the
+    # float64 arithmetic below equals NumPy's on the widened arrays.
+    ro = memoryview(graph.row_offsets)
+    col = memoryview(graph.col_indices)
+    wts = memoryview(graph.weights)
+    dist = memoryview(state.dist)
+    pred = memoryview(state.pred)
+    af_slot = state.af_slot
+    af_start = state.af_start
+    af_end = state.af_end
+    af_epoch = state.af_epoch
     read_items = q.read_items
-    atomic_min_batch = mem.atomic_min_batch
     wtb_batch_latency = cost.wtb_batch_latency
     wtb_batch_bytes = cost.wtb_batch_bytes
     # Batch pricing is a pure function of the edge count once the solve
     # fixes float_weights and avg_deg, and edge counts repeat heavily
     # (chunk sizes × a bounded degree mix), so memoize per solve.
     price_memo: dict = {}
-    count_nonzero = np.count_nonzero
-    concatenate = np.concatenate
-    adj = state.adj
-    ro_item = graph.row_offsets.item
-    dist_item = dist.item
     # dynamic protocol checker (repro.check), or None
     checker = state.checker
 
     def relax(wid: int):
-        slot = af_slot_item(wid)
-        start = af_start_item(wid)
-        end = af_end_item(wid)
-        epoch = af_epoch_item(wid)
+        slot = af_slot[wid]
+        start = af_start[wid]
+        end = af_end[wid]
+        epoch = af_epoch[wid]
         k = end - start
         if checker is not None:
             # the claim check: what this WTB decoded from its AF must be
             # exactly what the MTB assigned, in the epoch it was made
             checker.on_claim(wid, slot, start, end, epoch)
         verts, pushed = read_items(slot, start, end)
-        if adj is not None and k <= 12:
-            # Fused scalar path for small chunks (the dominant shape on
-            # mesh/road graphs): one pass does the stale check and gathers
-            # each live vertex's cached adjacency — the same slices
-            # ``expand_frontier`` would take, concatenated in the same
-            # order, so the batch below is bit-identical.
-            src_parts = []
-            dst_parts = []
-            w_parts = []
-            n_live = 0
-            verts_l = verts.tolist()
-            pushed_l = pushed.tolist()
-            for i in range(k):
-                v = verts_l[i]
-                # stale check: the pushed distance is current iff the
-                # vertex has not improved since (distances only decrease)
-                if pushed_l[i] <= dist_item(v):
-                    n_live += 1
-                    ent = adj[v]
-                    if ent is None:
-                        s = ro_item(v)
-                        e = ro_item(v + 1)
-                        sv = np.empty(e - s, dtype=np.int64)
-                        sv.fill(v)
-                        ent = adj[v] = (sv, col64[s:e], w64[s:e])
-                    src_parts.append(ent[0])
-                    dst_parts.append(ent[1])
-                    w_parts.append(ent[2])
-            if n_live:
-                srcs = concatenate(src_parts)
-                dsts = concatenate(dst_parts)
-                ws = concatenate(w_parts)
-                edges = int(dsts.size)
-            else:
-                edges = 0
-        else:
-            # stale check: the pushed distance is current iff the vertex
-            # has not improved since (distances only decrease)
-            live = pushed <= dist[verts]
-            n_live = int(count_nonzero(live))
-            live_verts = verts if n_live == k else verts[live]
-
-            srcs, dsts, ws = expand_frontier(exp_graph, live_verts)
-            edges = int(dsts.size)
+        # stale check: the pushed distance is current iff the vertex has
+        # not improved since (distances only decrease).  It also reads
+        # every live source's distance before any edge of the batch
+        # relaxes, as the hardware batch does.
+        live = []
+        for v, d in zip(verts, pushed):
+            dv = dist[v]
+            if d <= dv:
+                live.append((v, dv))
+        n_live = len(live)
+        if checker is not None:
+            batch = _batch_arrays(live, ro, col, wts, state.dist)
+        # Distance updates commit as the batch runs (hardware atomics are
+        # visible to concurrently running blocks), so they are applied at
+        # dispatch; the *work items* this batch spawns only become visible
+        # when the push instructions + WCC increments execute, i.e. after
+        # the batch's duration (see wtb_program).
+        won: dict = {}  # winning destination -> its entry's batch position
+        edges = 0
+        for v, dv in live:
+            s = ro[v]
+            e = ro[v + 1]
+            pos0 = edges - s
+            edges += e - s
+            for i in range(s, e):
+                u = col[i]
+                c = dv + wts[i]
+                if c < dist[u]:
+                    dist[u] = c
+                    pred[u] = v
+                    if u in won:  # re-insert: order by winning entry
+                        del won[u]
+                    won[u] = pos0 + i
+        mem_stats.atomics += edges  # one atomicMin per edge
+        state.work_count += n_live
+        if checker is not None and edges:
+            winners = np.zeros(edges, dtype=bool)
+            winners[list(won.values())] = True
+            checker.on_atomic_min_batch(state.dist, *batch, winners)
         priced = price_memo.get(edges)
         if priced is None:
             priced = price_memo[edges] = (
@@ -157,24 +145,25 @@ def make_relax(state):
                 wtb_batch_bytes(edges, avg_deg),
             )
         latency, nbytes = priced
-        # Distance updates commit as the batch runs (hardware atomics are
-        # visible to concurrently running blocks), so they are applied at
-        # dispatch; the *work items* this batch spawns only become visible
-        # when the push instructions + WCC increments execute, i.e. after
-        # the batch's duration (see wtb_program).
-        state.work_count += n_live
-        nw = 0
-        new_v = None
-        if edges:
-            cand = dist[srcs] + ws
-            winners = atomic_min_batch(
-                dist, dsts, cand, payload=srcs, payload_out=pred_out
-            )
-            new_v = dsts[winners]
-            nw = int(new_v.size)
-        return (slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)
+        new_v = list(won)
+        return (slot, k, epoch, n_live, edges, latency, nbytes, new_v, len(new_v))
 
     return relax
+
+
+def _batch_arrays(live, ro, col, wts, dist_arr):
+    """A relax batch as the arrays ``atomic_min_batch`` reports to the
+    checker: ``(indices, values, before)`` over its edges in batch order,
+    ``before`` read ahead of any of the batch's stores."""
+    indices = np.array(
+        [col[i] for v, _ in live for i in range(ro[v], ro[v + 1])],
+        dtype=np.int64,
+    )
+    values = np.array(
+        [dv + wts[i] for v, dv in live for i in range(ro[v], ro[v + 1])],
+        dtype=np.float64,
+    )
+    return indices, values, dist_arr[indices]
 
 
 def wtb_program(state, wid: int, relax):
@@ -182,7 +171,7 @@ def wtb_program(state, wid: int, relax):
     ``relax`` is the solve's :func:`make_relax` closure."""
     dev = state.device
     q = state.queue
-    dist = state.dist
+    dist = memoryview(state.dist)
     af_state = state.af_state
     tracer = dev.tracer
     track = f"WTB{wid}"
@@ -219,7 +208,9 @@ def wtb_program(state, wid: int, relax):
 
         # ---- publication at batch completion ---------------------------------
         if nw:
-            new_d = dist[new_v]
+            # the winners' distances as of now: other WTBs' batches may
+            # have improved them since this one relaxed
+            new_d = [dist[u] for u in new_v]
             slots_l = push_slots_list(new_d)
             push_cost = 0.0
             s0 = slots_l[0]
@@ -228,21 +219,20 @@ def wtb_program(state, wid: int, relax):
                 groups = ((s0, new_v, new_d),)
             else:
                 # group by physical slot, ascending (reserve/publish
-                # order is protocol-visible): a scalar pass beats
-                # per-slot boolean masks at these batch sizes
+                # order is protocol-visible)
                 by_slot: dict = {}
-                for pos, s in enumerate(slots_l):
-                    bucket = by_slot.get(s)
-                    if bucket is None:
-                        by_slot[s] = [pos]
+                for u, d, s in zip(new_v, new_d, slots_l):
+                    group = by_slot.get(s)
+                    if group is None:
+                        by_slot[s] = ([u], [d])
                     else:
-                        bucket.append(pos)
+                        group[0].append(u)
+                        group[1].append(d)
                 groups = tuple(
-                    (s, new_v[pos], new_d[pos])
-                    for s, pos in sorted(by_slot.items())
+                    (s, vs, ds) for s, (vs, ds) in sorted(by_slot.items())
                 )
             for s, vs, ds in groups:
-                kk = int(vs.size)
+                kk = len(vs)
                 idx0 = reserve(s, kk)
                 if capacity(s) < idx0 + kk:
                     # block not allocated yet: wait for the MTB
@@ -263,7 +253,7 @@ def wtb_program(state, wid: int, relax):
             yield ("busy", push_cost)
 
         complete(slot, k, epoch)
-        state.outstanding_edges -= af_edges.item(wid)
+        state.outstanding_edges -= af_edges[wid]
         af_edges[wid] = 0.0
         af_state[wid] = AF_IDLE
         if trace_on:

@@ -19,8 +19,9 @@ CSRGraph`:
 
 - a weight-only batch **patches in place**: ``graph.weights`` and, when
   the graph was prepared (:meth:`~repro.graphs.csr.CSRGraph.prepare`),
-  the float64 twin ``w64`` — the adjacency cache's weight slices are
-  views into ``w64``, so they update for free.  The weight statistics
+  the float64 twin ``w64``.  The ADDS and Dijkstra relax loops read
+  ``graph.weights`` through memoryviews of the live buffer, so they see
+  the patch with nothing to rebuild.  The weight statistics
   (``avg_weight``/``max_weight``) feeding the Δ heuristic are dropped
   from the stats cache.  The same graph object is returned.
 - a batch containing any ``insert``/``delete`` **rebuilds** the CSR

@@ -37,20 +37,16 @@ class PreparedArrays:
     """Solver-side derived arrays of one graph, built by
     :meth:`CSRGraph.prepare`.
 
-    ``col64``/``w64`` are the int64/float64 twins the relax hot path
-    gathers from (int32→int64 and int32/float32→float64 are exact, so a
-    solve over the twins is bit-identical to one over the originals);
-    ``adj`` is the per-vertex adjacency cache — ``adj[v]`` is
-    ``(srcs, cols, ws)`` with the latter two views into the twins, filled
-    lazily on first expansion and reused across every subsequent solve on
-    the same graph.  All three are pure functions of the topology and
-    weights, never of any solve's distances, which is what makes sharing
-    them across solves (and serving sessions) safe.
+    ``w64`` is the float64 twin of the weights, which the incremental
+    re-solve's dirty-frontier scan (:mod:`repro.dynamic.frontier`)
+    gathers from; int32/float32→float64 is exact, so it holds the same
+    values.  It is a pure function of the weights, never of any solve's
+    distances, which is what makes sharing it across solves (and serving
+    sessions) safe.  The ADDS and Dijkstra relax loops read the graph's
+    own arrays and need nothing prepared.
     """
 
-    col64: np.ndarray
     w64: np.ndarray
-    adj: list
 
 
 @dataclass(frozen=True)
@@ -190,19 +186,15 @@ class CSRGraph:
     def prepare(self) -> "CSRGraph":
         """Prebuild the solver-side derived arrays, once, on the graph.
 
-        Hoists the int64/float64 CSR twin casts (and the container for
-        the per-vertex adjacency cache) out of the solve path: a prepared
-        graph pays the cast cost here — e.g. at session load time — and
-        every subsequent solve reuses the same arrays instead of
-        re-casting.  Unprepared graphs keep the historic behavior (each
-        solve casts privately), and prepared solves are bit-identical to
+        Hoists the float64 weight twin's cast out of the warm re-solve
+        path: a prepared graph pays it here — e.g. at session load time —
+        and every later warm re-solve reuses it.  Unprepared graphs cast
+        per warm solve, and prepared solves are bit-identical to
         unprepared ones.  Idempotent; returns ``self`` for chaining.
         """
         if "prepared" not in self._stats_cache:
             self._stats_cache["prepared"] = PreparedArrays(
-                col64=self.col_indices.astype(np.int64),
                 w64=self.weights.astype(np.float64),
-                adj=[None] * self.num_vertices,
             )
         return self
 
@@ -216,9 +208,9 @@ class CSRGraph:
         """Apply one :class:`~repro.dynamic.updates.UpdateBatch`.
 
         Weight-only batches patch ``weights`` (and the prepared float64
-        twin, whose adjacency-cache views update for free) **in place**
-        and drop the cached weight statistics; batches with inserts or
-        deletes rebuild the CSR and return a fresh, unprepared graph.
+        twin) **in place** and drop the cached weight statistics;
+        batches with inserts or deletes rebuild the CSR and return a
+        fresh, unprepared graph.
         Returns an :class:`~repro.dynamic.updates.UpdateResult` carrying
         the post-batch graph and the net per-edge deltas the incremental
         re-solve path consumes.  See ``docs/dynamic.md``.
@@ -359,9 +351,10 @@ def expand_frontier(
         return e, e.astype(np.int32), np.empty(0, dtype=graph.weights.dtype)
     ro = graph.row_offsets
     if frontier.size <= 12:
-        # Small frontiers (ADDS chunks are a handful of vertices): per-
-        # vertex slices + one concatenate beat the ragged-gather below,
-        # whose fixed cost is ~10 NumPy dispatches.
+        # Small frontiers (the near-pile of an NF iteration can be a
+        # handful of vertices): per-vertex slices + one concatenate beat
+        # the ragged-gather below, whose fixed cost is ~10 NumPy
+        # dispatches.
         cols = []
         ws = []
         counts = []

@@ -4,9 +4,8 @@ A :class:`Session` is the front-end of :mod:`repro.serve`:
 
 1. **Load time** — :meth:`Session.add_graph` registers a graph under an
    id and calls :meth:`~repro.graphs.csr.CSRGraph.prepare` on it, so the
-   int64/float64 CSR twins and the adjacency cache are built once, at
-   load, instead of lazily inside the first solve (PR 4 built them per
-   solve).
+   float64 weight twin the warm re-solves read is built once, at load,
+   instead of inside each warm solve.
 2. **Admission** — :meth:`Session.submit` enqueues a query and returns a
    :class:`~concurrent.futures.Future`.  Past ``max_pending`` waiting
    queries it raises :class:`~repro.errors.AdmissionError` immediately:
@@ -220,9 +219,9 @@ class Session:
     # -- graph registry ----------------------------------------------------- #
 
     def add_graph(self, graph_id: str, graph: CSRGraph) -> CSRGraph:
-        """Register ``graph`` under ``graph_id`` and prepare it (64-bit
-        CSR twins + adjacency cache built now, at load time).  Replacing
-        an existing id invalidates its cached distances."""
+        """Register ``graph`` under ``graph_id`` and prepare it (the
+        float64 weight twin built now, at load time).  Replacing an
+        existing id invalidates its cached distances."""
         with self._lock:
             if self._closed:
                 raise ServeError("session is closed")

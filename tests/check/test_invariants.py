@@ -107,7 +107,7 @@ class TestStructuralInvariants:
         assert q.readable_upper(0)[0] == 3
         q.advance_read(0, 3)
         q.read_items(0, 0, 3)
-        q.complete(0, 3, q.epoch.item(0))
+        q.complete(0, 3, q.epoch[0])
         q.rotate()
         assert checker.violations == []
 

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import davidson_delta, solve_nf
+from repro.check import ProtocolChecker
 from repro.core import AddsConfig, solve_adds
-from repro.dynamic import EdgeDeltas
+from repro.dynamic import EdgeDeltas, apply_updates
 from repro.errors import SolverError
-from repro.graphs import from_edge_list, grid_road
+from repro.graphs import CSRGraph, from_edge_list, grid_road, rmat, update_stream
+from repro.trace import Tracer
 
 
 class TestConfigHandling:
@@ -186,3 +188,63 @@ class TestEdgeCases:
     def test_single_vertex_self_loop(self):
         r = solve_adds(from_edge_list(1, [(0, 0, 3)]), 0)
         assert r.dist[0] == 0.0
+
+
+class TestRelax:
+    @pytest.mark.parametrize("float_weights", [False, True], ids=["int32", "float32"])
+    def test_weight_patch_seen_without_re_preparing(self, float_weights):
+        """The relax reads the graph's live weight buffer: a weight-only
+        batch patched in place is relaxed with its new weights, exactly
+        as on a graph built fresh with them."""
+        g = grid_road(14, 10, seed=4)
+        g = (g.as_float() if float_weights else g).prepare()
+        stale = solve_adds(g, 0)
+        (batch,) = update_stream(
+            g, batches=1, batch_size=40, seed=3, p_insert=0.0, p_delete=0.0
+        )
+        assert apply_updates(g, batch).graph is g  # patched in place
+        fresh = CSRGraph(
+            row_offsets=g.row_offsets.copy(),
+            col_indices=g.col_indices.copy(),
+            weights=g.weights.copy(),
+            name=g.name,
+        )
+        patched, rebuilt = solve_adds(g, 0), solve_adds(fresh, 0)
+        assert patched.dist.tobytes() != stale.dist.tobytes()
+        assert patched.dist.tobytes() == rebuilt.dist.tobytes()
+        assert patched.predecessors.tobytes() == rebuilt.predecessors.tobytes()
+        assert patched.time_us == rebuilt.time_us
+
+    @pytest.mark.parametrize(
+        "graph", [grid_road(16, 12, seed=7), rmat(9, edge_factor=8, seed=7)],
+        ids=["road", "rmat"],
+    )
+    def test_checker_sees_every_relax_batch(self, graph):
+        """Each WTB batch with edges reaches the checker's atomic-min hook
+        once, with a winner mask that marks, per improved index, exactly
+        the first entry holding the value now stored."""
+        calls = []
+
+        class Recording(ProtocolChecker):
+            def on_atomic_min_batch(self, arr, indices, values, before, winners):
+                after = arr[indices]
+                expect = np.zeros(indices.size, dtype=bool)
+                seen = set()
+                for i, (j, v) in enumerate(zip(indices.tolist(), values.tolist())):
+                    if j not in seen and v == after[i] and v < before[i]:
+                        seen.add(j)
+                        expect[i] = True
+                assert winners.tolist() == expect.tolist()
+                calls.append(int(indices.size))
+                super().on_atomic_min_batch(arr, indices, values, before, winners)
+
+        tracer = Tracer()
+        r = solve_adds(graph, 0, checker=Recording(), tracer=tracer)
+        batches = [
+            int(ev.args["edges"])
+            for ev in tracer.by_name("relax_batch")
+            if ev.args["edges"] > 0
+        ]
+        assert len(batches) > 10
+        assert calls == batches
+        assert sum(calls) <= r.stats["atomics"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.block_alloc import BucketStorage, TranslationCache
@@ -50,34 +49,32 @@ class TestIndexSplit:
 
     def test_write_read_across_block_boundary(self, storage):
         storage.ensure_capacity(128)
-        verts = np.arange(60, 70, dtype=np.int64)
-        pays = np.arange(160, 170, dtype=np.int64)
-        storage.write_range(60, verts, pays)  # spans blocks 0 and 1
-        v, p = storage.read_range(60, 70)
-        assert np.array_equal(v, verts)
-        assert np.array_equal(p, pays)
+        verts = list(range(60, 70))
+        dists = [0.5 + d for d in range(160, 170)]
+        storage.write_range(60, verts, dists)  # spans blocks 0 and 1
+        v, d = storage.read_range(60, 70)
+        assert v == verts
+        assert d == dists
 
     def test_single_slot(self, storage):
         storage.ensure_capacity(1)
-        storage.write_slot(5, 42, 99)
-        v, p = storage.read_range(5, 6)
-        assert v[0] == 42 and p[0] == 99
+        storage.write_slot(5, 42, 99.5)
+        v, d = storage.read_range(5, 6)
+        assert v == [42] and d == [99.5]
 
     def test_write_beyond_capacity_rejected(self, storage):
         storage.ensure_capacity(64)
         with pytest.raises(ProtocolError, match="outside allocated"):
-            storage.write_range(
-                60, np.arange(10, dtype=np.int64), np.arange(10, dtype=np.int64)
-            )
+            storage.write_range(60, list(range(10)), [0.0] * 10)
 
     def test_read_unallocated_rejected(self, storage):
         with pytest.raises(ProtocolError, match="unallocated"):
             storage.read_range(0, 4)
 
     def test_empty_ranges(self, storage):
-        v, p = storage.read_range(10, 10)
-        assert v.size == p.size == 0
-        storage.write_range(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        v, d = storage.read_range(10, 10)
+        assert v == d == []
+        storage.write_range(0, [], [])
 
 
 class TestFifoRetire:

@@ -168,8 +168,8 @@ class TestReadableRange:
         start = q.reserve(1, 3)
         q.publish(1, start, np.array([5, 6, 7], dtype=np.int64), np.array([1.5, 2.5, 3.5]))
         verts, dists = q.read_items(1, 0, 3)
-        assert verts.tolist() == [5, 6, 7]
-        assert dists.tolist() == [1.5, 2.5, 3.5]
+        assert verts == [5, 6, 7]
+        assert dists == [1.5, 2.5, 3.5]
 
     def test_advance_read_monotone(self):
         q = make_queue()

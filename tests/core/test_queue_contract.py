@@ -55,8 +55,8 @@ class TestProtocolConformance:
         upper, _ = q.readable_upper(slot)
         assert upper == 3
         rv, rd = q.read_items(slot, 0, 3)
-        assert rv.tolist() == [5, 6, 7]
-        assert rd.tolist() == [1.5, 2.5, 3.5]
+        assert rv == [5, 6, 7]
+        assert rd == [1.5, 2.5, 3.5]
         q.advance_read(slot, 3)
         q.complete(slot, 3, epoch=int(q.epoch[slot]))
         assert q.bucket_drained(slot)

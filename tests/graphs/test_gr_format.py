@@ -223,3 +223,59 @@ class TestDimacs:
         text = "p sp 2 1\na 1 2 2.5\n"
         g = read_dimacs(io.StringIO(text), dtype="float32")
         assert g.weights[0] == pytest.approx(2.5)
+
+    @pytest.mark.parametrize(
+        "arc, why",
+        [
+            ("a 1 2 3.5", "'3.5' is not an integer"),
+            ("a 1 2 3000000000", "'3000000000' exceeds 2147483647"),
+            ("a 1 2 nan", "'nan' is not a finite non-negative number"),
+            ("a 1 2 inf", "'inf' is not a finite non-negative number"),
+            ("a 1 2 -4", "'-4' is not a finite non-negative number"),
+            ("a 1 2 x", "weight 'x' is not a number"),
+            ("a 1 y 2", "head 'y' is not an integer"),
+            ("a 0 2 2", r"tail '0' is outside \[1, 2\]"),
+            ("a 1 3 2", r"head '3' is outside \[1, 2\]"),
+        ],
+    )
+    def test_bad_arc_names_line_and_value(self, arc, why):
+        # a wrong weight must never load rounded, wrapped or misreported
+        # as negative by the CSR builder
+        with pytest.raises(GraphFormatError, match=f"line 3: .*{why}"):
+            read_dimacs(io.StringIO(f"c two nodes\np sp 2 1\n{arc}\n"))
+
+    def test_float_weight_bounds(self):
+        with pytest.raises(GraphFormatError, match="line 2: weight '1e39' exceeds"):
+            read_dimacs(io.StringIO("p sp 2 1\na 1 2 1e39\n"), dtype="float32")
+        g = read_dimacs(io.StringIO("p sp 2 1\na 1 2 3.5\n"), dtype="float32")
+        assert g.weights.tolist() == [3.5]
+
+    def test_integral_weight_spellings_accepted(self):
+        g = read_dimacs(io.StringIO("p sp 2 2\na 1 2 4.0\na 2 1 1e3\n"))
+        assert sorted(g.edges()) == [(0, 1, 4), (1, 0, 1000)]
+
+    @pytest.mark.parametrize(
+        "problem, why",
+        [
+            ("p sp x 1", "node count 'x' is not an integer"),
+            ("p sp 2 y", "arc count 'y' is not an integer"),
+            ("p sp -1 0", "node count '-1' is outside"),
+        ],
+    )
+    def test_bad_problem_line_names_value(self, problem, why):
+        with pytest.raises(GraphFormatError, match=f"line 1: {why}"):
+            read_dimacs(io.StringIO(f"{problem}\n"))
+
+    def test_arc_count_mismatch(self):
+        with pytest.raises(GraphFormatError, match="declares 2 arcs, found 1"):
+            read_dimacs(io.StringIO("p sp 3 2\na 1 2 5\n"))
+        with pytest.raises(GraphFormatError, match="declares 0 arcs, found 1"):
+            read_dimacs(io.StringIO("p sp 3 0\na 1 2 5\n"))
+
+    def test_arc_before_problem_line(self):
+        with pytest.raises(GraphFormatError, match="line 1: arc before"):
+            read_dimacs(io.StringIO("a 1 2 5\np sp 2 1\n"))
+
+    def test_second_problem_line(self):
+        with pytest.raises(GraphFormatError, match="line 2: second problem line"):
+            read_dimacs(io.StringIO("p sp 2 0\np sp 2 0\n"))

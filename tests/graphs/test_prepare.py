@@ -1,9 +1,8 @@
-"""CSRGraph.prepare(): hoisted 64-bit twins and adjacency cache.
+"""CSRGraph.prepare(): the hoisted float64 weight twin.
 
-The PR 6 satellite: a serving session pays the int64/float64 twin casts
-and adjacency-cache allocation once at graph load, while solvers keep
-the lazy per-solve fallback — and both paths produce bit-identical
-results (the casts are exact widenings).
+A serving session pays the float64 weight cast once at graph load,
+while solvers keep the lazy per-solve fallback — and both paths produce
+bit-identical results (the cast is an exact widening).
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ class TestPrepare:
     def test_prepare_builds_exact_twins(self, small_road):
         prep = small_road.prepare().prepared()
         assert isinstance(prep, PreparedArrays)
-        assert prep.col64.dtype == np.int64
         assert prep.w64.dtype == np.float64
-        assert np.array_equal(prep.col64, small_road.col_indices)
         assert np.array_equal(prep.w64, small_road.weights)
-        assert len(prep.adj) == small_road.num_vertices
 
     def test_prepare_is_idempotent(self, small_road):
         first = small_road.prepare().prepared()
@@ -39,8 +35,8 @@ class TestPrepare:
         assert fresh.prepared() is None
 
     def test_prepared_and_lazy_solves_bit_match(self, small_road):
-        """ADDS consumes the prepared arrays (the WTB relax path); the
-        lazy fallback must produce the identical result."""
+        """A solve on a prepared graph and one on an unprepared graph
+        must produce the identical result."""
         from repro.baselines.common import SolveRequest, get_solver_info
 
         spec = sim_gpu()
