@@ -21,6 +21,14 @@ class TestAtomics:
         assert mem.atomic_add(a, 0, 3) == 5
         assert a[0] == 8
 
+    def test_atomic_add_on_list(self, mem):
+        # the bucket queue keeps its counters as lists of Python ints
+        counters = [0, 5]
+        old = mem.atomic_add(counters, 1, 3)
+        assert old == 5 and type(old) is int
+        assert counters == [0, 8]
+        assert mem.stats.atomics == 1
+
     def test_atomic_min_improves(self, mem):
         a = np.array([10], dtype=np.int64)
         assert mem.atomic_min(a, 0, 7) is True
@@ -221,12 +229,3 @@ class TestPoolReleaseComplexity:
         pool.release(c)
         assert sorted(pool._free) == sorted(pool._free_set)
 
-
-class TestAtomicAddBatch:
-    def test_counts_one_atomic_per_entry(self):
-        mem = SimMemory()
-        arr = np.zeros(4, dtype=np.int64)
-        before = mem.stats.atomics
-        mem.atomic_add_batch(arr, np.array([0, 1, 1, 3]), np.array([5, 1, 2, 7]))
-        assert mem.stats.atomics - before == 4
-        assert arr.tolist() == [5, 3, 0, 7]  # duplicates accumulate
