@@ -10,7 +10,6 @@ can be 1000× more efficient than Bellman-Ford" on high-diameter graphs).
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ from repro.baselines.common import (
     SSSPResult,
     init_distances,
     init_tree,
+    make_frontier_relax,
     register_solver,
     resolve_sources,
     uniform_stats,
@@ -28,7 +28,7 @@ from repro.gpu.kernels import BspMachine
 from repro.gpu.memory import SimMemory
 from repro.calibration import resolve_device
 from repro.gpu.specs import DeviceSpec
-from repro.graphs.csr import CSRGraph, expand_frontier
+from repro.graphs.csr import CSRGraph
 from repro.trace.tracer import Tracer
 
 __all__ = ["solve_gun_bf", "bellman_ford_frontier"]
@@ -50,33 +50,21 @@ def bellman_ford_frontier(
     dist = init_distances(graph.num_vertices, source, sources)
     pred = init_tree(graph.num_vertices)
     mem = SimMemory()
+    relax = make_frontier_relax(graph, mem, dist, pred)
     avg_deg = graph.average_degree()
     float_weights = not graph.is_integer_weighted
 
     frontier = resolve_sources(graph.num_vertices, source, sources)
-    # Pre-cast CSR twins: the relax path consumes int64 indices and
-    # float64 weights, so casting once removes two copies per superstep.
-    exp_graph = SimpleNamespace(
-        row_offsets=graph.row_offsets,
-        col_indices=graph.col_indices.astype(np.int64),
-        weights=graph.weights.astype(np.float64),
-    )
     work = 0
     supersteps = 0
     while frontier.size:
-        srcs, dsts, ws = expand_frontier(exp_graph, frontier)
+        edges, improved = relax(frontier)
         machine.superstep(
-            int(frontier.size), int(dsts.size), avg_deg, float_weights=float_weights
+            int(frontier.size), edges, avg_deg, float_weights=float_weights
         )
         supersteps += 1
         work += int(frontier.size)
-        if dsts.size == 0:
-            break
-        cand = dist[srcs] + ws
-        winners = mem.atomic_min_batch(
-            dist, dsts, cand, payload=srcs, payload_out=pred
-        )
-        frontier = np.unique(dsts[winners])
+        frontier = np.unique(improved)
 
     stats = uniform_stats(
         atomics=mem.stats.atomics,

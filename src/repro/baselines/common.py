@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.gpu.timeline import Timeline
+from repro.graphs.csr import gather_edges
 from repro.trace.metrics import UNIFORM_SOLVER_KEYS
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "solver_names",
     "init_distances",
     "init_tree",
+    "make_frontier_relax",
     "resolve_sources",
     "uniform_stats",
 ]
@@ -385,3 +387,32 @@ def init_distances(n: int, source: int, sources=None) -> np.ndarray:
 def init_tree(n: int) -> np.ndarray:
     """Fresh predecessor vector (-1 = no predecessor)."""
     return np.full(n, -1, dtype=np.int64)
+
+
+def make_frontier_relax(graph, mem, dist: np.ndarray, pred: np.ndarray):
+    """The BSP baselines' relax step as one per-solve closure.
+
+    NF, Gun-NF, Gun-BF, NV and CPU-DS all run the same step: expand the
+    frontier, ``atomicMin`` every out-edge, keep the winners.
+    ``relax(frontier)`` gathers the frontier's out-edges and relaxes them
+    with one :meth:`~repro.gpu.memory.SimMemory.atomic_min_batch` on
+    ``dist``, each winning entry storing its source into ``pred``.  It
+    returns ``(edges, improved)``: the edge count and the improved
+    destinations, one per winning entry, in batch order.
+
+    The column indices and weights are cast to int64 and float64 once
+    here, so no superstep copies them again.  The casts are exact, so
+    candidates equal those computed from the graph's own arrays.
+    """
+    row_offsets = graph.row_offsets
+    col_indices = graph.col_indices.astype(np.int64)
+    weights = graph.weights.astype(np.float64)
+
+    def relax(frontier: np.ndarray):
+        srcs, dsts, ws = gather_edges(row_offsets, col_indices, weights, frontier)
+        winners = mem.atomic_min_batch(
+            dist, dsts, dist[srcs] + ws, payload=srcs, payload_out=pred
+        )
+        return int(dsts.size), dsts[winners]
+
+    return relax

@@ -12,7 +12,7 @@ a perturbed schedule can break.
 
 :class:`ProtocolChecker` is that watcher.  One fresh instance attaches to
 one solve (``solve_adds(..., checker=ProtocolChecker())``); the queue,
-the simulated memory, the MTB and the WTBs call back into it on every
+the MTB and the WTBs (relax batches included) call back into it on every
 protocol operation, and any violation raises
 :class:`~repro.errors.InvariantViolation` immediately — schedule, seed
 and cycle included, so ``repro check`` can replay the exact failure.
@@ -41,8 +41,9 @@ Invariants (the bracketed tag opens every violation message):
     claimed assignment.
 ``dist-monotone``
     The shared distance array never increases between two protocol
-    operations, and ``atomic_min`` batches store true minima with at
-    most one winning entry per index.
+    operations, and each WTB relax batch (reported through
+    :meth:`ProtocolChecker.on_atomic_min_batch`) stores true minima with
+    at most one winning entry per index.
 ``rotate-guard``
     The head rotates only once fully read, published and completed —
     the §5.4 CWC guard (``unsafe_rotation`` trips this).
@@ -111,7 +112,7 @@ class ProtocolChecker:
     # ------------------------------------------------------------------ #
 
     def attach(self, *, device, queue, state=None) -> None:
-        """Bind to one solve: hooks into the queue and simulated memory.
+        """Bind to one solve: hooks into the queue and the solver state.
 
         Call before the solver seeds the source so the seed's host-side
         reserve/publish is accounted like any other writer's.
@@ -132,7 +133,6 @@ class ProtocolChecker:
             state.checker = self
             self._dist_snap = np.array(state.dist, dtype=np.float64, copy=True)
         queue.attach_checker(self)
-        device.mem.attach_checker(self)
 
     def _caller(self) -> Optional[str]:
         return self.device.current_block_name() if self.device is not None else None
@@ -439,17 +439,8 @@ class ProtocolChecker:
             )
 
     # ------------------------------------------------------------------ #
-    # memory hooks (called by SimMemory)
+    # relax hook (called by the WTB relax, repro.core.wtb.make_relax)
     # ------------------------------------------------------------------ #
-
-    def on_atomic_min(self, arr, index: int, value, old) -> None:
-        self.checked_ops += 1
-        new = arr.item(index)
-        if new > old:
-            self._fail(
-                "dist-monotone",
-                f"atomic_min increased index {index}: {old!r} -> {new!r}",
-            )
 
     def on_atomic_min_batch(self, arr, indices, values, before, winners) -> None:
         self.checked_ops += 1

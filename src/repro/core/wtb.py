@@ -56,7 +56,11 @@ def make_relax(state):
     the predecessor.  So the last store at an index is the first batch
     entry holding the batch minimum, and ``new_v`` lists the improved
     destinations in the order of those entries — the winner semantics of
-    :meth:`~repro.gpu.memory.SimMemory.atomic_min_batch`.
+    :meth:`~repro.gpu.memory.SimMemory.atomic_min_batch`, which the BSP
+    baselines relax through
+    (:func:`~repro.baselines.common.make_frontier_relax`).  With a
+    protocol checker attached, each batch is reported to its
+    ``on_atomic_min_batch`` from here; ``SimMemory`` takes no checker.
     """
     dev = state.device
     cost = dev.cost

@@ -4,9 +4,11 @@ The event engine in :mod:`repro.gpu.device` is cooperative (a block's
 program runs uninterrupted between ``yield`` points), so the *values*
 produced by these atomics are trivially correct; what this module adds is
 
-- the **API shape** of the CUDA primitives the paper's kernels use
-  (``atomicAdd``/``atomicMin``, ``__threadfence``), so the ADDS code
-  reads like the algorithm in §5;
+- the **API shape** of the CUDA primitives the simulated kernels use:
+  ``atomicAdd`` and ``__threadfence`` for the ADDS bucket queue's SRMW
+  protocol (§5.2), and a batched ``atomicMin`` for the frontier relax
+  of the BSP baselines (the ADDS worker relax in :mod:`repro.core.wtb`
+  applies the same winner rule edge by edge);
 - **operation counters**, which feed reports and tests (e.g. the tests
   that assert the MTB performs a fence before trusting ``resv_ptr``); and
 - a **pre-allocated arena** (:class:`GlobalPool`) from which the ADDS
@@ -16,7 +18,7 @@ produced by these atomics are trivially correct; what this module adds is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -54,14 +56,6 @@ class SimMemory:
 
     def __init__(self) -> None:
         self.stats = MemoryStats()
-        # dynamic protocol checker (repro.check): verifies atomic-min
-        # monotonicity/winner semantics when attached, one branch when not
-        self._checker = None
-
-    def attach_checker(self, checker) -> None:
-        """Route ``atomic_min``/``atomic_min_batch`` outcomes through a
-        :class:`repro.check.ProtocolChecker` (or None to detach)."""
-        self._checker = checker
 
     # -- atomics ----------------------------------------------------------- #
 
@@ -72,17 +66,6 @@ class SimMemory:
         old = arr[index]
         arr[index] = old + value
         return old
-
-    def atomic_min(self, arr: np.ndarray, index: int, value) -> bool:
-        """``atomicMin``: returns True iff the stored value decreased."""
-        self.stats.atomics += 1
-        old = arr.item(index)
-        if value < old:
-            arr[index] = value
-            if self._checker is not None:
-                self._checker.on_atomic_min(arr, index, value, old)
-            return True
-        return False
 
     def atomic_min_batch(
         self,
@@ -97,7 +80,9 @@ class SimMemory:
 
         Returns a boolean mask marking the entries whose value became the
         new minimum at their index (i.e. "my atomicMin won"), matching the
-        semantics each GPU thread observes.  Implemented with
+        semantics each GPU thread observes: an entry wins if it improves
+        on the pre-batch value and is the *first* entry holding the
+        post-batch minimum at its index.  Implemented with
         ``np.minimum.at`` (an unbuffered scatter-min, the NumPy analog of
         hardware atomics).
 
@@ -105,95 +90,22 @@ class SimMemory:
         stores ``payload[i]`` into ``payload_out[indices[i]]`` — the
         64-bit packed (distance, predecessor) update GPU SSSP kernels use
         to keep the shortest-path tree consistent with the distances.
-
-        **Fused-call contract**: for index sets that are disjoint
-        *across* sub-batches, one call over the concatenation is
-        bit-equivalent to the sequential per-sub-batch calls — each
-        concatenated slice of the winner mask equals the solo mask,
-        ``arr``/``payload_out`` land identically, and ``stats.atomics``
-        grows by the same total.  Within a sub-batch duplicates dedup to
-        the first best entry on both the scalar (``n <= 32``) and
-        vectorized paths, so the equivalence holds regardless of which
-        path each call shape takes.
         """
-        n = int(indices.size)
-        self.stats.atomics += n
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        checker = self._checker
-        pre_vals = arr[indices] if checker is not None else None
-        if n <= 32:
-            # Small batches (a frontier of a few low-degree vertices)
-            # pay more for the eight-odd NumPy dispatches below
-            # than for the arithmetic; a scalar pass computes the same
-            # winner mask — first entry per index that improves on the
-            # pre-batch value and holds the post-batch minimum.
-            winners = np.zeros(n, dtype=bool)
-            state: dict = {}  # idx -> [pre-batch value, best value, position]
-            idx_l = indices.tolist()
-            val_l = values.tolist()
-            arr_item = arr.item
-            for i in range(n):
-                j = idx_l[i]
-                v = val_l[i]
-                rec = state.get(j)
-                if rec is None:
-                    state[j] = [arr_item(j), v, i]
-                elif v < rec[1]:
-                    rec[1] = v
-                    rec[2] = i
-            has_payload = payload is not None and payload_out is not None
-            for j, (pre, best, pos) in state.items():
-                if best < pre:
-                    arr[j] = best
-                    winners[pos] = True
-                    if has_payload:
-                        payload_out[j] = payload[pos]
-            if checker is not None:
-                checker.on_atomic_min_batch(arr, indices, values, pre_vals, winners)
-            return winners
+        self.stats.atomics += int(indices.size)
         before = arr[indices]  # fancy indexing already copies
         np.minimum.at(arr, indices, values)
         after = arr[indices]
-        # A thread "wins" if it improved on the pre-batch value and is the
-        # (first) entry that holds the post-batch minimum for its index.
-        improved = values < before
-        is_final = values == after
-        winners = improved & is_final
-        # Deduplicate: when several entries tie on the same index, keep
-        # the first.  For small winner counts a scalar first-occurrence
-        # scan beats the sort inside np.unique; the BSP baselines push
-        # thousands of winners per superstep, so big sets keep the
-        # vectorized path.  Both keep the first occurrence per index, so
-        # the mask is identical either way.
-        any_winners = bool(winners.any())
-        if any_winners:
-            order = winners.nonzero()[0]
-            if 1 < order.size <= 64:
-                idx_w = indices[order]
-                seen: set = set()
-                keep = []
-                dup = False
-                for pos, j in zip(order.tolist(), idx_w.tolist()):
-                    if j in seen:
-                        dup = True
-                    else:
-                        seen.add(j)
-                        keep.append(pos)
-                if dup:
-                    winners = np.zeros_like(winners)
-                    winners[keep] = True
-            elif order.size > 64:
-                idx_w = indices[order]
-                uniq, first = np.unique(idx_w, return_index=True)
-                if uniq.size < idx_w.size:
-                    keep = order[first]
-                    winners = np.zeros_like(winners)
-                    winners[keep] = True
-        if payload is not None and payload_out is not None and any_winners:
-            payload_out[indices[winners]] = payload[winners]
-        if checker is not None:
-            checker.on_atomic_min_batch(arr, indices, values, pre_vals, winners)
+        winners = (values < before) & (values == after)
+        order = winners.nonzero()[0]
+        if order.size:
+            # several entries may tie on one index: keep the first
+            idx_w = indices[order]
+            uniq, first = np.unique(idx_w, return_index=True)
+            if uniq.size < idx_w.size:
+                winners = np.zeros_like(winners)
+                winners[order[first]] = True
+            if payload is not None and payload_out is not None:
+                payload_out[indices[winners]] = payload[winners]
         return winners
 
     # -- fences ------------------------------------------------------------ #

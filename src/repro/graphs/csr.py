@@ -21,7 +21,9 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 
-__all__ = ["CSRGraph", "PreparedArrays", "from_edge_list", "expand_frontier"]
+__all__ = [
+    "CSRGraph", "PreparedArrays", "from_edge_list", "expand_frontier", "gather_edges",
+]
 
 #: Sentinel "infinite" distance for int32 solvers (same role as the
 #: artifact's ``MYINFINITY``).  Chosen so that ``INF_INT32 + max_weight``
@@ -341,49 +343,35 @@ def expand_frontier(
 
     Returns ``(sources, destinations, weights)`` where ``sources[i]`` is the
     frontier vertex whose edge produced ``destinations[i]``.  This is the
-    shared "edge expansion" primitive every frontier-based solver uses; it
-    is the ragged-gather idiom (repeat + cumulative offsets) so the hot
-    path stays inside NumPy.
+    shared "edge expansion" primitive every frontier-based solver uses;
+    :func:`gather_edges` does the work on the graph's own arrays.
+    """
+    return gather_edges(
+        graph.row_offsets, graph.col_indices, graph.weights, frontier
+    )
+
+
+def gather_edges(
+    row_offsets: np.ndarray,
+    col_indices: np.ndarray,
+    weights: np.ndarray,
+    frontier: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`expand_frontier` over explicit CSR arrays, so a solver can
+    gather from int64/float64 twins it cast once per solve.
+
+    The ragged-gather idiom (repeat + cumulative offsets) keeps the work
+    inside NumPy; destinations and weights keep the dtypes of
+    ``col_indices`` and ``weights``.
     """
     frontier = np.asarray(frontier)
-    if frontier.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.astype(np.int32), np.empty(0, dtype=graph.weights.dtype)
-    ro = graph.row_offsets
-    if frontier.size <= 12:
-        # Small frontiers (the near-pile of an NF iteration can be a
-        # handful of vertices): per-vertex slices + one concatenate beat
-        # the ragged-gather below, whose fixed cost is ~10 NumPy
-        # dispatches.
-        cols = []
-        ws = []
-        counts = []
-        ro_item = ro.item
-        ci = graph.col_indices
-        wt = graph.weights
-        for v in frontier.tolist():
-            s = ro_item(v)
-            e = ro_item(v + 1)
-            cols.append(ci[s:e])
-            ws.append(wt[s:e])
-            counts.append(e - s)
-        f64 = frontier if frontier.dtype == np.int64 else frontier.astype(np.int64)
-        sources = np.repeat(f64, counts)
-        if sources.size == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e.astype(np.int32), np.empty(0, dtype=graph.weights.dtype)
-        return sources, np.concatenate(cols), np.concatenate(ws)
-    starts = ro[frontier]
-    counts = ro[frontier + 1] - starts
+    starts = row_offsets[frontier]
+    counts = row_offsets[frontier + 1] - starts
     cum = np.cumsum(counts)
-    total = int(cum[-1])
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.astype(np.int32), np.empty(0, dtype=graph.weights.dtype)
+    total = int(cum[-1]) if cum.size else 0
     # flat[i] walks each vertex's edge range contiguously: a global arange
     # plus one repeated per-vertex offset (start minus the running total of
     # preceding counts) — the same ragged gather with one repeat fewer.
     flat = np.arange(total, dtype=np.int64) + np.repeat(starts - cum + counts, counts)
-    f64 = frontier if frontier.dtype == np.int64 else frontier.astype(np.int64)
-    sources = np.repeat(f64, counts)
-    return sources, graph.col_indices[flat], graph.weights[flat]
+    sources = np.repeat(frontier.astype(np.int64, copy=False), counts)
+    return sources, col_indices[flat], weights[flat]

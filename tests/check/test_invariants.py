@@ -140,12 +140,3 @@ class TestMemoryInvariants:
                 np.array([5.0]),
                 np.array([True]),
             )
-
-    def test_atomic_min_through_memory_is_checked(self):
-        mem = SimMemory()
-        checker = ProtocolChecker()
-        mem.attach_checker(checker)
-        arr = np.array([np.inf, 4.0])
-        before = checker.checked_ops
-        mem.atomic_min(arr, 0, 2.0)
-        assert checker.checked_ops == before + 1

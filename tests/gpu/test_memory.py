@@ -29,20 +29,10 @@ class TestAtomics:
         assert counters == [0, 8]
         assert mem.stats.atomics == 1
 
-    def test_atomic_min_improves(self, mem):
-        a = np.array([10], dtype=np.int64)
-        assert mem.atomic_min(a, 0, 7) is True
-        assert a[0] == 7
-
-    def test_atomic_min_no_change(self, mem):
-        a = np.array([5], dtype=np.int64)
-        assert mem.atomic_min(a, 0, 9) is False
-        assert a[0] == 5
-
     def test_counters(self, mem):
         a = np.array([0], dtype=np.int64)
         mem.atomic_add(a, 0, 1)
-        mem.atomic_min(a, 0, -1)
+        mem.atomic_min_batch(a, np.array([0]), np.array([-1]))
         mem.fence()
         assert mem.stats.snapshot() == {"atomics": 2, "fences": 1}
 
@@ -71,6 +61,22 @@ class TestAtomicMinBatch:
             dist, np.array([0, 0]), np.array([4.0, 4.0])
         )
         assert winners.sum() == 1
+
+    def test_first_tied_entry_wins(self, mem):
+        """Among entries tying on the minimum at one index, the first in
+        batch order wins and stores its payload (the predecessor)."""
+        dist = np.array([100.0, 100.0])
+        pred = np.full(2, -1, dtype=np.int64)
+        winners = mem.atomic_min_batch(
+            dist,
+            np.array([1, 0, 1, 0, 1]),
+            np.array([9.0, 4.0, 4.0, 4.0, 4.0]),
+            payload=np.array([10, 11, 12, 13, 14]),
+            payload_out=pred,
+        )
+        assert winners.tolist() == [False, True, True, False, False]
+        assert dist.tolist() == [4.0, 4.0]
+        assert pred.tolist() == [11, 12]
 
     def test_no_improvement_no_winners(self, mem):
         dist = np.array([1.0, 2.0])
