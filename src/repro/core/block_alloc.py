@@ -149,9 +149,6 @@ class BucketStorage:
 
     # -- slot access ---------------------------------------------------------- #
 
-    def write_slot(self, index: int, vertex: int, dist: float) -> None:
-        self.write_range(index, (vertex,), (dist,))
-
     def write_range(self, start: int, vertices, dists) -> None:
         """Write ``len(vertices)`` consecutive slots starting at ``start``:
         each vertex id into the slot's int64 word, its distance into the

@@ -58,7 +58,7 @@ class TestIndexSplit:
 
     def test_single_slot(self, storage):
         storage.ensure_capacity(1)
-        storage.write_slot(5, 42, 99.5)
+        storage.write_range(5, [42], [99.5])
         v, d = storage.read_range(5, 6)
         assert v == [42] and d == [99.5]
 
@@ -87,7 +87,7 @@ class TestFifoRetire:
 
     def test_data_above_retire_point_survives(self, storage):
         storage.ensure_capacity(192)
-        storage.write_slot(130, 7, 8)
+        storage.write_range(130, [7], [8.0])
         storage.retire_below(128)
         v, p = storage.read_range(130, 131)
         assert v[0] == 7
@@ -105,7 +105,7 @@ class TestFifoRetire:
         assert storage.capacity == 0
         # reusable after reset
         storage.ensure_capacity(64)
-        storage.write_slot(0, 1, 2)
+        storage.write_range(0, [1], [2.0])
 
     def test_grow_shrink_grow_reuses_pool(self, pool):
         """The FIFO usage pattern: blocks cycle through the arena."""

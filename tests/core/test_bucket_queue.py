@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.bucket_queue import BucketQueue, decode_dist, encode_dist
+from repro.core.bucket_queue import BucketQueue
 from repro.core.config import AddsConfig
 from repro.errors import ProtocolError
 from repro.gpu.memory import GlobalPool, SimMemory
@@ -28,16 +28,6 @@ def make_queue(
     for s in range(n_buckets):
         q.storage[s].ensure_capacity(4 * slots_per_block)
     return q
-
-
-class TestDistCodec:
-    def test_roundtrip(self):
-        d = np.array([0.0, 1.5, 1e300, 3.25])
-        assert np.array_equal(decode_dist(encode_dist(d)), d)
-
-    def test_integers_exact(self):
-        d = np.arange(1000, dtype=np.float64)
-        assert np.array_equal(decode_dist(encode_dist(d)), d)
 
 
 class TestBandMapping:

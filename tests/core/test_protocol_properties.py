@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bucket_queue import BucketQueue, decode_dist, encode_dist
+from repro.core.bucket_queue import BucketQueue
 from repro.core.config import AddsConfig
 from repro.gpu.memory import GlobalPool, SimMemory
 
@@ -89,23 +89,6 @@ class TestReadableRangeSafety:
             q.publish(0, start, np.arange(k, dtype=np.int64), np.arange(float(k)))
             upper, _ = q.readable_upper(0)
             assert upper == start + k
-
-
-class TestCodecProperties:
-    @given(
-        st.lists(
-            st.floats(min_value=0, max_value=1e15, allow_nan=False),
-            max_size=50,
-        )
-    )
-    def test_roundtrip(self, values):
-        d = np.asarray(values, dtype=np.float64)
-        assert np.array_equal(decode_dist(encode_dist(d)), d)
-
-    @given(st.lists(st.integers(0, 2**40), min_size=1, max_size=50))
-    def test_integer_distances_exact(self, values):
-        d = np.asarray(values, dtype=np.float64)
-        assert decode_dist(encode_dist(d)).tolist() == d.tolist()
 
 
 class TestBandMappingProperties:
