@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.baselines import solve_cpu_ds, solve_dijkstra
 from repro.errors import SolverError
 from repro.gpu.costmodel import CpuCostModel
 from repro.gpu.specs import CPU_I9_7900X, CpuSpec
+from repro.graphs import grid_road
 
 
 class TestOrdering:
@@ -28,8 +32,6 @@ class TestOrdering:
         any delta yields exact results with bounded redundancy."""
         r = solve_cpu_ds(small_mesh, 0, delta=0.5)
         dij = solve_dijkstra(small_mesh, 0)
-        import numpy as np
-
         np.testing.assert_allclose(r.dist, dij.dist)
 
 
@@ -51,6 +53,15 @@ class TestRounds:
     def test_invalid_delta(self, small_road):
         with pytest.raises(SolverError):
             solve_cpu_ds(small_road, 0, delta=-1)
+
+    def test_tiny_delta_bucket_ids_stay_defined(self):
+        """With Δ = 1e-300 the bucket ids ``floor(d / Δ)`` exceed int64;
+        the solve must stay exact and emit no cast warning."""
+        g = grid_road(20, 20, max_weight=8192, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solve_cpu_ds(g, 0, delta=1e-300)
+        np.testing.assert_array_equal(r.dist, solve_dijkstra(g, 0).dist)
 
 
 class TestTiming:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import davidson_delta, solve_gun_nf, solve_nf
+from repro.baselines import davidson_delta, solve_dijkstra, solve_gun_nf, solve_nf
 from repro.errors import SolverError
+from repro.graphs import grid_road
 
 
 class TestDeltaBehaviour:
@@ -33,6 +34,14 @@ class TestDeltaBehaviour:
     def test_invalid_delta(self, small_road):
         with pytest.raises(SolverError):
             solve_nf(small_road, 0, delta=0)
+
+    @pytest.mark.parametrize("solve", [solve_nf, solve_gun_nf])
+    def test_delta_below_distance_ulp(self, solve):
+        """A Δ the distances' ULP absorbs must still move τ past the
+        nearest far vertex, not loop until the superstep budget."""
+        g = grid_road(20, 20, max_weight=8192, seed=1)
+        r = solve(g, 0, delta=1e-12)
+        np.testing.assert_array_equal(r.dist, solve_dijkstra(g, 0).dist)
 
     def test_default_delta_is_davidson(self, small_road):
         r = solve_nf(small_road, 0)

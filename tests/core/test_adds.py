@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import davidson_delta, solve_nf
+from repro.baselines import davidson_delta, solve_dijkstra, solve_nf
 from repro.check import ProtocolChecker
 from repro.core import AddsConfig, solve_adds
 from repro.dynamic import EdgeDeltas, apply_updates
@@ -188,6 +188,14 @@ class TestEdgeCases:
     def test_single_vertex_self_loop(self):
         r = solve_adds(from_edge_list(1, [(0, 0, 3)]), 0)
         assert r.dist[0] == 0.0
+
+    def test_tiny_delta_clips_instead_of_overflowing(self):
+        """With Δ = 1e-310 a push's band quotient is infinite; it must
+        clip to the tail band (counted) rather than overflow ``int()``."""
+        g = grid_road(20, 20, max_weight=8192, seed=1)
+        r = solve_adds(g, 0, delta=1e-310)
+        np.testing.assert_array_equal(r.dist, solve_dijkstra(g, 0).dist)
+        assert r.stats["high_clips"] > 0
 
 
 class TestRelax:
