@@ -2,9 +2,11 @@
 
 ``BENCH_pr4.json`` pins only the ``dist_sha256`` of int-weighted cells.
 This file also pins the predecessor tree, the simulated time and the
-protocol counters, on int and float graphs, under the canonical and a
-perturbed schedule, for a multi-source solve and for warm re-solves
-after an update batch.  Any change to the relax or the queue that moves
+protocol counters (pool high-water, clips, translation-cache hits), on
+int and float graphs, under the canonical and a perturbed schedule, for
+a multi-source solve, for warm re-solves after an update batch, and for
+small blocks that make writers wait on the allocator and write across
+block boundaries.  Any change to the relax or the queue that moves
 one simulated number fails here.
 """
 
@@ -14,7 +16,7 @@ import hashlib
 
 import pytest
 
-from repro.core import solve_adds
+from repro.core import AddsConfig, solve_adds
 from repro.dynamic import apply_updates
 from repro.graphs import fem_mesh, grid_road, rmat, update_stream
 
@@ -33,11 +35,23 @@ def _observed(r) -> dict:
         "fences": r.stats["fences"],
         "total_pushed": r.stats["total_pushed"],
         "rotations": r.stats["rotations"],
+        "pool_high_water": r.stats["pool_high_water"],
+        "high_clips": r.stats["high_clips"],
+        "low_clips": r.stats["low_clips"],
+        "translation_hits": r.stats["translation_hits"],
     }
 
 
 def _road():
     return grid_road(20, 14, seed=5)
+
+
+def _small_blocks(pool_blocks: int) -> AddsConfig:
+    """Blocks of 32 slots and a short chunk: writes straddle blocks and
+    WTB reservations outrun the MTB's allocator."""
+    return AddsConfig(
+        slots_per_block=32, segment_size=16, pool_blocks=pool_blocks, max_chunk=8
+    )
 
 
 def _warm(topology: bool):
@@ -62,6 +76,16 @@ _CASES = {
     "rmat-int": lambda: solve_adds(rmat(9, edge_factor=8, seed=7), 0),
     "rmat-float": lambda: solve_adds(rmat(9, edge_factor=8, seed=7).as_float(), 0),
     "mesh-int": lambda: solve_adds(fem_mesh(600, band=16, stride=2, seed=7), 0),
+    # 7 capacity waits, 20 multi-block writes, 64 rotations
+    "road-small-blocks": lambda: solve_adds(
+        grid_road(20, 16, seed=6), 0, config=_small_blocks(256)
+    ),
+    # 30 capacity waits
+    "rmat-small-blocks": lambda: solve_adds(
+        rmat(9, edge_factor=8, seed=7), 0, config=_small_blocks(512)
+    ),
+    # 715 high clips, 37 capacity waits, 1,147 rotations
+    "road-int-delta1": lambda: solve_adds(_road(), 0, delta=1.0),
     "warm-weights": lambda: _warm(topology=False),
     "warm-topology": lambda: _warm(topology=True),
 }
@@ -76,6 +100,10 @@ _PINNED = {
         'fences': 2591,
         'total_pushed': 3552,
         'rotations': 4,
+        'pool_high_water': 6,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 373,
     },
     'rmat-float': {
         'dist': '5d46c11928a2eff3',
@@ -86,6 +114,10 @@ _PINNED = {
         'fences': 537,
         'total_pushed': 1330,
         'rotations': 0,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 58,
     },
     'rmat-int': {
         'dist': '5d46c11928a2eff3',
@@ -96,6 +128,24 @@ _PINNED = {
         'fences': 521,
         'total_pushed': 1329,
         'rotations': 0,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 52,
+    },
+    'rmat-small-blocks': {
+        'dist': '5d46c11928a2eff3',
+        'pred': '1d6a02710c6a1345',
+        'time_us': 16.870857142857144,
+        'work_count': 977,
+        'atomics': 7872,
+        'fences': 648,
+        'total_pushed': 1319,
+        'rotations': 0,
+        'pool_high_water': 19,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 132,
     },
     'road-float': {
         'dist': 'a4742bb906eb5dc9',
@@ -106,6 +156,10 @@ _PINNED = {
         'fences': 1586,
         'total_pushed': 730,
         'rotations': 1,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 70,
     },
     'road-int': {
         'dist': 'a4742bb906eb5dc9',
@@ -116,6 +170,10 @@ _PINNED = {
         'fences': 1509,
         'total_pushed': 726,
         'rotations': 1,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 71,
     },
     'road-int-delta': {
         'dist': 'a4742bb906eb5dc9',
@@ -126,6 +184,24 @@ _PINNED = {
         'fences': 3653,
         'total_pushed': 716,
         'rotations': 1147,
+        'pool_high_water': 2,
+        'high_clips': 715,
+        'low_clips': 0,
+        'translation_hits': 37,
+    },
+    'road-int-delta1': {
+        'dist': 'a4742bb906eb5dc9',
+        'pred': '294bc4b7e34e0d57',
+        'time_us': 58.87085714285714,
+        'work_count': 716,
+        'atomics': 2791,
+        'fences': 3653,
+        'total_pushed': 716,
+        'rotations': 1147,
+        'pool_high_water': 2,
+        'high_clips': 715,
+        'low_clips': 0,
+        'translation_hits': 37,
     },
     'road-int-perturb3': {
         'dist': 'a4742bb906eb5dc9',
@@ -136,6 +212,10 @@ _PINNED = {
         'fences': 1568,
         'total_pushed': 725,
         'rotations': 63,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 71,
     },
     'road-multi-source': {
         'dist': '69af7a6a290e79f7',
@@ -146,6 +226,24 @@ _PINNED = {
         'fences': 868,
         'total_pushed': 567,
         'rotations': 1,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 42,
+    },
+    'road-small-blocks': {
+        'dist': 'ee1704e604122c1a',
+        'pred': 'e1c2856f125064b9',
+        'time_us': 31.07314285714286,
+        'work_count': 847,
+        'atomics': 3754,
+        'fences': 1764,
+        'total_pushed': 854,
+        'rotations': 64,
+        'pool_high_water': 6,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 147,
     },
     'warm-topology': {
         'dist': '0a79e740f1b45a94',
@@ -156,6 +254,10 @@ _PINNED = {
         'fences': 704,
         'total_pushed': 465,
         'rotations': 0,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 29,
     },
     'warm-weights': {
         'dist': 'e253925839c3d337',
@@ -166,6 +268,10 @@ _PINNED = {
         'fences': 1087,
         'total_pushed': 520,
         'rotations': 63,
+        'pool_high_water': 2,
+        'high_clips': 0,
+        'low_clips': 0,
+        'translation_hits': 40,
     },
 }
 
