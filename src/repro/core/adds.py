@@ -244,19 +244,17 @@ def solve_adds(
         # Warm start: seed the queue from the dirty frontier at its warm
         # distances.  base_dist is purely relative, so anchoring it at
         # the nearest frontier vertex avoids spinning through empty
-        # bands; push_slots_list maps each item to its bucket exactly as
-        # a WTB push would.
+        # bands; push_groups splits the frontier by bucket exactly as a
+        # WTB push would.
         queue.base_dist = float(frontier_dists.min())
-        slots = np.asarray(queue.push_slots_list(frontier_dists), dtype=np.int64)
-        for slot in np.unique(slots):
-            mask = slots == slot
-            verts = frontier[mask]
+        for slot, verts, dists in queue.push_groups(
+            frontier.tolist(), memoryview(dist0)
+        ):
             queue.ensure_capacity(
-                int(slot),
-                config.segment_size * (1 + verts.size // config.segment_size),
+                slot, config.segment_size * (1 + len(verts) // config.segment_size)
             )
-            start = queue.reserve(int(slot), int(verts.size))
-            queue.publish(int(slot), start, verts, frontier_dists[mask])
+            start = queue.reserve(slot, len(verts))
+            queue.publish(slot, start, verts, dists)
     # (empty frontier: nothing to relax — the MTB terminates on its own)
 
     relax = make_relax(state)

@@ -19,7 +19,11 @@ allocator."
 - the pointer array maps virtual block numbers to pool blocks; it only
   grows at the tail (:meth:`ensure_capacity`, called by the MTB) and only
   shrinks at the head (:meth:`retire_below`, as ``read_ptr``/``CWC`` move
-  past a block) — the FIFO property;
+  past a block) — the FIFO property.  Both ends are kept as plain ints,
+  ``capacity`` (first unbacked slot) and ``retire_at`` (the index whose
+  passing frees the oldest block), so the queue answers "nothing to do"
+  — the common case on every MTB pass and WTB push — with one
+  comparison;
 - :class:`TranslationCache` models the scratchpad direct-mapped caches
   that spare most accesses the extra indirection ("keeping direct-mapped
   translation caches for each WTB and for the MTB in scratchpad").
@@ -95,15 +99,17 @@ class BucketStorage:
         self._table: Dict[int, int] = {}
         self._first_vblock = 0  # oldest still-mapped virtual block
         self._next_vblock = 0  # next virtual block to allocate
+        #: First virtual slot index *not* backed by an allocated block.
+        #: A plain int kept by ensure_capacity and reset: WTBs read it on
+        #: every push and the MTB on every pass.
+        self.capacity = 0
+        #: Lowest index whose passing frees a block (the end of the
+        #: oldest mapped block), kept by retire_below and reset.
+        self.retire_at = self.slots_per_block
         self.blocks_allocated = 0
         self.blocks_retired = 0
 
     # -- capacity management (MTB only) ------------------------------------ #
-
-    @property
-    def capacity(self) -> int:
-        """First virtual slot index *not* backed by an allocated block."""
-        return self._next_vblock * self.slots_per_block
 
     @property
     def live_blocks(self) -> int:
@@ -115,6 +121,7 @@ class BucketStorage:
         while self.capacity < slots:
             self._table[self._next_vblock] = self.pool.acquire()
             self._next_vblock += 1
+            self.capacity += self.slots_per_block
             self.blocks_allocated += 1
             added += 1
         return added
@@ -126,7 +133,7 @@ class BucketStorage:
         (``read_ptr`` and ``CWC`` have both passed it).
         """
         retired = 0
-        while (self._first_vblock + 1) * self.slots_per_block <= index:
+        while self.retire_at <= index:
             blk = self._table.pop(self._first_vblock, None)
             if blk is None:
                 raise ProtocolError(
@@ -135,6 +142,7 @@ class BucketStorage:
                 )
             self.pool.release(blk)
             self._first_vblock += 1
+            self.retire_at += self.slots_per_block
             self.blocks_retired += 1
             retired += 1
         return retired
@@ -146,6 +154,8 @@ class BucketStorage:
         self._table.clear()
         self._first_vblock = 0
         self._next_vblock = 0
+        self.capacity = 0
+        self.retire_at = self.slots_per_block
 
     # -- slot access ---------------------------------------------------------- #
 

@@ -99,6 +99,9 @@ class DeltaController:
             min(self.config.max_active_buckets, self.active_buckets),
         )
         self.history.append((0, self.delta))
+        # utilization's divisor, read on every MTB pass: the device and
+        # the graph's degree are fixed for a solve
+        self._util_div = max(self.target_edges(), 1.0)
 
     def observe(self, inflight_edges: float) -> None:
         """One MTB pass worth of utilization signal (EWMA-smoothed)."""
@@ -122,7 +125,7 @@ class DeltaController:
         return self.spec.total_threads / divergence
 
     def utilization(self, inflight_edges: float) -> float:
-        return inflight_edges / max(self.target_edges(), 1.0)
+        return inflight_edges / self._util_div
 
     # -- per-pass decisions ---------------------------------------------------- #
 

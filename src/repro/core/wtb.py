@@ -8,11 +8,13 @@ Each WTB loops forever:
 2. on assignment ``(bucket, start, end)``: read the work items, drop
    stale ones (their vertex has improved since the push), expand the rest
    and atomically relax their out-edges on the shared distance array;
-3. push every *winning* relaxation as a new work item: compute its band
-   under the current Δ, atomically reserve slots (``resv_ptr``), write,
-   fence, bump the segment WCCs — the multi-writer half of §5.2.  If the
-   reservation outruns the allocated blocks the WTB waits for the MTB's
-   allocator to catch up (§5.3: all memory management is the MTB's job);
+3. push every *winning* relaxation as a new work item, in one pass:
+   :meth:`~repro.core.bucket_queue.BucketQueue.push_groups` bands the
+   batch under the current Δ and splits it by bucket, then each touched
+   bucket gets one atomic reservation (``resv_ptr``), write, fence and
+   WCC bump — the multi-writer half of §5.2.  If the reservation outruns
+   the allocated blocks the WTB waits for the MTB's allocator to catch up
+   (§5.3: all memory management is the MTB's job);
 4. report completion: bump the source bucket's CWC by the full assignment
    size (stale items included — they were assigned work), then clear the
    AF.
@@ -188,9 +190,9 @@ def wtb_program(state, wid: int, relax):
     # Hoisted hot-path lookups: this loop body runs once per assignment,
     # tens of thousands of times per solve.
     trace_on = tracer.enabled
-    push_slots_list = q.push_slots_list
+    push_groups = q.push_groups
     reserve = q.reserve
-    capacity = q.capacity
+    storage = q.storage
     publish = q.publish
     complete = q.complete
     atomic_cycles = dev.cost.atomic_cycles
@@ -212,44 +214,26 @@ def wtb_program(state, wid: int, relax):
 
         # ---- publication at batch completion ---------------------------------
         if nw:
-            # the winners' distances as of now: other WTBs' batches may
-            # have improved them since this one relaxed
-            new_d = [dist[u] for u in new_v]
-            slots_l = push_slots_list(new_d)
+            # one pass from winners to per-bucket groups, at the winners'
+            # distances as of now: other WTBs' batches may have improved
+            # them since this one relaxed
             push_cost = 0.0
-            s0 = slots_l[0]
-            if nw == 1 or slots_l.count(s0) == nw:
-                # common case: the whole batch lands in one slot
-                groups = ((s0, new_v, new_d),)
-            else:
-                # group by physical slot, ascending (reserve/publish
-                # order is protocol-visible)
-                by_slot: dict = {}
-                for u, d, s in zip(new_v, new_d, slots_l):
-                    group = by_slot.get(s)
-                    if group is None:
-                        by_slot[s] = ([u], [d])
-                    else:
-                        group[0].append(u)
-                        group[1].append(d)
-                groups = tuple(
-                    (s, vs, ds) for s, (vs, ds) in sorted(by_slot.items())
-                )
-            for s, vs, ds in groups:
+            for s, vs, ds in push_groups(new_v, dist):
                 kk = len(vs)
                 idx0 = reserve(s, kk)
-                if capacity(s) < idx0 + kk:
+                need = idx0 + kk
+                st = storage[s]
+                if st.capacity < need:
                     # block not allocated yet: wait for the MTB
                     # (bind loop variables via defaults)
                     if trace_on:
                         tracer.instant(
                             track, "alloc_wait", dev.now_us, cat="alloc",
-                            bucket=s, need=idx0 + kk,
-                            capacity=capacity(s),
+                            bucket=s, need=need, capacity=st.capacity,
                         )
                     yield (
                         "wait",
-                        lambda s=s, need=idx0 + kk: capacity(s) >= need,
+                        lambda st=st, need=need: st.capacity >= need,
                         cap_keys[s],
                     )
                 segs = publish(s, idx0, vs, ds)

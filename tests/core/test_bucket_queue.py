@@ -52,7 +52,9 @@ class TestBandMapping:
     def test_slot_wraps_circularly(self):
         q = make_queue(n_buckets=4, delta=10.0)
         q.head = 3
-        assert q.push_slots_list(np.array([5.0, 15.0, 25.0])) == [3, 0, 1]
+        groups = q.push_groups([0, 1, 2], [5.0, 15.0, 25.0])
+        # ascending physical slot: the wrapped bands come first
+        assert groups == [(0, [1], [15.0]), (1, [2], [25.0]), (3, [0], [5.0])]
 
 
 class TestWriterProtocol:

@@ -112,6 +112,51 @@ class TestBandMappingProperties:
         assert (np.diff(rel) >= 0).all()  # clipping preserves order
 
 
+class TestPushGroupsProperties:
+    """``push_groups`` is the per-item band rule, split in one pass."""
+
+    @given(
+        dists=st.lists(
+            st.floats(min_value=-1e3, max_value=1e9, allow_nan=False),
+            min_size=1,
+            max_size=40,
+        ),
+        head=st.integers(0, 3),
+        base=st.floats(min_value=0, max_value=1e4),
+        # 1e-310 makes quotients overflow to infinity (the clip fallback)
+        delta=st.one_of(
+            st.sampled_from([1e-310, 1e-300]),
+            st.floats(min_value=0.01, max_value=1e6),
+        ),
+    )
+    @settings(max_examples=300)
+    def test_groups_match_per_item_bands(self, dists, head, base, delta):
+        q, ref = fresh_queue(), fresh_queue()
+        for queue in (q, ref):
+            queue.set_delta(delta)
+            queue.base_dist = base
+            queue.head = head
+        vertices = [7 * i + 3 for i in range(len(dists))]
+        dist = {v: d for v, d in zip(vertices, dists)}
+
+        groups = q.push_groups(vertices, dist)
+
+        nb = ref.n_buckets
+        slots = [(head + ref.rel_bands_list([d])[0]) % nb for d in dists]
+        # ascending physical slot, also when the window wraps past slot 0
+        assert [s for s, _, _ in groups] == sorted(set(slots))
+        for s, vs, ds in groups:
+            # input order inside each group
+            assert list(vs) == [v for v, t in zip(vertices, slots) if t == s]
+            assert list(ds) == [d for d, t in zip(dists, slots) if t == s]
+        assert (q.low_clips, q.high_clips) == (ref.low_clips, ref.high_clips)
+
+    def test_empty_batch_has_no_groups(self):
+        q = fresh_queue()
+        assert list(q.push_groups([], {})) == []
+        assert (q.low_clips, q.high_clips) == (0, 0)
+
+
 class TestAtomicMinBatchProperties:
     @given(
         n=st.integers(1, 20),

@@ -121,23 +121,24 @@ class TestProtocolConformance:
 
     def test_push_slots_land_in_valid_slots(self):
         q = make_queue(delta=10.0)
-        dists = np.array([0.0, 5.0, 10.0, 15.0, 25.0, 35.0, 95.0, 1e6])
-        slots = q.push_slots_list(dists)
-        assert len(slots) == 8
-        assert all(0 <= s < q.n_buckets for s in slots)
+        dists = [0.0, 5.0, 10.0, 15.0, 25.0, 35.0, 95.0, 1e6]
+        groups = q.push_groups(list(range(8)), dists)
+        assert sorted(v for _, vs, _ in groups for v in vs) == list(range(8))
+        assert all(0 <= s < q.n_buckets for s, _, _ in groups)
         # mapping one item alone lands it where the batch put it
-        assert slots[0] == q.push_slots_list(dists[:1])[0]
+        [(s0, _, _)] = q.push_groups([0], dists)
+        assert any(s == s0 and 0 in vs for s, vs, _ in groups)
 
     def test_high_clip_lands_in_tail_bucket(self):
         q = make_queue(delta=10.0)
-        [slot] = q.push_slots_list(np.array([1e12]))
+        [(slot, _, _)] = q.push_groups([0], [1e12])
         assert q.high_clips == 1
         assert (slot - q.head) % q.n_buckets == q.n_buckets - 1
 
     def test_low_clip_lands_in_head_bucket(self):
         q = make_queue(delta=10.0)
         q.base_dist = 50.0
-        [slot] = q.push_slots_list(np.array([5.0]))
+        [(slot, _, _)] = q.push_groups([0], [5.0])
         assert q.low_clips == 1
         assert slot == q.head
 
