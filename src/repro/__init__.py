@@ -24,7 +24,6 @@ from repro.baselines import (
     SSSPResult,
     davidson_delta,
     get_solver,
-    get_solver_info,
     solver_names,
     solve_cpu_ds,
     solve_dijkstra,
@@ -63,7 +62,6 @@ __all__ = [
     "SolverInfo",
     "SOLVERS",
     "get_solver",
-    "get_solver_info",
     "solver_names",
     "solve_adds",
     "AddsConfig",

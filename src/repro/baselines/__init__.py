@@ -29,7 +29,6 @@ from repro.baselines.common import (
     SolverInfo,
     SSSPResult,
     get_solver,
-    get_solver_info,
     solver_names,
 )
 from repro.baselines.cpu_delta import solve_cpu_ds
@@ -44,7 +43,6 @@ __all__ = [
     "SolverInfo",
     "SOLVERS",
     "get_solver",
-    "get_solver_info",
     "solver_names",
     "davidson_delta",
     "NEAR_FAR_C",

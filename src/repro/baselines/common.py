@@ -39,7 +39,6 @@ __all__ = [
     "SOLVERS",
     "register_solver",
     "get_solver",
-    "get_solver_info",
     "solver_names",
     "init_distances",
     "init_tree",
@@ -341,10 +340,6 @@ def get_solver(name: str) -> SolverInfo:
         raise SolverError(
             f"unknown solver {name!r}; available: {sorted(SOLVERS)}"
         ) from None
-
-
-#: Alias making call sites that specifically want metadata read clearly.
-get_solver_info = get_solver
 
 
 def solver_names(*, accepts: Optional[str] = None) -> list:

@@ -5,8 +5,8 @@ the :mod:`repro.engine` scheduler, records wall-clock / simulated
 cycles / work counts / peak RSS per cell (:mod:`repro.bench.runner`),
 writes a schema-versioned ``BENCH_<tag>.json``, and gates changes with
 ``--compare BASELINE.json`` (:mod:`repro.bench.compare`), which exits
-non-zero on a past-threshold wall-clock regression or any simulated-
-output divergence.  Usage lives in ``docs/benchmarks.md``.
+non-zero on any simulated-output divergence or missing cell and reports
+wall clock without gating it.  Usage lives in ``docs/benchmarks.md``.
 """
 
 from repro.bench.compare import CellDelta, Comparison, compare_reports

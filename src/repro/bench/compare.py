@@ -1,17 +1,19 @@
-"""Compare two bench reports: the ``--compare`` regression gate.
+"""Compare two bench reports: the ``--compare`` simulated-output gate.
 
 The contract: given a *baseline* payload (a previously written
 ``BENCH_*.json``) and a *current* report from the same matrix, the
 comparison fails — and the CLI exits non-zero — when any of:
 
-- a cell's best wall-clock regressed by more than ``threshold_pct``
-  percent over the baseline cell;
-- the matrix-total wall-clock regressed by more than ``threshold_pct``;
-- a cell present in the baseline is missing from the current run;
 - a matched cell's *simulated* outputs diverge (``work_count``,
   ``time_us`` or the distance hash) — those must be bit-stable across
-  host-side performance work, so a divergence is a correctness bug, not
-  a perf regression, and no threshold excuses it.
+  host-side performance work, so a divergence is a correctness bug;
+- a cell present in the baseline is missing from the current run;
+- a matched cell lacks a required field on one side.
+
+Wall clock is reported per cell and for the matrix, never gated: a
+baseline is usually recorded on another host, so its wall numbers say
+nothing about the change.  ``perf/compare.py`` judges wall clock from
+paired runs of both commits on one host.
 
 Cells present only in the current run (a grown matrix) are reported but
 never fail the gate: new coverage must not be punished.
@@ -27,6 +29,12 @@ from repro.errors import ReproError
 
 __all__ = ["CellDelta", "Comparison", "compare_reports"]
 
+#: Printed under the wall rows: why they carry no verdict.
+WALL_NOTE = (
+    "wall clock is not gated here; judge it on one host with "
+    "perf/compare.py (docs/benchmarks.md)"
+)
+
 
 @dataclass
 class CellDelta:
@@ -37,22 +45,11 @@ class CellDelta:
     baseline_wall_s: float
     current_wall_s: float
 
-    @property
-    def ratio(self) -> float:
-        """current / baseline; > 1 is a slowdown."""
-        if self.baseline_wall_s <= 0:
-            return float("inf") if self.current_wall_s > 0 else 1.0
-        return self.current_wall_s / self.baseline_wall_s
-
-    @property
-    def change_pct(self) -> float:
-        return (self.ratio - 1.0) * 100.0
-
     def describe(self) -> str:
         return (
             f"{self.graph}/{self.solver}: "
             f"{self.baseline_wall_s * 1e3:.1f} ms -> "
-            f"{self.current_wall_s * 1e3:.1f} ms ({self.change_pct:+.1f}%)"
+            f"{self.current_wall_s * 1e3:.1f} ms"
         )
 
 
@@ -60,11 +57,8 @@ class CellDelta:
 class Comparison:
     """Everything :func:`compare_reports` concluded."""
 
-    threshold_pct: float
     deltas: List[CellDelta] = field(default_factory=list)
-    #: Cells whose wall-clock regressed past the threshold.
-    regressions: List[CellDelta] = field(default_factory=list)
-    #: Simulated-output divergences (messages); always fatal.
+    #: Simulated-output divergences (messages); fatal.
     mismatches: List[str] = field(default_factory=list)
     #: Baseline cells absent from the current run; fatal.
     missing: List[Tuple[str, str]] = field(default_factory=list)
@@ -78,41 +72,18 @@ class Comparison:
     total_current_s: float = 0.0
 
     @property
-    def total_change_pct(self) -> float:
-        if self.total_baseline_s <= 0:
-            return 0.0
-        return (self.total_current_s / self.total_baseline_s - 1.0) * 100.0
-
-    @property
-    def total_regressed(self) -> bool:
-        return self.total_change_pct > self.threshold_pct
-
-    @property
     def ok(self) -> bool:
-        return not (
-            self.regressions
-            or self.mismatches
-            or self.missing
-            or self.field_gaps
-            or self.total_regressed
-        )
+        return not (self.mismatches or self.missing or self.field_gaps)
 
     def summary_lines(self) -> List[str]:
         """Human-readable verdict, one finding per line."""
         lines = [
             f"matrix wall-clock: {self.total_baseline_s * 1e3:.1f} ms -> "
-            f"{self.total_current_s * 1e3:.1f} ms "
-            f"({self.total_change_pct:+.1f}%, threshold +{self.threshold_pct:g}%)"
+            f"{self.total_current_s * 1e3:.1f} ms"
         ]
         for d in self.deltas:
             lines.append("  " + d.describe())
-        for d in self.regressions:
-            lines.append(f"REGRESSION: {d.describe()}")
-        if self.total_regressed:
-            lines.append(
-                f"REGRESSION: matrix total {self.total_change_pct:+.1f}% "
-                f"exceeds +{self.threshold_pct:g}%"
-            )
+        lines.append(WALL_NOTE)
         for m in self.mismatches:
             lines.append(f"MISMATCH: {m}")
         for g, s in self.missing:
@@ -147,22 +118,18 @@ _ABSENT = object()
 def compare_reports(
     baseline: Dict[str, object],
     current: "BenchReport | Dict[str, object]",
-    *,
-    threshold_pct: float = 10.0,
 ) -> Comparison:
     """Gate ``current`` against ``baseline`` (see module docstring).
 
     ``baseline`` is a loaded JSON payload; ``current`` may be either a
     payload or a live :class:`~repro.bench.runner.BenchReport`.
     """
-    if threshold_pct < 0:
-        raise ReproError("threshold_pct must be non-negative")
     if isinstance(current, BenchReport):
         current = current.to_json_dict()
     base_cells = _cells_by_key(baseline)
     cur_cells = _cells_by_key(current)
 
-    cmp = Comparison(threshold_pct=threshold_pct)
+    cmp = Comparison()
     for key, base in base_cells.items():
         cur = cur_cells.get(key)
         if cur is None:
@@ -192,8 +159,6 @@ def compare_reports(
         cmp.deltas.append(delta)
         cmp.total_baseline_s += delta.baseline_wall_s
         cmp.total_current_s += delta.current_wall_s
-        if delta.change_pct > threshold_pct:
-            cmp.regressions.append(delta)
     for key in cur_cells:
         if key not in base_cells:
             cmp.added.append(key)

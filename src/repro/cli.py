@@ -291,18 +291,13 @@ def cmd_bench(ns) -> int:
     path = write_report(report, ns.out)
     comparison = None
     if ns.compare:
-        comparison = compare_reports(
-            load_report(ns.compare), report, threshold_pct=ns.threshold
-        )
+        comparison = compare_reports(load_report(ns.compare), report)
     if ns.json:
         payload = report.to_json_dict()
         payload["report_file"] = str(path)
         if comparison is not None:
             payload["compare"] = {
                 "baseline": str(ns.compare),
-                "threshold_pct": comparison.threshold_pct,
-                "total_change_pct": comparison.total_change_pct,
-                "regressions": [d.describe() for d in comparison.regressions],
                 "mismatches": list(comparison.mismatches),
                 "missing": [f"{g}/{s}" for g, s in comparison.missing],
                 "field_gaps": list(comparison.field_gaps),
@@ -618,10 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", default=".",
                    help="directory for the BENCH_<tag>.json report")
     b.add_argument("--compare", metavar="BASELINE",
-                   help="gate against a baseline BENCH_*.json; exit non-zero "
-                        "on regression past --threshold")
-    b.add_argument("--threshold", type=float, default=10.0, metavar="PCT",
-                   help="allowed wall-clock regression percent (default 10)")
+                   help="gate simulated output against a baseline "
+                        "BENCH_*.json; exit non-zero on any divergence or "
+                        "missing cell (wall clock is reported, not gated)")
     b.add_argument("--profile", metavar="DIR",
                    help="capture one extra cProfile run per cell: raw "
                         "pstats files in DIR plus a top-20 cumulative-time "

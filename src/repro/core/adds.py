@@ -72,17 +72,6 @@ class AddsState:
     checker: Optional[object] = None
 
 
-def _pool_blocks_for(graph: CSRGraph, config: AddsConfig) -> int:
-    """Size the arena: live slots are bounded by in-flight + unread
-    pushes, which for label-correcting SSSP stays within a small multiple
-    of the edge count even in pathological schedules.  An explicit
-    ``config.pool_blocks`` is honored exactly (and may overflow)."""
-    if config.pool_blocks is not None:
-        return config.pool_blocks
-    need = (4 * max(graph.num_edges, graph.num_vertices)) // config.slots_per_block
-    return max(512, need + 4 * config.n_buckets)
-
-
 @register_solver("adds")
 def solve_adds(
     graph: CSRGraph,
@@ -175,9 +164,7 @@ def solve_adds(
             f"{spec.max_resident_blocks} resident blocks"
         )
 
-    pool = GlobalPool(
-        _pool_blocks_for(graph, config), words_per_block=config.slots_per_block
-    )
+    pool = GlobalPool(config.pool_blocks, words_per_block=config.slots_per_block)
     queue = BucketQueue(device.mem, pool, config, initial_delta=initial_delta)
     if config.delta_floor is not None:
         delta_floor = config.delta_floor

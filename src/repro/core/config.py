@@ -43,11 +43,10 @@ class AddsConfig:
     #: (block index, offset) with this block size.
     slots_per_block: int = 2048
 
-    #: Blocks in the pre-allocated arena.  None (default) auto-sizes the
-    #: arena to the graph (a few times |E| worth of slots); an explicit
-    #: count is honored exactly — undersize it and the allocator raises
-    #: :class:`~repro.errors.AllocationError`, as the real pre-allocated
-    #: GPU arena would overflow.
+    #: Cap on the arena's blocks.  None (default) lets the arena grow on
+    #: demand; an explicit count is an exact cap — undersize it and the
+    #: allocator raises :class:`~repro.errors.AllocationError`, as the
+    #: real pre-allocated GPU arena would overflow.
     pool_blocks: Optional[int] = None
 
     #: Worker thread blocks.  None → all resident blocks minus the MTB.

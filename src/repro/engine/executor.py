@@ -4,18 +4,15 @@ serving.
 :func:`~repro.engine.scheduler.run_cells` is sweep-shaped: build a grid,
 execute it, tear everything down.  A serving session
 (:mod:`repro.serve`) has the opposite lifecycle — the executor outlives
-any individual request, the worker pool stays warm, the graph cache and
-result log persist across queries.  :class:`QueryExecutor` packages the
-engine's three reusable pieces behind that lifecycle:
+any individual request, the worker pool stays warm and the result log
+persists across queries.  :class:`QueryExecutor` packages the
+engine's reusable pieces behind that lifecycle:
 
 - **execution** — cells run through the same
   :func:`repro.engine.worker.execute_cell` fault-isolation boundary the
   sweep scheduler uses, either inline (``jobs=1``, the deterministic
   reference: the solve happens on the calling thread, zero
   serialization) or on a persistent ``ProcessPoolExecutor``;
-- **graph cache** — an optional on-disk
-  :class:`~repro.engine.cache.GraphCache` shared by all workers, so
-  spec-backed cells materialize from disk instead of regenerating;
 - **result log** — an optional JSONL :class:`~repro.engine.store.
   ResultStore` that every completed solve is appended to, turning the
   sweep's resume store into a serving-side query log.
@@ -31,10 +28,10 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.engine.store import ResultStore
-from repro.engine.worker import execute_cell, worker_init
+from repro.engine.worker import execute_cell
 from repro.errors import EngineError
 
 __all__ = ["QueryExecutor"]
@@ -52,35 +49,22 @@ class QueryExecutor:
         keeps a persistent pool of ``N`` worker processes; cells should
         then carry picklable :class:`~repro.graphs.suite.GraphSpec`\\ s
         (workers memoize built graphs per process).
-    cache_dir:
-        On-disk graph cache directory forwarded to workers via each
-        cell's ``cache_dir`` (set by the caller when planning cells).
-        Kept here so a session can hand one configured path to both its
-        cell planning and this executor's bookkeeping.
     store_path:
         When set, every successful solve is appended to a JSONL
         :class:`ResultStore` (category ``cell.category``) — an audit log
         of what the executor actually served, in the exact store format
         sweeps resume from.
-    solver_modules:
-        Extra modules imported in the parent and every worker before
-        solving (the out-of-tree solver plugin hook).
     """
 
     def __init__(
         self,
         *,
         jobs: int = 1,
-        cache_dir: Optional[Union[str, Path]] = None,
         store_path: Optional[Union[str, Path]] = None,
-        solver_modules: Tuple[str, ...] = (),
     ) -> None:
         if jobs < 1:
             raise EngineError(f"jobs must be >= 1 (got {jobs})")
         self.jobs = jobs
-        self.cache_dir = cache_dir
-        self.solver_modules = tuple(solver_modules)
-        worker_init(self.solver_modules)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._store: Optional[ResultStore] = None
         if store_path is not None:
@@ -93,11 +77,7 @@ class QueryExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=worker_init,
-                initargs=(self.solver_modules,),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def close(self) -> None:

@@ -11,15 +11,15 @@ produced by these atomics are trivially correct; what this module adds is
   applies the same winner rule edge by edge);
 - **operation counters**, which feed reports and tests (e.g. the tests
   that assert the MTB performs a fence before trusting ``resv_ptr``); and
-- a **pre-allocated arena** (:class:`GlobalPool`) from which the ADDS
-  block allocator draws its 64 Ki-word blocks, mirroring the paper's
+- an **arena** (:class:`GlobalPool`) from which the ADDS block
+  allocator draws its 64 Ki-word blocks, standing in for the paper's
   "large block of pre-allocated GPU memory" (§5.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -118,38 +118,63 @@ class SimMemory:
 
 
 class GlobalPool:
-    """The pre-allocated arena backing ADDS's bucket blocks (§5.3).
+    """The arena backing ADDS's bucket blocks (§5.3).
 
     ``acquire`` hands out fixed-size int64 blocks ("64K 32-bit words" in
     the paper; we store (vertex, distance) pairs per slot, so the slot
     count per block is what matches).  ``release`` returns a block for
     reuse.  The FIFO usage pattern of the bucket queue means a simple
     free list suffices — that simplicity is the paper's point.
+
+    ``acquire`` takes the most recently released block, else mints the
+    lowest id never handed out, so ids and ``high_water`` do not depend
+    on how much storage exists.  Storage grows geometrically as ids are
+    minted; ``num_blocks`` (``None``: no cap) is an exact cap that
+    raises :class:`AllocationError`, as the real pre-allocated GPU
+    arena would overflow.
     """
 
-    def __init__(self, num_blocks: int, words_per_block: int = WORDS_PER_BLOCK) -> None:
-        if num_blocks < 1:
+    #: Blocks of storage allocated before the first growth.
+    INITIAL_BLOCKS = 8
+
+    def __init__(
+        self, num_blocks: Optional[int] = None, words_per_block: int = WORDS_PER_BLOCK
+    ) -> None:
+        if num_blocks is not None and num_blocks < 1:
             raise AllocationError("pool needs at least one block")
         self.words_per_block = int(words_per_block)
-        self._free = list(range(num_blocks - 1, -1, -1))
+        self.num_blocks = num_blocks
+        self._free: List[int] = []
         # Membership twin of ``_free``: the double-free guard in
         # ``release`` must not scan the list (O(free) per release made
         # the allocator quadratic over a run).
-        self._free_set = set(self._free)
-        self.num_blocks = num_blocks
-        # storage[i] holds block i; two 64-bit lanes per slot: the vertex
-        # id (int64) and the distance (float64 bits in the same word).
-        self.storage = np.zeros((num_blocks, self.words_per_block, 2), dtype=np.int64)
-        # Flat views of the whole arena, word ``2 * slot + lane``: the
-        # bucket storage moves slots through these with Python scalars.
-        # ``words_f64`` reinterprets the same buffer, so a distance
-        # written there lands as its float64 bit pattern.
-        flat = self.storage.reshape(-1)
-        self.words = memoryview(flat)
-        self.words_f64 = memoryview(flat.view(np.float64))
+        self._free_set: Set[int] = set()
+        # Ids minted so far are ``0 .. _minted - 1``.
+        self._minted = 0
         self.high_water = 0
+        self.storage = np.zeros((0, self.words_per_block, 2), dtype=np.int64)
+        self._grow(self.INITIAL_BLOCKS)
         self._tracer: Tracer = NULL_TRACER
         self._clock: Callable[[], float] = lambda: 0.0
+
+    def _grow(self, blocks: int) -> None:
+        """Give the arena storage for ``blocks`` blocks (at most the cap),
+        keeping the old contents.  storage[i] holds block i; two 64-bit
+        lanes per slot: the vertex id (int64) and the distance (float64
+        bits in the same word)."""
+        if self.num_blocks is not None:
+            blocks = min(blocks, self.num_blocks)
+        storage = np.zeros((blocks, self.words_per_block, 2), dtype=np.int64)
+        storage[: len(self.storage)] = self.storage
+        self.storage = storage
+        # Flat views of the whole arena, word ``2 * slot + lane``: the
+        # bucket storage moves slots through these with Python scalars
+        # and re-reads them on every call, so growth may replace them.
+        # ``words_f64`` reinterprets the same buffer, so a distance
+        # written there lands as its float64 bit pattern.
+        flat = storage.reshape(-1)
+        self.words = memoryview(flat)
+        self.words_f64 = memoryview(flat.view(np.float64))
 
     def attach_tracer(
         self, tracer: Optional[Tracer], clock: Callable[[], float]
@@ -162,22 +187,31 @@ class GlobalPool:
         self._clock = clock
 
     @property
-    def free_blocks(self) -> int:
-        return len(self._free)
+    def free_blocks(self) -> Optional[int]:
+        """Blocks ``acquire`` can still hand out; ``None`` with no cap."""
+        if self.num_blocks is None:
+            return None
+        return self.num_blocks - self.blocks_in_use
 
     @property
     def blocks_in_use(self) -> int:
-        return self.num_blocks - len(self._free)
+        return self._minted - len(self._free)
 
     def acquire(self) -> int:
-        """Take a free block id; raises :class:`AllocationError` when empty."""
-        if not self._free:
-            raise AllocationError(
-                f"global pool exhausted ({self.num_blocks} blocks in use)"
-            )
-        blk = self._free.pop()
-        self._free_set.discard(blk)
-        self.high_water = max(self.high_water, self.num_blocks - len(self._free))
+        """Take a block id; raises :class:`AllocationError` at the cap."""
+        if self._free:
+            blk = self._free.pop()
+            self._free_set.discard(blk)
+        else:
+            if self._minted == self.num_blocks:
+                raise AllocationError(
+                    f"global pool exhausted ({self.num_blocks} blocks in use)"
+                )
+            blk = self._minted
+            self._minted += 1
+            if blk == len(self.storage):
+                self._grow(2 * blk)
+        self.high_water = max(self.high_water, self.blocks_in_use)
         if self._tracer.enabled:
             self._tracer.counter(
                 "pool_blocks_in_use", self._clock(), self.blocks_in_use
@@ -185,7 +219,7 @@ class GlobalPool:
         return blk
 
     def release(self, block_id: int) -> None:
-        if not 0 <= block_id < self.num_blocks:
+        if not 0 <= block_id < self._minted:
             raise AllocationError(f"release of unknown block {block_id}")
         if block_id in self._free_set:
             raise AllocationError(f"double free of block {block_id}")

@@ -25,15 +25,6 @@ __all__ = [
     "CSRGraph", "PreparedArrays", "from_edge_list", "expand_frontier", "gather_edges",
 ]
 
-#: Sentinel "infinite" distance for int32 solvers (same role as the
-#: artifact's ``MYINFINITY``).  Chosen so that ``INF_INT32 + max_weight``
-#: cannot overflow int64 accumulation buffers.
-INF_INT32 = np.int32(2**31 - 1)
-
-#: Sentinel distance for float solvers.
-INF_FLOAT32 = np.float32(np.inf)
-
-
 @dataclass
 class PreparedArrays:
     """Solver-side derived arrays of one graph, built by
@@ -131,15 +122,6 @@ class CSRGraph:
     def is_integer_weighted(self) -> bool:
         """True for the ``*_int`` flavour, False for ``*_float``."""
         return self.weights.dtype == np.dtype(np.int32)
-
-    @property
-    def infinity(self):
-        """The sentinel distance value appropriate for this weight dtype."""
-        return INF_INT32 if self.is_integer_weighted else INF_FLOAT32
-
-    def dist_dtype(self) -> np.dtype:
-        """Dtype of distance arrays produced by solvers for this graph."""
-        return np.dtype(np.int64) if self.is_integer_weighted else np.dtype(np.float64)
 
     # -- views --------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines.common import SolveRequest, get_solver_info
+from repro.baselines.common import SolveRequest, get_solver
 from repro.bench.matrix import MATRICES
 from repro.validation import dist_sha256
 from repro.calibration import default_cost, default_gpu
@@ -173,7 +173,7 @@ class TestGoldenSchedule:
     def test_bucket_matches_pinned_report(self, baseline_cells):
         spec = default_gpu()
         cost = default_cost(spec)
-        info = get_solver_info("adds")
+        info = get_solver("adds")
         _solver_list, graphs = MATRICES["medium"]
         checked = 0
         for graph_name, _category, gspec in graphs:

@@ -13,7 +13,6 @@ from repro.baselines.common import (
     Options,
     SolveRequest,
     get_solver,
-    get_solver_info,
     register_solver,
     solver_names,
 )
@@ -32,7 +31,7 @@ class TestSolveRequest:
     def test_request_matches_legacy_call(self, name, small_road):
         """Every registered solver gives bit-identical results through the
         request path and a direct call of its function."""
-        info = get_solver_info(name)
+        info = get_solver(name)
         spec = default_gpu()
         cost = default_cost(spec)
         kwargs = {}
@@ -47,14 +46,14 @@ class TestSolveRequest:
         assert direct.time_us == via_request.time_us
 
     def test_sources_forwarded(self, small_road):
-        info = get_solver_info("dijkstra")
+        info = get_solver("dijkstra")
         res = info.solve(
             SolveRequest(graph=small_road, source=0, options={"sources": [0, 5]})
         )
         assert res.dist[0] == 0.0 and res.dist[5] == 0.0
 
     def test_delta_forwarded(self, small_road):
-        info = get_solver_info("cpu-ds")
+        info = get_solver("cpu-ds")
         a = info.solve(SolveRequest(graph=small_road, options={"delta": 3.0}))
         b = info.solve(SolveRequest(graph=small_road, options={"delta": 200.0}))
         assert np.array_equal(a.dist, b.dist)  # same answer, different Δ

@@ -198,6 +198,37 @@ class TestGlobalPool:
         with pytest.raises(AllocationError):
             GlobalPool(0)
 
+    def test_ids_are_last_released_then_lowest_unused(self):
+        """The order a pre-filled free list yielded, so block ids and
+        high water do not depend on how much storage exists."""
+        pool = GlobalPool(words_per_block=4)
+        assert [pool.acquire() for _ in range(3)] == [0, 1, 2]
+        pool.release(1)
+        pool.release(0)
+        assert [pool.acquire() for _ in range(3)] == [0, 1, 3]
+        assert pool.high_water == 4
+
+    def test_uncapped_storage_grows_and_keeps_contents(self):
+        pool = GlobalPool(words_per_block=4)
+        blocks = [pool.acquire() for _ in range(3 * GlobalPool.INITIAL_BLOCKS)]
+        for b in blocks[: GlobalPool.INITIAL_BLOCKS]:
+            pool.words[8 * b] = 100 + b
+        for _ in range(5 * GlobalPool.INITIAL_BLOCKS):
+            blocks.append(pool.acquire())
+        assert pool.free_blocks is None
+        assert len(pool.storage) == 8 * GlobalPool.INITIAL_BLOCKS
+        assert [pool.words[8 * b] for b in blocks[: GlobalPool.INITIAL_BLOCKS]] == [
+            100 + b for b in blocks[: GlobalPool.INITIAL_BLOCKS]
+        ]
+
+    def test_cap_bounds_storage(self):
+        pool = GlobalPool(GlobalPool.INITIAL_BLOCKS + 3, words_per_block=4)
+        for _ in range(GlobalPool.INITIAL_BLOCKS + 3):
+            pool.acquire()
+        assert len(pool.storage) == GlobalPool.INITIAL_BLOCKS + 3
+        with pytest.raises(AllocationError, match="exhausted"):
+            pool.acquire()
+
 
 class _CountingList(list):
     """A list that counts membership scans (the O(n) guard we removed)."""

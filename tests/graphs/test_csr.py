@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import GraphConstructionError
 from repro.graphs import CSRGraph, from_edge_list
-from repro.graphs.csr import INF_FLOAT32, INF_INT32, expand_frontier
+from repro.graphs.csr import expand_frontier
 
 
 class TestFromEdgeList:
@@ -153,10 +153,6 @@ class TestProperties:
         assert tiny_graph.average_degree() == pytest.approx(1.0)
         assert tiny_graph.average_weight() == pytest.approx((10 + 1 + 2) / 3)
         assert tiny_graph.max_weight() == 10
-
-    def test_infinity_sentinels(self, tiny_graph):
-        assert tiny_graph.infinity == INF_INT32
-        assert tiny_graph.as_float().infinity == INF_FLOAT32
 
     def test_edges_iterator(self, tiny_graph):
         assert sorted(tiny_graph.edges()) == [(0, 1, 10), (0, 2, 1), (2, 1, 2)]

@@ -7,9 +7,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError, ReproError
-from repro.graphs import grid_road, read_gr, rmat, write_gr
+from repro.graphs import from_edge_list, grid_road, read_gr, rmat, write_gr
 from repro.graphs.gr_format import read_dimacs, write_dimacs
 
 
@@ -279,3 +281,98 @@ class TestDimacs:
     def test_second_problem_line(self):
         with pytest.raises(GraphFormatError, match="line 2: second problem line"):
             read_dimacs(io.StringIO("p sp 2 0\np sp 2 0\n"))
+
+
+#: Values a corrupted word takes: small counts near the real ones, the
+#: edges of the 32- and 64-bit ranges and arbitrary words.
+_WORDS = st.one_of(
+    st.integers(0, 16),
+    st.sampled_from([2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63,
+                     2**64 - 1]),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def _gr_file(draw):
+    """A valid small graph and how to write it: ``(graph, unweighted,
+    float_weights)``."""
+    n = draw(st.integers(0, 6))
+    edges = []
+    if n:
+        edges = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(0, 9)),
+            max_size=9,
+        ))
+    graph = from_edge_list(n, edges)
+    unweighted = draw(st.booleans())
+    float_weights = draw(st.booleans())
+    return graph, unweighted, float_weights
+
+
+@pytest.fixture(scope="module")
+def gr_dir(tmp_path_factory):
+    """One directory for the fuzz files (hypothesis examples share it)."""
+    return tmp_path_factory.mktemp("gr-fuzz")
+
+
+def _gr_bytes(path, graph, unweighted, float_weights):
+    write_gr(graph, path, unweighted=unweighted,
+             float_weights=None if unweighted else float_weights)
+    return path.read_bytes()
+
+
+class TestGrStructureFuzz:
+    """Truncated or corrupted structure either raises a ``ReproError`` or
+    reads back as exactly the graph the bytes encode: writing the result
+    again reproduces the file's bytes (its padding word aside)."""
+
+    @staticmethod
+    def check(tmp, data, float_weights):
+        bad = tmp / "bad.gr"
+        bad.write_bytes(bytes(data))
+        try:
+            g = read_gr(bad, float_weights=float_weights)
+        except ReproError:
+            return
+        edata_size = struct.unpack_from("<Q", data, 8)[0]
+        out = _gr_bytes(tmp / "again.gr", g, edata_size == 0, float_weights)
+        seen = bytearray(data[: len(out)])
+        if g.num_edges % 2:
+            pad = 32 + 8 * g.num_vertices + 4 * g.num_edges
+            seen[pad : pad + 4] = bytes(4)
+        assert bytes(seen) == out
+
+    @given(file=_gr_file(), cut=st.floats(0, 1, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_truncation_raises(self, gr_dir, file, cut):
+        data = _gr_bytes(gr_dir / "g.gr", *file)
+        bad = gr_dir / "bad.gr"
+        bad.write_bytes(data[: int(cut * len(data))])
+        with pytest.raises(GraphFormatError):
+            read_gr(bad, float_weights=file[2])
+
+    @given(file=_gr_file(), field=st.integers(0, 3), value=_WORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_header_word(self, gr_dir, file, field, value):
+        data = bytearray(_gr_bytes(gr_dir / "g.gr", *file))
+        struct.pack_into("<Q", data, 8 * field, value)
+        self.check(gr_dir, data, file[2])
+
+    @given(file=_gr_file(), which=st.integers(0, 2**16), value=_WORDS,
+           in_ends=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_ends_or_column_word(self, gr_dir, file, which,
+                                         value, in_ends):
+        graph = file[0]
+        n, m = graph.num_vertices, graph.num_edges
+        words = n if in_ends else m
+        assume(words > 0)
+        data = bytearray(_gr_bytes(gr_dir / "g.gr", *file))
+        if in_ends:
+            struct.pack_into("<Q", data, 32 + 8 * (which % n), value)
+        else:
+            struct.pack_into("<I", data, 32 + 8 * n + 4 * (which % m),
+                             value % 2**32)
+        self.check(gr_dir, data, file[2])

@@ -37,7 +37,7 @@ class TestPrepare:
     def test_prepared_and_lazy_solves_bit_match(self, small_road):
         """A solve on a prepared graph and one on an unprepared graph
         must produce the identical result."""
-        from repro.baselines.common import SolveRequest, get_solver_info
+        from repro.baselines.common import SolveRequest, get_solver
 
         spec = sim_gpu()
         cost = sim_cost(spec)
@@ -53,7 +53,7 @@ class TestPrepare:
             weights=small_road.weights,
             name=small_road.name,
         ).prepare()
-        info = get_solver_info("adds")
+        info = get_solver("adds")
         a = info.solve(SolveRequest(graph=lazy, spec=spec, cost=cost))
         b = info.solve(SolveRequest(graph=prepared, spec=spec, cost=cost))
         assert np.array_equal(a.dist, b.dist)

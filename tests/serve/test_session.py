@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.common import SolveRequest, get_solver_info
+from repro.baselines.common import SolveRequest, get_solver
 from repro.errors import AdmissionError, ServeError, ServeTimeout
 from repro.serve import Batcher, Query, Session
 
@@ -277,7 +277,7 @@ class TestTimeouts:
 
 class TestDeterminism:
     def test_served_distances_bit_match_direct_solves(self, small_road, small_mesh):
-        info = get_solver_info("dijkstra")
+        info = get_solver("dijkstra")
         with make_session() as s:
             s.add_graph("road", small_road)
             s.add_graph("mesh", small_mesh)
