@@ -265,49 +265,66 @@ def from_edge_list(
     edges:
         Sequence of triples or an ``(m, 3)`` array.
     dtype:
-        ``"int32"`` or ``"float32"`` weight storage.
+        ``"int32"`` (weights rounded to the nearest integer) or
+        ``"float32"`` weight storage.  A weight the dtype cannot hold
+        raises :class:`~repro.errors.GraphConstructionError`.
     negate_negative_weights:
         Apply the paper's §6.1.1 rule: convert negative weights to their
         absolute value instead of rejecting them.
     dedupe:
         Keep only the minimum-weight copy of each parallel edge.
     """
-    if num_vertices < 0:
-        raise GraphConstructionError("num_vertices must be non-negative")
+    if not 0 <= num_vertices <= 2**31:
+        raise GraphConstructionError(
+            "num_vertices must be non-negative and fit int32 vertex ids"
+        )
     arr = np.asarray(edges, dtype=np.float64)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise GraphConstructionError("edges must be (m, 3) of (src, dst, weight)")
-    src = arr[:, 0].astype(np.int64)
-    dst = arr[:, 1].astype(np.int64)
+    with np.errstate(invalid="ignore"):  # non-finite ids: rejected below
+        src = arr[:, 0].astype(np.int64)
+        dst = arr[:, 1].astype(np.int64)
     w = arr[:, 2]
     if arr.shape[0]:
-        if src.min() < 0 or src.max() >= num_vertices:
-            raise GraphConstructionError("edge source out of range")
-        if dst.min() < 0 or dst.max() >= num_vertices:
-            raise GraphConstructionError("edge destination out of range")
+        for ids, given, what in (
+            (src, arr[:, 0], "source"), (dst, arr[:, 1], "destination"),
+        ):
+            # a fractional or non-finite id does not survive the cast
+            if np.any(ids != given) or ids.min() < 0 or ids.max() >= num_vertices:
+                raise GraphConstructionError(
+                    f"edge {what} out of range or not an integer vertex id"
+                )
     if negate_negative_weights:
         w = np.abs(w)
-    if dedupe and arr.shape[0]:
+    if np.isnan(w).any():
+        raise GraphConstructionError("NaN edge weight")
+    if dedupe:
         key = src * num_vertices + dst
         order = np.lexsort((w, key))
-        key_s, w_s = key[order], w[order]
+        key_s = key[order]
         first = np.ones(key_s.size, dtype=bool)
         first[1:] = key_s[1:] != key_s[:-1]
+        # the lightest copy of each edge, already in (src, dst) order
         keep = order[first]
-        src, dst, w = src[keep], dst[keep], w[keep]
-
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
+    else:
+        keep = np.lexsort((dst, src))
+    src, dst, w = src[keep], dst[keep], w[keep]
     counts = np.bincount(src, minlength=num_vertices).astype(np.int64)
     ro = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=ro[1:])
     wdt = np.dtype(dtype)
     if wdt == np.dtype(np.int32):
-        wout = np.rint(w).astype(np.int32)
+        w = np.rint(w)
+        if w.size and not (-(2**31) <= w.min() and w.max() < 2**31):
+            raise GraphConstructionError("edge weight outside the int32 range")
+        wout = w.astype(np.int32)
     elif wdt == np.dtype(np.float32):
-        wout = w.astype(np.float32)
+        with np.errstate(over="ignore"):
+            wout = w.astype(np.float32)
+        if np.isinf(wout).any() and np.any(np.isinf(wout) & np.isfinite(w)):
+            raise GraphConstructionError("edge weight outside the float32 range")
     else:
         raise GraphConstructionError(f"unsupported weight dtype {dtype!r}")
     return CSRGraph(

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import GraphConstructionError
+from repro.baselines import solve_dijkstra
+from repro.core import solve_adds
+from repro.errors import GraphConstructionError, ReproError
 from repro.graphs import CSRGraph, from_edge_list
 from repro.graphs.csr import expand_frontier
 
@@ -219,3 +225,114 @@ class TestExpandFrontier:
         src, dst, _ = expand_frontier(tiny_graph, np.array([2, 2]))
         assert src.tolist() == [2, 2]
         assert dst.tolist() == [1, 1]
+
+
+#: Vertex ids and weights a malformed edge list holds: small values near
+#: the range, fractions, non-finite values and the int32/float32 edges.
+#: Vertex counts stay small or far past int32 ids, since a valid count
+#: of 2**31 would allocate 16 GiB of row offsets.
+_IDS = st.one_of(
+    st.integers(-2, 8),
+    st.sampled_from([0.5, 1.5, math.nan, math.inf, -math.inf, 2.0**31, 2.0**63]),
+)
+_WEIGHTS = st.one_of(
+    st.integers(-3, 9),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([2**31 - 1, 2**31, 2.5, -0.4, -0.0, 3.4e38, 3.5e38, 1e-46]),
+)
+
+
+def _encoded(n, edges, int_weights, negate, dedupe):
+    """The sorted edges of the graph ``from_edge_list`` must build, or
+    None when the input has no exact graph of that dtype."""
+    if not 0 <= n <= 2**31:
+        return None
+    kept = {}
+    for k, (s, d, w) in enumerate(edges):
+        if not all(0 <= x < n and float(x).is_integer() for x in (s, d)):
+            return None
+        w = abs(w) if negate else w
+        if math.isnan(w):
+            return None
+        key = (int(s), int(d)) if dedupe else k
+        if key not in kept or w < kept[key][2]:
+            kept[key] = (int(s), int(d), w)
+    out = []
+    for s, d, w in kept.values():
+        if int_weights:
+            w = float(np.rint(w))
+            if abs(w) > 2**31 - 1:
+                return None
+            w = int(w)
+        else:
+            with np.errstate(over="ignore"):
+                w32 = float(np.float32(w))
+            if math.isinf(w32) and not math.isinf(w):
+                return None
+            w = w32
+        if w < 0:
+            return None
+        out.append((s, d, w))
+    return sorted(out)
+
+
+class TestConstructorFuzz:
+    """Malformed constructor input either raises a ``ReproError`` or
+    builds exactly the graph it encodes."""
+
+    @given(n=st.one_of(st.integers(-1, 6), st.sampled_from([2**31 + 1, 2**40])),
+           edges=st.lists(st.tuples(_IDS, _IDS, _WEIGHTS), max_size=8),
+           int_weights=st.booleans(), negate=st.booleans(), dedupe=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_from_edge_list(self, n, edges, int_weights, negate, dedupe):
+        want = _encoded(n, edges, int_weights, negate, dedupe)
+        try:
+            g = from_edge_list(n, edges, dtype="int32" if int_weights else "float32",
+                               negate_negative_weights=negate, dedupe=dedupe)
+        except ReproError:
+            assert want is None
+            return
+        assert want is not None
+        assert g.num_vertices == n
+        assert sorted(g.edges()) == want
+
+    @given(n=st.integers(1, 6), data=st.data(),
+           array=st.sampled_from(["row_offsets", "col_indices", "weights"]),
+           value=st.one_of(st.integers(-2, 9), st.sampled_from(
+               [2**31 - 1, -2**31, math.nan, math.inf, -0.0, 2.5])),
+           dtype=st.sampled_from([None, "<i8", ">i8", "<i4", "<u8", "<f4", ">f4"]),
+           float_weights=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_csr_array(self, n, data, array, value, dtype, float_weights):
+        edges = data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 9)
+        ), max_size=9))
+        valid = from_edge_list(n, edges, dtype="float32" if float_weights else "int32")
+        arrays = {
+            "row_offsets": valid.row_offsets.copy(),
+            "col_indices": valid.col_indices.copy(),
+            "weights": valid.weights.copy(),
+        }
+        arr = arrays[array]
+        if arr.size:
+            i = data.draw(st.integers(0, arr.size - 1))
+            with np.errstate(invalid="ignore"):
+                arr[i] = np.float64(value).astype(arr.dtype)
+        if dtype is not None:
+            with np.errstate(invalid="ignore", over="ignore"):
+                arrays[array] = arr.astype(dtype)
+        try:
+            g = CSRGraph(**arrays)
+        except ReproError:
+            return
+        ro, col, w = arrays["row_offsets"], arrays["col_indices"], arrays["weights"]
+        n, m = ro.size - 1, col.size
+        assert g.row_offsets is ro and g.col_indices is col and g.weights is w
+        assert ro.dtype == np.int64 and col.dtype == np.int32
+        assert w.dtype in (np.int32, np.float32)
+        assert ro[0] == 0 and ro[-1] == m == w.size
+        assert np.all(np.diff(ro) >= 0)
+        assert np.all((col >= 0) & (col < n))
+        assert not np.any(np.isnan(w)) and not np.any(w < 0)
+        # everything admitted solves, through the relax kernel too
+        assert np.array_equal(solve_adds(g, 0).dist, solve_dijkstra(g, 0).dist)

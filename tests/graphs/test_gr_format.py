@@ -376,3 +376,85 @@ class TestGrStructureFuzz:
             struct.pack_into("<I", data, 32 + 8 * n + 4 * (which % m),
                              value % 2**32)
         self.check(gr_dir, data, file[2])
+
+
+#: Tokens a corrupted DIMACS field takes: ids and counts around the real
+#: ones, counts past the int32 vertex ids, fractions, non-finite and
+#: non-numeric text.  No vertex count between those: a valid header of
+#: 2**31 vertices would have the reader allocate 16 GiB of row offsets.
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from([
+        str(2**31 + 1), str(2**63), "1.5", "2.0", "1e0", "-0",
+        "1e39", "3.4e38", "nan", "inf", "-inf", "0x1", "1_0", "", "a", "p",
+        "c", "sp", "x",
+    ]),
+)
+
+
+def _decode_dimacs(text: str, int_weights: bool):
+    """The graph a DIMACS text encodes, as ``(n, sorted edges)``: the
+    reader's own rules, without any of its validation."""
+    n, edges = None, []
+    for line in text.splitlines():
+        parts = line.split()
+        if not parts or parts[0].startswith("c"):
+            continue
+        if parts[0] == "p":
+            n = int(parts[2])
+        else:
+            w = float(parts[3])
+            edges.append((int(parts[1]) - 1, int(parts[2]) - 1,
+                          int(w) if int_weights else float(np.float32(w))))
+    return n, sorted(edges)
+
+
+class TestDimacsFuzz:
+    """Malformed DIMACS text either raises a ``ReproError`` or reads as
+    exactly the graph it encodes."""
+
+    @staticmethod
+    def check(text: str, float_weights: bool):
+        dtype = "float32" if float_weights else "int32"
+        try:
+            g = read_dimacs(io.StringIO(text), dtype=dtype)
+        except ReproError:
+            return
+        assert (g.num_vertices, sorted(g.edges())) == _decode_dimacs(
+            text, not float_weights
+        )
+
+    @staticmethod
+    def text(gr_dir, file) -> str:
+        graph, _, float_weights = file
+        if float_weights:
+            graph = graph.as_float()
+        path = gr_dir / "g.dimacs"
+        write_dimacs(graph, path)
+        return path.read_text()
+
+    @given(file=_gr_file(), line=st.integers(0, 2**16),
+           field=st.integers(0, 3), token=_TOKENS)
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_token(self, gr_dir, file, line, field, token):
+        lines = self.text(gr_dir, file).splitlines()
+        i = 1 + line % (len(lines) - 1)  # the problem line or an arc
+        parts = lines[i].split()
+        parts[field] = token
+        lines[i] = " ".join(parts)
+        self.check("\n".join(lines) + "\n", file[2])
+
+    @given(file=_gr_file(), line=st.integers(0, 2**16),
+           op=st.sampled_from(["drop", "repeat"]))
+    @settings(max_examples=200, deadline=None)
+    def test_dropped_or_repeated_line(self, gr_dir, file, line, op):
+        lines = self.text(gr_dir, file).splitlines()
+        i = line % len(lines)
+        lines[i:i + 1] = [] if op == "drop" else [lines[i]] * 2
+        self.check("\n".join(lines) + "\n", file[2])
+
+    @given(file=_gr_file(), cut=st.floats(0, 1, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_truncation(self, gr_dir, file, cut):
+        text = self.text(gr_dir, file)
+        self.check(text[: int(cut * len(text))], file[2])
