@@ -112,7 +112,7 @@ def dispatch_desk(city, depots, fleet, n_queries=80, seed=5):
         c = s.counters()
         print(f"  latency p50 {np.percentile(lat_ms, 50):.1f} ms, "
               f"p99 {np.percentile(lat_ms, 99):.1f} ms; "
-              f"{s.executor.dispatched} solves for "
+              f"{s.dispatched} solves for "
               f"{c['serve_admitted']:.0f} queries "
               f"({c['serve_cache_hits']:.0f} cache hits, "
               f"{s.cache.hit_rate:.0%} hit rate)")

@@ -89,7 +89,7 @@ def serve_burst(graph, n_queries=60, seed=11):
         c = s.counters()
         print(f"     latency p50 {np.percentile(lat_ms, 50):.1f} ms, "
               f"p99 {np.percentile(lat_ms, 99):.1f} ms; "
-              f"{s.executor.dispatched} solves in "
+              f"{s.dispatched} solves in "
               f"{len(s.batch_sizes)} batches, "
               f"{c['serve_cache_hits']:.0f} cache hits "
               f"({s.cache.hit_rate:.0%} hit rate)")

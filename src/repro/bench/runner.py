@@ -1,13 +1,15 @@
 """Run a pinned benchmark matrix and produce a ``BENCH_*.json`` report.
 
-Cells execute one at a time through the :mod:`repro.engine` scheduler
-(serial ``jobs=1`` policy — the bit-identical reference path), each
-repeated ``repeats`` times after one untimed warm-up run that builds the
-graph and warms the per-process memo.  Per cell the report records:
+Cells execute one at a time in this process through
+:func:`repro.engine.execute_cell`, each repeated ``repeats`` times after
+one untimed warm-up run that builds the graph and warms the per-process
+memo.  A run that fails fails the bench at once: a cell is never
+retried.  Per cell the report records:
 
 - ``wall_s`` — best (minimum) wall-clock of the timed repeats, measured
-  by the engine around the solve; the minimum is the standard estimator
-  for "how fast can this code go" under scheduler noise;
+  by ``execute_cell`` around graph lookup and solve; the minimum is the
+  standard estimator for "how fast can this code go" under scheduler
+  noise;
 - ``time_us`` / ``cycles`` — *simulated* time, which must not move when
   only host-side performance changes;
 - ``work_count`` / ``reached`` — algorithmic work, same invariance;
@@ -39,7 +41,7 @@ import numpy as np
 from repro.baselines.common import RESULT_SCHEMA_VERSION, Options, SSSPResult
 from repro.bench.matrix import matrix_entries, matrix_solvers
 from repro.calibration import resolve_device
-from repro.engine import EngineConfig, plan_cells, run_cells
+from repro.engine import EngineConfig, execute_cell, plan_cells
 from repro.errors import ReproError
 from repro.validation import dist_sha256
 
@@ -239,9 +241,9 @@ def run_bench(
 
     entries = matrix_entries(matrix)
     solvers = matrix_solvers(matrix)
-    config = EngineConfig(jobs=1)
     cells = plan_cells(
-        entries, solvers, spec=spec, cost=cost, options=options, config=config,
+        entries, solvers,
+        spec=spec, cost=cost, options=options, config=EngineConfig(),
     )
     if profile_dir is not None:
         profile_dir = Path(profile_dir)
@@ -266,16 +268,15 @@ def run_bench(
         walls: List[float] = []
         reference: Optional[SSSPResult] = None
         for rep in range(warmup + repeats):
-            out = run_cells([cell], config)
-            if out.failures:
+            kind, result, elapsed = execute_cell(cell)
+            if kind != "ok":
                 raise ReproError(
-                    f"bench cell {cell.key} failed: "
-                    f"{out.failures[0].describe()}"
+                    f"bench cell {cell.key} failed on run {rep + 1}: "
+                    f"{kind}: {result}"
                 )
-            result = out.results[cell.key]
             if rep < warmup:
                 continue  # graph build + allocator warm-up, not timed
-            walls.append(out.timings[cell.key])
+            walls.append(elapsed)
             if reference is None:
                 reference = result
             else:
@@ -292,7 +293,7 @@ def run_bench(
         if profile_dir is not None:
             pr = cProfile.Profile()
             pr.enable()
-            run_cells([cell], config)
+            execute_cell(cell)
             pr.disable()
             pstats_path = (
                 profile_dir / f"{cell.graph_name}__{cell.solver}.pstats"

@@ -654,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--seed", type=int, default=0,
                     help="trace RNG seed")
     sv.add_argument("--jobs", type=int, default=1,
-                    help="executor worker processes (1 = inline)")
+                    help="session worker processes (1 = inline)")
     sv.add_argument("--tag", default=None, help="free-form label in the payload")
     sv.add_argument("--out", metavar="FILE",
                     help="also write the JSON payload to FILE")

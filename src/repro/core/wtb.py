@@ -141,9 +141,12 @@ def _python_batch(state):
     through zero-copy memoryviews.  Indexing yields Python ints and floats
     and sees the live buffers, so an in-place weight patch is relaxed with
     its new value.  int32/float32 → Python int/float is exact, so the
-    float64 arithmetic equals NumPy's on the widened arrays.
+    float64 arithmetic equals NumPy's on the widened arrays.  Like the
+    kernel, it checks every index a batch uses before its first store.
     """
     graph = state.graph
+    n = graph.num_vertices
+    m = graph.num_edges
     ro = memoryview(graph.row_offsets)
     col = memoryview(graph.col_indices)
     wts = memoryview(graph.weights)
@@ -157,10 +160,18 @@ def _python_batch(state):
         # every live source's distance before any edge of the batch
         # relaxes, as the hardware batch does.
         live = []
-        for v, d in zip(verts, pushed):
+        for j, (v, d) in enumerate(zip(verts, pushed)):
+            if not 0 <= v < n:
+                _raise_bad_index(native.RELAX_BAD_ITEM, j, verts, n)
             dv = dist[v]
             if d <= dv:
                 live.append((v, dv))
+        for v, _ in live:
+            if not 0 <= ro[v] <= ro[v + 1] <= m:
+                _raise_bad_index(native.RELAX_BAD_OFFSETS, v, verts, n)
+            for i in range(ro[v], ro[v + 1]):
+                if not 0 <= col[i] < n:
+                    _raise_bad_index(native.RELAX_BAD_COLUMN, i, verts, n)
         if checker is not None:
             batch = _batch_arrays(live, ro, col, wts, state.dist)
         won: dict = {}  # winning destination -> its entry's batch position

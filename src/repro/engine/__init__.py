@@ -12,12 +12,11 @@ Layers, adoptable independently:
 
 - :mod:`repro.engine.worker` — worker-side primitives (graph
   materialization, the cell alarm, :func:`execute_cell`'s
-  fault-isolation boundary);
+  fault-isolation boundary), which a serving session
+  (:mod:`repro.serve`) and ``repro bench`` call directly;
 - :mod:`repro.engine.scheduler` — cell planning and sweep policy
   (:class:`EngineConfig`, :func:`plan_cells`, :func:`run_cells`, and
   :func:`sweep_options`, the rule that splits a sweep's options);
-- :mod:`repro.engine.executor` — the long-lived :class:`QueryExecutor`
-  serving sessions dispatch to (:mod:`repro.serve`);
 - :mod:`repro.engine.store` — incremental JSONL persistence and resume;
 - :mod:`repro.engine.cache` — content-addressed on-disk graph cache;
 - :mod:`repro.engine.failure` — the :class:`FailedRun` record;
@@ -26,7 +25,6 @@ Layers, adoptable independently:
 """
 
 from repro.engine.cache import CACHE_FORMAT_VERSION, GraphCache
-from repro.engine.executor import QueryExecutor
 from repro.engine.failure import FAILURE_KINDS, FailedRun
 from repro.engine.scheduler import (
     Cell,
@@ -43,7 +41,6 @@ __all__ = [
     "Cell",
     "EngineConfig",
     "EngineResult",
-    "QueryExecutor",
     "plan_cells",
     "run_cells",
     "sweep_options",

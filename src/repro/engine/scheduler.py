@@ -32,18 +32,15 @@ Determinism: cells are independent and every solver is deterministic, so
 ``jobs=N`` produces bit-identical :class:`SSSPResult` fields to the
 serial ``jobs=1`` path — only wall-clock order differs.
 
-.. versionchanged:: PR 6
-   The worker-side primitives (cell execution, graph memo, alarm) moved
-   to :mod:`repro.engine.worker` so the long-lived
-   :class:`~repro.engine.executor.QueryExecutor` shares them; this
-   module keeps the sweep-shaped policy (planning, fan-out, retries,
-   stall watchdog, resume).
+The worker-side primitives (cell execution, graph memo, alarm) live in
+:mod:`repro.engine.worker`, which serving and the bench call directly;
+this module keeps the sweep-shaped policy (planning, fan-out, retries,
+stall watchdog, resume).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -54,7 +51,7 @@ from repro.baselines.common import Options, SSSPResult, get_solver, solver_names
 from repro.engine.cache import GraphCache
 from repro.engine.failure import FailedRun
 from repro.engine.store import ResultStore
-from repro.engine.worker import execute_cell, worker_init
+from repro.engine.worker import execute_cell, future_outcome, worker_init
 from repro.errors import EngineError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.suite import GraphSpec, SuiteEntry
@@ -162,20 +159,6 @@ class EngineResult:
     failures: List[FailedRun] = field(default_factory=list)
     #: Cells restored from the result store instead of executed.
     resumed: int = 0
-    #: Distinct cells that reached a final outcome this run (retried
-    #: attempts of the same cell count once).
-    executed: int = 0
-    #: ``(graph_name, solver) -> wall seconds`` of the successful attempt,
-    #: measured in the worker around graph materialization + solve.
-    #: Resumed cells have no timing (they were not executed this run).
-    timings: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    #: ``(graph_name, solver) -> (started_at, ended_at)`` wall-clock
-    #: epoch-second timestamps of the successful attempt, recorded in the
-    #: worker (same clock for start and end, so latency percentiles are
-    #: computable without re-instrumenting).  Resumed cells have none.
-    spans: Dict[Tuple[str, str], Tuple[float, float]] = field(
-        default_factory=dict
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -293,13 +276,10 @@ def run_cells(
     def handle(cell: Cell, outcome) -> bool:
         """Record one attempt's outcome; True means "retry this cell"."""
         attempts[cell.key] += 1
-        kind, detail, elapsed, span = outcome
+        kind, detail, elapsed = outcome
         if kind == "ok":
             result = detail
             out.results[cell.key] = result
-            out.timings[cell.key] = float(elapsed)
-            out.spans[cell.key] = (float(span[0]), float(span[1]))
-            out.executed += 1
             if store is not None:
                 store.append_result(cell.category, result)
             notify(f"{cell.graph_name}: {cell.solver} done")
@@ -320,7 +300,6 @@ def run_cells(
             elapsed_s=float(elapsed),
         )
         out.failures.append(failed)
-        out.executed += 1
         if store is not None:
             store.append_failure(failed)
         notify(f"FAILED {failed.describe()}")
@@ -398,16 +377,14 @@ def _run_parallel(
                         if fut.cancel():
                             pending.append(cell)  # never started: no attempt
                             continue
-                        now = time.time()
                         outcome = (
-                            _fut_outcome(fut)
+                            future_outcome(fut)
                             if fut.done()
                             else (
                                 "timeout",
                                 "worker wedged past the stall watchdog "
                                 f"({stall_limit:g}s without progress)",
                                 float(stall_limit),
-                                (now - float(stall_limit), now),
                             )
                         )
                         progressed = True
@@ -419,7 +396,7 @@ def _run_parallel(
                 for fut in done:
                     cell = fut_to_cell.pop(fut)
                     progressed = True
-                    if handle(cell, _fut_outcome(fut)):
+                    if handle(cell, future_outcome(fut)):
                         submit(cell)
         finally:
             executor.shutdown(wait=not wedged, cancel_futures=True)
@@ -428,17 +405,3 @@ def _run_parallel(
                 "engine cannot make progress: the worker pool dies before "
                 f"completing any of the {len(pending)} remaining cells"
             )
-
-
-def _fut_outcome(fut):
-    """A future's outcome tuple, mapping pool breakage to an error."""
-    try:
-        return fut.result()
-    except Exception as exc:  # BrokenProcessPool, pickling failures, ...
-        now = time.time()
-        return (
-            "error",
-            f"worker failed: {type(exc).__name__}: {exc}",
-            0.0,
-            (now, now),
-        )

@@ -1,24 +1,23 @@
-"""Worker-side execution primitives shared by the engine's frontends.
+"""Worker-side execution primitives shared by the engine's callers.
 
 This module is the bottom layer of :mod:`repro.engine`: everything a
 worker process (or an in-process caller) needs to turn one
 :class:`~repro.engine.scheduler.Cell` into an outcome — graph
 materialization with a per-process memo, the ``SIGALRM`` cell alarm, and
 the fault-isolation boundary that converts any solver-level explosion
-into a plain picklable outcome tuple.  Two frontends drive it:
+into a plain picklable outcome tuple.  Three callers drive it:
 
-- :func:`repro.engine.scheduler.run_cells` — the one-shot sweep runner
-  (plan a grid, fan out, retry, persist);
-- :class:`repro.engine.executor.QueryExecutor` — the long-lived query
-  executor a serving session dispatches to (:mod:`repro.serve`).
+- :func:`repro.engine.scheduler.run_cells` — the sweep runner (plan a
+  grid, fan out, retry, persist);
+- :class:`repro.serve.Session` — each uncached query source, inline or
+  on the session's worker pool;
+- :func:`repro.bench.run_bench` — each warm-up and timed run of a cell.
 
-Outcome tuples are ``(kind, detail, elapsed_s, span)`` where ``kind`` is
+Outcome tuples are ``(kind, detail, elapsed_s)`` where ``kind`` is
 ``"ok"``/``"timeout"``/``"error"``, ``detail`` is the
-:class:`~repro.baselines.common.SSSPResult` or a message string,
-``elapsed_s`` is the monotonic duration, and ``span`` is the
-``(started_at, ended_at)`` *wall-clock* (epoch-seconds) pair — the
-per-query timestamps latency percentiles are computed from, recorded in
-the worker so the parent never has to re-instrument.
+:class:`~repro.baselines.common.SSSPResult` or a message string, and
+``elapsed_s`` is the monotonic duration of graph materialization plus
+solve.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import importlib
 import signal
 import threading
 import time
+from concurrent.futures import Future
 from contextlib import contextmanager
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -39,6 +39,7 @@ __all__ = [
     "CellTimeout",
     "cell_alarm",
     "execute_cell",
+    "future_outcome",
     "materialize_graph",
     "worker_init",
 ]
@@ -117,7 +118,11 @@ def materialize_graph(cell) -> CSRGraph:
     return g
 
 
-def execute_cell(cell) -> Tuple[str, object, float, Tuple[float, float]]:
+#: ``(kind, detail, elapsed_s)``; see the module docstring.
+Outcome = Tuple[str, object, float]
+
+
+def execute_cell(cell) -> Outcome:
     """Run one cell; never raises for solver-level problems.
 
     Returns the outcome tuple documented in the module docstring — a
@@ -125,7 +130,6 @@ def execute_cell(cell) -> Tuple[str, object, float, Tuple[float, float]]:
     the result channel back to the parent.
     """
     t0 = time.monotonic()
-    started_at = time.time()
     try:
         graph = materialize_graph(cell)
         request = SolveRequest(
@@ -137,18 +141,22 @@ def execute_cell(cell) -> Tuple[str, object, float, Tuple[float, float]]:
         )
         with cell_alarm(cell.timeout_s):
             result = get_solver(cell.solver).solve(request)
-        return ("ok", result, time.monotonic() - t0, (started_at, time.time()))
+        return ("ok", result, time.monotonic() - t0)
     except CellTimeout:
         return (
             "timeout",
             f"exceeded the {cell.timeout_s:g}s per-cell budget",
             time.monotonic() - t0,
-            (started_at, time.time()),
         )
     except Exception as exc:  # fault-isolation boundary: record, don't kill
-        return (
-            "error",
-            f"{type(exc).__name__}: {exc}",
-            time.monotonic() - t0,
-            (started_at, time.time()),
-        )
+        return ("error", f"{type(exc).__name__}: {exc}", time.monotonic() - t0)
+
+
+def future_outcome(fut: Future) -> Outcome:
+    """The outcome of :func:`execute_cell` run on a process pool.  A pool
+    failure (a worker died, a cell would not pickle) becomes an
+    ``"error"`` outcome like a solver's own."""
+    try:
+        return fut.result()
+    except Exception as exc:  # BrokenProcessPool, pickling failures, ...
+        return ("error", f"worker failed: {type(exc).__name__}: {exc}", 0.0)

@@ -172,7 +172,8 @@ def read_dimacs(
     range, and a weight that is not a finite non-negative number or that
     the dtype cannot hold (for ``int32``, a fraction or a value above
     int32 max, which would otherwise load rounded or wrapped).  An arc
-    count that differs from the problem line's is an error too.
+    count that differs from the problem line's is an error too, and so
+    is a node count too large for this host to allocate.
     """
     if isinstance(source, (str, Path)):
         fh = open(source, "r")
@@ -199,6 +200,7 @@ def read_dimacs(
                     raise GraphFormatError(f"line {lineno}: second problem line")
                 n = _dimacs_int(parts[2], lineno, "node count", 0)
                 m = _dimacs_int(parts[3], lineno, "arc count", 0)
+                p_line = lineno
             elif parts[0] == "a":
                 if len(parts) != 4:
                     raise GraphFormatError(f"line {lineno}: bad arc line")
@@ -218,7 +220,12 @@ def read_dimacs(
             raise GraphFormatError(
                 f"problem line declares {m} arcs, found {len(edges)}"
             )
-        return from_edge_list(n, edges, dtype=dtype, name=label)
+        try:
+            return from_edge_list(n, edges, dtype=dtype, name=label)
+        except MemoryError:
+            raise GraphFormatError(
+                f"line {p_line}: node count {n} is too large to allocate"
+            ) from None
     finally:
         if close:
             fh.close()

@@ -55,17 +55,6 @@ class RunRecord:
     graph: str
     category: str
     results: Dict[str, SSSPResult]
-    #: Per-solver wall-clock ``(started_at, ended_at)`` epoch-second
-    #: spans, measured inside the worker that executed the cell (see
-    #: :mod:`repro.engine.worker`).  Empty for records restored from a
-    #: resume store — the original execution's wall-clock is gone, and a
-    #: fabricated span would corrupt latency percentiles downstream.
-    spans: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-
-    def wall_clock(self, solver: str) -> Optional[Tuple[float, float]]:
-        """The solver's wall-clock span on this graph, if it executed
-        this run (``None`` when resumed from a store)."""
-        return self.spans.get(solver)
 
     def ratio(self, metric: str, solver_a: str, solver_b: str) -> float:
         """``b / a`` for time (speedup of a over b) or work.
@@ -204,14 +193,10 @@ def run_suite(
     run = SuiteRun(failures=engine_out.failures, resumed=engine_out.resumed)
     for entry in suite:
         results: Dict[str, SSSPResult] = {}
-        spans: Dict[str, Tuple[float, float]] = {}
         for name in solvers:
             result = engine_out.results.get((entry.name, name))
             if result is not None:
                 results[name] = result
-                span = engine_out.spans.get((entry.name, name))
-                if span is not None:
-                    spans[name] = span
         if not results:
             continue  # every solver failed on this graph; failures say so
         if verify and len(results) > 1:
@@ -233,7 +218,6 @@ def run_suite(
                 graph=entry.name,
                 category=entry.category,
                 results=results,
-                spans=spans,
             )
         )
     return run

@@ -10,8 +10,9 @@ AdmissionError` past the limit), coalesces same-graph queries within a
 batching window (:class:`~repro.serve.batcher.Batcher`), answers
 repeated sources from an LRU :class:`~repro.serve.cache.DistanceCache`
 (one full solve is the landmark that answers every later ``(s, t)``
-query), and dispatches the rest through the engine's
-:class:`~repro.engine.executor.QueryExecutor`.
+query), and solves the rest through the engine's
+:func:`~repro.engine.worker.execute_cell`, inline or on a process pool
+the session owns.
 
 Served answers are *exact by construction*: every distance handed out is
 a full single-source solve (fresh or cached), bit-identical to calling

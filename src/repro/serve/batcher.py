@@ -64,7 +64,7 @@ class BatchPlan:
     #: Live queries, in submission order.
     queries: List[Query]
     #: Unique sources among :attr:`queries`, in first-seen order.  The
-    #: executor solves exactly these; demux fans each solve back out.
+    #: session solves exactly these; demux fans each solve back out.
     sources: List[int]
 
     @property

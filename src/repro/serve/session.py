@@ -14,9 +14,10 @@ A :class:`Session` is the front-end of :mod:`repro.serve`:
    :class:`~repro.serve.batcher.Batcher` then coalesces same-graph
    queries into :class:`~repro.serve.batcher.BatchPlan`\\ s (unique
    sources deduplicated, ≤ ``max_batch`` solves per dispatch).
-4. **Execution** — each plan's uncached sources are dispatched through
-   the engine's :class:`~repro.engine.executor.QueryExecutor` as
-   ordinary cells; cached sources are served from the
+4. **Execution** — each plan's uncached sources run as ordinary engine
+   cells through :func:`~repro.engine.worker.execute_cell`, inline on
+   the serving thread (``jobs=1``) or on the session's process pool;
+   cached sources are served from the
    :class:`~repro.serve.cache.DistanceCache` (landmark reuse: one full
    solve answers every later query from that source).
 5. **Demux** — every query's future resolves to a :class:`QueryResult`
@@ -58,7 +59,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -66,9 +68,9 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.common import Options, get_solver
-from repro.engine.executor import QueryExecutor
 from repro.engine.scheduler import Cell, sweep_options
-from repro.errors import AdmissionError, ServeError, ServeTimeout
+from repro.engine.worker import Outcome, execute_cell, future_outcome
+from repro.errors import AdmissionError, EngineError, ServeError, ServeTimeout
 from repro.graphs.csr import CSRGraph
 from repro.serve.batcher import Batcher, BatchPlan, Query
 from repro.serve.cache import DistanceCache
@@ -134,18 +136,17 @@ class Session:
     cache_entries:
         Distance-cache capacity (full solves retained across batches).
     jobs:
-        Worker processes in the underlying
-        :class:`~repro.engine.executor.QueryExecutor`; the default ``1``
-        solves inline on the serving thread — deterministic, and the
-        prepared in-memory graphs are never pickled.
+        The default ``1`` solves inline on the serving thread —
+        deterministic, and the prepared in-memory graphs are never
+        pickled.  ``N > 1`` solves on a pool of ``N`` worker processes
+        the session owns; each cell pickles its graph to the worker, and
+        a pool that lost a worker is replaced at the next plan.
     spec / cost:
         Device model forwarded to each dispatched :class:`SolveRequest`
         (used by device solvers only).
     autostart:
         Start the daemon batcher thread (asynchronous mode).  With
         ``False`` the caller drains via :meth:`serve_pending`.
-    store_path:
-        Optional JSONL query log (see :class:`QueryExecutor`).
     incremental:
         Allow warm (incremental) re-solves after :meth:`apply_updates`
         when the solver takes ``warm_from=`` (default).  ``False`` forces
@@ -167,13 +168,14 @@ class Session:
         spec=None,
         cost=None,
         autostart: bool = True,
-        store_path=None,
         incremental: bool = True,
     ) -> None:
         # fail at construction, not first query
         self.options = sweep_options([solver], options)[solver]
         if max_pending < 1:
             raise ServeError(f"max_pending must be >= 1 (got {max_pending})")
+        if jobs < 1:
+            raise EngineError(f"jobs must be >= 1 (got {jobs})")
         self.solver = solver
         #: Warm re-solves need both a capable solver and the session-level
         #: opt-in (``incremental=False`` forces from-scratch re-solves —
@@ -187,7 +189,10 @@ class Session:
         self.cost = cost
         self.batcher = Batcher(window_s=window_s, max_batch=max_batch)
         self.cache = DistanceCache(cache_entries)
-        self.executor = QueryExecutor(jobs=jobs, store_path=store_path)
+        self.jobs = jobs
+        self._pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+        #: Solves dispatched over the session's lifetime.
+        self.dispatched = 0
         self._counters: Dict[str, int] = dict.fromkeys(SERVE_COUNTER_KEYS, 0)
         #: Raw batch-size samples, one per dispatched plan.
         self.batch_sizes: List[int] = []
@@ -483,35 +488,29 @@ class Session:
                         entry = self._warm.pop((plan.graph_id, src), None)
                         if entry is not None:
                             warm[src] = entry
-        futures = [
-            (
-                src,
-                self.executor.submit(
-                    Cell(
-                        graph_name=plan.graph_id,
-                        category="serve",
-                        solver=self.solver,
-                        source=src,
-                        graph=graph,
-                        spec=self.spec,
-                        cost=self.cost,
-                        options=(
-                            Options(
-                                self.options,
-                                warm_from=warm[src][0],
-                                updates=warm[src][1],
-                            )
-                            if src in warm
-                            else self.options
-                        ),
+        outcomes = self._solve([
+            Cell(
+                graph_name=plan.graph_id,
+                category="serve",
+                solver=self.solver,
+                source=src,
+                graph=graph,
+                spec=self.spec,
+                cost=self.cost,
+                options=(
+                    Options(
+                        self.options,
+                        warm_from=warm[src][0],
+                        updates=warm[src][1],
                     )
+                    if src in warm
+                    else self.options
                 ),
             )
             for src in to_solve
-        ]
+        ])
         self._counters["serve_incremental"] += len(warm)
-        for src, fut in futures:
-            kind, detail, _elapsed, _span = fut.result()
+        for src, (kind, detail, _elapsed) in zip(to_solve, outcomes):
             if kind != "ok":
                 errors[src] = f"{kind}: {detail}"
                 continue
@@ -575,6 +574,23 @@ class Session:
             )
         return settled
 
+    def _solve(self, cells: List[Cell]) -> List[Outcome]:
+        """Each cell's :func:`~repro.engine.worker.execute_cell` outcome:
+        solved inline with ``jobs=1``, else all submitted to the pool
+        before any is awaited."""
+        self.dispatched += len(cells)
+        if self._pool is None:
+            return [execute_cell(cell) for cell in cells]
+        try:
+            futures = [self._pool.submit(execute_cell, c) for c in cells]
+        except BrokenProcessPool:
+            # a worker died in an earlier plan, whose solves have already
+            # failed; this plan gets a fresh pool
+            self._pool.shutdown(wait=False)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            futures = [self._pool.submit(execute_cell, c) for c in cells]
+        return [future_outcome(fut) for fut in futures]
+
     def _fail_timeout(self, q: Query) -> None:
         self._counters["serve_timeouts"] += 1
         q.future.set_exception(
@@ -594,7 +610,7 @@ class Session:
         """Settle outstanding queries, stop the thread, free the pool.
 
         Queries still pending at close are drained (served, not
-        abandoned) before the executor shuts down.  Idempotent.
+        abandoned) before the worker pool shuts down.  Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -605,7 +621,8 @@ class Session:
             self._thread.join(timeout=30.0)
             self._thread = None
         self.serve_pending()  # anything the thread didn't get to
-        self.executor.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "Session":
         return self

@@ -15,6 +15,7 @@ from repro.bench import (
     run_bench,
     write_report,
 )
+from repro.bench.matrix import MATRICES
 from repro.errors import ReproError
 from repro.validation import assert_results_match
 
@@ -118,6 +119,21 @@ class TestMatrices:
     def test_bad_repeats_rejected(self, tiny_matrix):
         with pytest.raises(ReproError, match="repeats"):
             run_bench(tiny_matrix, repeats=0)
+
+    def test_failing_run_is_not_retried(self, tmp_path):
+        """A cell whose first run fails fails the bench, even though a
+        retry (``eng-flaky`` passes once its latch exists) would pass."""
+        from repro.engine import testing
+
+        testing.register()
+        MATRICES[TINY_NAME] = (("eng-flaky",), TINY_MATRIX[1])
+        try:
+            with pytest.raises(ReproError, match="failed on run 1"):
+                run_bench(TINY_NAME, repeats=1,
+                          options={"latch": str(tmp_path / "latch")})
+        finally:
+            MATRICES.pop(TINY_NAME, None)
+            testing.unregister()
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from repro import native
 from repro.check import ProtocolChecker
 from repro.core import AddsConfig, solve_adds
 from repro.dynamic import apply_updates
-from repro.errors import GraphConstructionError
+from repro.core.wtb import _python_batch
+from repro.errors import GraphConstructionError, ProtocolError
 from repro.graphs import fem_mesh, grid_road, rmat, update_stream
 
 needs_kernel = pytest.mark.skipif(
@@ -103,10 +105,10 @@ def test_checker_sees_the_python_loops_arrays(graph, monkeypatch):
     assert kernel == reference
 
 
-@needs_kernel
 class TestBadIndices:
     """An index array corrupted after construction raises a typed error
-    instead of sending the kernel outside its buffers."""
+    instead of sending the kernel, or the Python loop, outside its
+    buffers."""
 
     @pytest.mark.parametrize("value", ["n", -1])
     def test_column_out_of_range(self, value):
@@ -149,6 +151,7 @@ class TestBadIndices:
         )
         return code, ctx
 
+    @needs_kernel
     @pytest.mark.parametrize("vertex", [-1, 3])
     def test_work_item_out_of_range(self, vertex):
         dist = np.array([0.0, np.inf, np.inf])
@@ -156,6 +159,7 @@ class TestBadIndices:
         assert (code, ctx.bad) == (native.RELAX_BAD_ITEM, 1)
         assert np.isinf(dist[1])
 
+    @needs_kernel
     def test_batch_is_checked_before_its_first_store(self):
         # vertex 0's edge is fine, vertex 2's column is not: nothing lands
         dist = np.array([0.0, np.inf, 0.0])
@@ -163,6 +167,22 @@ class TestBadIndices:
         assert (code, ctx.bad) == (native.RELAX_BAD_COLUMN, 1)
         assert np.isinf(dist[1])
 
+    def test_python_loop_checks_before_its_first_store(self):
+        # the kernel case above, through the Python loop
+        ro, col = np.array([0, 1, 1, 2]), np.array([1, 7], dtype=np.int32)
+        graph = SimpleNamespace(num_vertices=3, num_edges=2, row_offsets=ro,
+                                col_indices=col, weights=np.ones(2, np.int32))
+        dist = np.array([0.0, np.inf, 0.0])
+        state = SimpleNamespace(graph=graph, dist=dist, checker=None,
+                                pred=np.full(3, -1, dtype=np.int64))
+        relax_batch = _python_batch(state)
+        with pytest.raises(GraphConstructionError, match=r"col_indices\[1\]"):
+            relax_batch([0, 2], [0.0, 0.0])
+        with pytest.raises(ProtocolError, match="work item 1 names vertex 3"):
+            relax_batch([0, 3], [0.0, 0.0])
+        assert np.isinf(dist[1]) and (state.pred == -1).all()
+
+    @needs_kernel
     def test_full_log_asks_for_room_before_storing(self):
         dist = np.array([0.0, np.inf, np.inf])
         code, ctx = self.call_kernel([0, 2, 2, 2], [1, 2], dist, [0], log_cap=1)

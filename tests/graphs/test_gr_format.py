@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import GraphFormatError, ReproError
 from repro.graphs import from_edge_list, grid_road, read_gr, rmat, write_gr
 from repro.graphs.gr_format import read_dimacs, write_dimacs
@@ -281,6 +286,33 @@ class TestDimacs:
     def test_second_problem_line(self):
         with pytest.raises(GraphFormatError, match="line 2: second problem line"):
             read_dimacs(io.StringIO("p sp 2 0\np sp 2 0\n"))
+
+    def test_unallocatable_node_count_names_the_line(self):
+        # A valid header of 2**31 - 1 vertices asks for 16 GiB of row
+        # offsets.  The child caps its own address space at 1 GiB before
+        # importing NumPy, so the allocation fails at once on any host;
+        # never run this read uncapped.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import io\n"
+            "from repro.errors import GraphFormatError\n"
+            "from repro.graphs.gr_format import read_dimacs\n"
+            "try:\n"
+            "    read_dimacs(io.StringIO('c big\\np sp 2147483647 0\\n'))\n"
+            "except GraphFormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "line 2: node count 2147483647 is too large to allocate"
+        )
 
 
 #: Values a corrupted word takes: small counts near the real ones, the

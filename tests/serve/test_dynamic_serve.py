@@ -148,26 +148,23 @@ class TestSelectiveInvalidation:
 
 
 class TestGenerationGuard:
-    def test_update_mid_flight_fails_stale_answers(self, grid):
+    def test_update_mid_flight_fails_stale_answers(self, grid, monkeypatch):
         with Session(autostart=False) as s:
             s.add_graph("g", grid)
             fut = s.submit("g", 5)
             # simulate an update racing the solve: bump the generation
-            # between dispatch and demux by patching the executor
-            real_submit = s.executor.submit
+            # between the solve and demux
+            real_solve = s._solve
 
-            def racing_submit(cell):
-                f = real_submit(cell)
+            def racing_solve(cells):
+                outcomes = real_solve(cells)
                 s.apply_updates(
                     "g", UpdateBatch([EdgeUpdate(kind="delete", src=0, dst=1)])
                 )
-                return f
+                return outcomes
 
-            s.executor.submit = racing_submit
-            try:
-                s.serve_pending()
-            finally:
-                s.executor.submit = real_submit
+            monkeypatch.setattr(s, "_solve", racing_solve)
+            s.serve_pending()
             with pytest.raises(ServeError, match="updated while"):
                 fut.result()
             assert s.counters()["serve_stale"] == 1.0

@@ -15,11 +15,15 @@ The satellite contract, spelled out as tests:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from repro.baselines.common import SolveRequest, get_solver
-from repro.errors import AdmissionError, ServeError, ServeTimeout
+from repro.baselines.common import SOLVERS, SolveRequest, get_solver, register_solver
+from repro.errors import AdmissionError, EngineError, ServeError, ServeTimeout
+from repro.graphs import grid_road, update_stream
 from repro.serve import Batcher, Query, Session
 
 
@@ -81,7 +85,7 @@ class TestCoalescing:
             s.add_graph("road", small_road)
             futs = [s.submit("road", 3) for _ in range(6)]
             s.serve_pending()
-            assert s.executor.dispatched == 1  # one solve served all six
+            assert s.dispatched == 1  # one solve served all six
             assert len(s.batch_sizes) == 1 and s.batch_sizes[0] == 6
             dists = [f.result().dist for f in futs]
             for d in dists[1:]:
@@ -92,7 +96,7 @@ class TestCoalescing:
             s.add_graph("road", small_road)
             futs = {src: s.submit("road", src) for src in (0, 5, 9)}
             s.serve_pending()
-            assert s.executor.dispatched == 3
+            assert s.dispatched == 3
             for src, fut in futs.items():
                 r = fut.result()
                 assert r.source == src
@@ -125,7 +129,7 @@ class TestCacheIntegration:
             s.serve_pending()
             f2 = s.submit("road", 2)
             s.serve_pending()
-            assert s.executor.dispatched == 1
+            assert s.dispatched == 1
             assert not f1.result().from_cache
             assert f2.result().from_cache
             assert s.counters()["serve_cache_hits"] == 1
@@ -138,7 +142,7 @@ class TestCacheIntegration:
             assert s.invalidate("road") == 1
             f = s.submit("road", 2)
             s.serve_pending()
-            assert s.executor.dispatched == 2
+            assert s.dispatched == 2
             assert not f.result().from_cache
 
     def test_replacing_a_graph_invalidates_its_answers(self, small_road, small_mesh):
@@ -245,7 +249,7 @@ class TestTimeouts:
             s.serve_pending()
             with pytest.raises(ServeTimeout):
                 f.result()
-            assert s.executor.dispatched == 0
+            assert s.dispatched == 0
             assert s.counters()["serve_timeouts"] == 1
 
     def test_late_answer_degrades_but_warms_cache(self, small_road, fault_solvers):
@@ -326,3 +330,79 @@ class TestThreadedMode:
         fut = s.submit("road", 0)
         s.close()  # does not abandon the admitted query
         assert fut.result(timeout=30).dist[0] == 0.0
+
+
+class TestWorkerPool:
+    def test_jobs_validation(self):
+        with pytest.raises(EngineError, match="jobs"):
+            make_session(jobs=0)
+
+    def test_closed_session_rejects_submissions(self, small_road):
+        s = make_session(jobs=2)
+        s.add_graph("road", small_road)
+        s.close()
+        with pytest.raises(ServeError, match="closed"):
+            s.submit("road", 0)
+        s.close()  # idempotent: the pool is shut down once
+
+    def test_dispatch_counter(self, small_road):
+        with make_session() as s:
+            s.add_graph("road", small_road)
+            for src in (0, 1, 0, 2):
+                s.query("road", src)
+            assert s.dispatched == 3  # the repeat of source 0 hit the cache
+
+    @staticmethod
+    def _replay(jobs):
+        """Answers and counters of one query/update mix: weight-only
+        batches keep unaffected sources cached and stash the rest as
+        warm starts, which the next round solves incrementally."""
+        graph = grid_road(16, 12, seed=7)
+        batches = update_stream(graph, batches=2, batch_size=30, seed=4,
+                                p_insert=0.0, p_delete=0.0)
+        answers = []
+        with make_session(jobs=jobs) as s:
+            s.add_graph("road", graph)
+            for batch in [None, *batches]:
+                if batch is not None:
+                    s.apply_updates("road", batch)
+                futs = [s.submit("road", src) for src in (0, 17, 90, 17, 191)]
+                s.serve_pending()
+                answers += [f.result(timeout=120).dist.tobytes() for f in futs]
+            return answers, s.counters(), s.dispatched
+
+    def test_pool_answers_bit_match_inline_across_updates(self):
+        inline = self._replay(1)
+        assert inline[1]["serve_incremental"] > 0  # the warm path ran
+        assert self._replay(2) == inline
+
+    def test_crashing_solver_through_the_pool(self, small_road, fault_solvers):
+        with make_session(solver="eng-crash", jobs=2) as s:
+            s.add_graph("road", small_road)
+            f = s.submit("road", 0)
+            s.serve_pending()
+            with pytest.raises(ServeError, match="injected failure"):
+                f.result(timeout=120)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the exiting solver is registered in this process only",
+    )
+    def test_dead_worker_is_a_serve_error(self, small_road):
+        def solve(graph, source=0):
+            if source == 0:
+                os._exit(3)  # kills the worker, which breaks the pool
+            return get_solver("dijkstra").fn(graph, source)
+
+        register_solver("serve-exit")(solve)
+        try:
+            with make_session(solver="serve-exit", jobs=2) as s:
+                s.add_graph("road", small_road)
+                f = s.submit("road", 0)
+                s.serve_pending()
+                with pytest.raises(ServeError, match="worker failed"):
+                    f.result(timeout=120)
+                # the next plan runs on a fresh pool
+                assert s.query("road", 5).dist[5] == 0.0
+        finally:
+            SOLVERS.pop("serve-exit", None)
