@@ -234,7 +234,7 @@ def run_update_check(
         schedules=schedules, seed=seed,
     )
     for pos, entry in enumerate(entries):
-        graph = entry.graph().prepare()
+        graph = entry.graph()
         source = entry.source
         cell = UpdateCellCheck(
             graph=entry.name, lanes=[lane.label for lane in lanes]
@@ -253,7 +253,7 @@ def run_update_check(
 
         for k, batch in enumerate(stream):
             result = apply_updates(graph, batch)
-            graph = result.graph.prepare()
+            graph = result.graph
             bc = UpdateBatchCheck(
                 index=k,
                 kind_counts=batch.kind_counts(),

@@ -61,13 +61,6 @@ def _edge_sources(graph: CSRGraph) -> np.ndarray:
     )
 
 
-def _w64(graph: CSRGraph) -> np.ndarray:
-    prep = graph.prepared()
-    if prep is not None:
-        return prep.w64
-    return graph.weights.astype(np.float64)
-
-
 def _reachable_from(graph: CSRGraph, roots: np.ndarray) -> np.ndarray:
     """Boolean mask of vertices forward-reachable from ``roots``
     (inclusive), via level-synchronous vectorized BFS."""
@@ -144,8 +137,9 @@ def incremental_seed(
 
     # violated-edge scan: frontier = tails of edges that still relax
     esrc = _edge_sources(graph)
-    w64 = _w64(graph)
-    cand = warm[esrc] + w64  # inf tails propagate to inf, never violate
+    # float64 + int32/float32 widens the weights exactly; inf tails
+    # propagate to inf and never violate
+    cand = warm[esrc] + graph.weights
     violated = cand < warm[graph.col_indices.astype(np.int64)]
     frontier = np.unique(esrc[violated])
     info = {

@@ -14,19 +14,18 @@ ordered list of :class:`EdgeUpdate`\\ s of four kinds:
     Add a new edge / remove an existing one — **topology** changes,
     which force a CSR rebuild (CSR has no spare room in a row).
 
-:func:`apply_updates` applies one batch to a :class:`~repro.graphs.csr.
-CSRGraph`:
+:func:`apply_updates` validates the whole batch in one sequential pass,
+then applies it to a :class:`~repro.graphs.csr.CSRGraph`:
 
-- a weight-only batch **patches in place**: ``graph.weights`` and, when
-  the graph was prepared (:meth:`~repro.graphs.csr.CSRGraph.prepare`),
-  the float64 twin ``w64``.  The ADDS and Dijkstra relax loops read
-  ``graph.weights`` through memoryviews of the live buffer, so they see
-  the patch with nothing to rebuild.  The weight statistics
-  (``avg_weight``/``max_weight``) feeding the Δ heuristic are dropped
-  from the stats cache.  The same graph object is returned.
+- a weight-only batch **patches** ``graph.weights`` **in place**, the
+  graph's one weight array.  The ADDS and Dijkstra relax loops read it
+  through memoryviews of the live buffer, so they see the patch with
+  nothing to rebuild.  The weight statistics (``avg_weight``/
+  ``max_weight``) feeding the Δ heuristic are dropped from the stats
+  cache.  The same graph object is returned.
 - a batch containing any ``insert``/``delete`` **rebuilds** the CSR
-  arrays and returns a *new* (unprepared) graph; the stale
-  ``PreparedArrays`` die with the old object.
+  arrays through :func:`~repro.graphs.csr.from_edge_list` and returns a
+  *new* graph.
 
 Either way the result carries an :class:`EdgeDeltas` record — the net
 per-edge ``(old weight, new weight)`` deltas versus the pre-batch graph
@@ -41,7 +40,7 @@ case the dirty-frontier rule turns into a zero-work re-solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -219,7 +218,7 @@ class UpdateResult:
     """What :func:`apply_updates` returns."""
 
     #: The post-batch graph: the *same* object for weight-only batches
-    #: (patched in place), a fresh unprepared one after a CSR rebuild.
+    #: (patched in place), a fresh one after a CSR rebuild.
     graph: CSRGraph
     #: Net per-edge deltas versus the pre-batch graph.
     deltas: EdgeDeltas
@@ -237,17 +236,10 @@ def _find_edge(graph: CSRGraph, u: int, v: int) -> int:
     return lo + int(hits[0]) if hits.size else -1
 
 
-def _check_vertex(n: int, u: EdgeUpdate) -> None:
-    if not (0 <= u.src < n and 0 <= u.dst < n):
-        raise DynamicError(
-            f"{u.kind} ({u.src}->{u.dst}) out of range for {n} vertices"
-        )
-
-
 def _coerce_weight(graph: CSRGraph, u: EdgeUpdate) -> float:
     """The update's weight as the graph stores it: an integral value in
     int32 range, or the float32 rounding of the value.  Every weight a
-    batch records (arrays, ``w64`` twin, deltas) is this one value."""
+    batch records (the weight array and the deltas) is this one value."""
     w = float(u.weight)
     if graph.is_integer_weighted:
         if not w.is_integer():
@@ -271,165 +263,98 @@ def _coerce_weight(graph: CSRGraph, u: EdgeUpdate) -> float:
     return rounded
 
 
-def _apply_weight_only(graph: CSRGraph, batch: UpdateBatch) -> UpdateResult:
-    # Two passes so a bad update rejects the whole batch before any
-    # mutation: first validate sequentially against an overlay of
-    # pending values, then patch the arrays.
-    deltas: Dict[Tuple[int, int], Tuple[float, float]] = {}
-    pending: Dict[int, float] = {}  # CSR position -> new weight
-    for u in batch:
-        _check_vertex(graph.num_vertices, u)
-        pos = _find_edge(graph, u.src, u.dst)
-        if pos < 0:
-            raise DynamicError(
-                f"{u.kind} ({u.src}->{u.dst}): no such edge in {graph.name!r}"
-            )
-        old = pending.get(pos, float(graph.weights[pos]))
-        new = _coerce_weight(graph, u)
-        if u.kind == "increase" and not new > old:
-            raise DynamicError(
-                f"increase ({u.src}->{u.dst}): new weight {new!r} is not "
-                f"above the current {old!r}"
-            )
-        if u.kind == "decrease" and not new < old:
-            raise DynamicError(
-                f"decrease ({u.src}->{u.dst}): new weight {new!r} is not "
-                f"below the current {old!r}"
-            )
-        pending[pos] = new
-        key = (u.src, u.dst)
-        first_old = deltas[key][0] if key in deltas else old
-        deltas[key] = (first_old, new)
-
-    prep = graph.prepared()
-    for pos, new in pending.items():
-        graph.weights[pos] = new
-        if prep is not None:
-            prep.w64[pos] = new
-    # weight statistics feeding the Δ heuristic are stale now
-    graph._stats_cache.pop("avg_weight", None)
-    graph._stats_cache.pop("max_weight", None)
-    return UpdateResult(
-        graph=graph,
-        deltas=EdgeDeltas.from_map(deltas),
-        topology_changed=False,
-        n_updates=len(batch),
-    )
-
-
-def _apply_rebuild(graph: CSRGraph, batch: UpdateBatch) -> UpdateResult:
-    n = graph.num_vertices
-    esrc = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(graph.row_offsets)
-    )
-    edst = graph.col_indices.astype(np.int64)
-    ew = graph.weights.astype(np.float64)
-    alive = np.ones(edst.size, dtype=bool)
-    extra: List[List[float]] = []  # [src, dst, weight, alive]
-
-    def find(u: int, v: int) -> Tuple[int, int]:
-        """(where, index): where 0 = base arrays, 1 = extra, -1 = absent."""
-        pos = _find_edge(graph, u, v)
-        if pos >= 0 and alive[pos]:
-            return 0, pos
-        for i, e in enumerate(extra):
-            if e[3] and int(e[0]) == u and int(e[1]) == v:
-                return 1, i
-        return -1, -1
-
-    deltas: Dict[Tuple[int, int], Tuple[float, float]] = {}
-
-    def record(u: int, v: int, old: float, new: float) -> None:
-        key = (u, v)
-        first_old = deltas[key][0] if key in deltas else old
-        deltas[key] = (first_old, new)
-
-    for u in batch:
-        _check_vertex(n, u)
-        where, idx = find(u.src, u.dst)
-        if u.kind == "insert":
-            if where >= 0:
-                raise DynamicError(
-                    f"insert ({u.src}->{u.dst}): edge already exists in "
-                    f"{graph.name!r}; use increase/decrease"
-                )
-            new = _coerce_weight(graph, u)
-            extra.append([float(u.src), float(u.dst), new, 1.0])
-            record(u.src, u.dst, np.nan, new)
-            continue
-        if where < 0:
-            raise DynamicError(
-                f"{u.kind} ({u.src}->{u.dst}): no such edge in {graph.name!r}"
-            )
-        old = float(ew[idx]) if where == 0 else float(extra[idx][2])
-        if u.kind == "delete":
-            if where == 0:
-                alive[idx] = False
-            else:
-                extra[idx][3] = 0.0
-            record(u.src, u.dst, old, np.nan)
-            continue
-        new = _coerce_weight(graph, u)
-        if u.kind == "increase" and not new > old:
-            raise DynamicError(
-                f"increase ({u.src}->{u.dst}): new weight {new!r} is not "
-                f"above the current {old!r}"
-            )
-        if u.kind == "decrease" and not new < old:
-            raise DynamicError(
-                f"decrease ({u.src}->{u.dst}): new weight {new!r} is not "
-                f"below the current {old!r}"
-            )
-        if where == 0:
-            ew[idx] = new
-        else:
-            extra[idx][2] = new
-        record(u.src, u.dst, old, new)
-
-    kept = np.stack([esrc[alive], edst[alive], ew[alive]], axis=1)
-    added = [
-        [e[0], e[1], e[2]] for e in extra if e[3]
-    ]
-    edges = np.concatenate(
-        [kept, np.asarray(added, dtype=np.float64).reshape(-1, 3)], axis=0
-    )
-    rebuilt = from_edge_list(
-        n,
-        edges,
-        dtype=str(graph.weights.dtype),
-        name=graph.name,
-    )
-    return UpdateResult(
-        graph=rebuilt,
-        deltas=EdgeDeltas.from_map(deltas),
-        topology_changed=True,
-        n_updates=len(batch),
-    )
-
-
 def apply_updates(
     graph: CSRGraph, batch: UpdateBatch | Sequence[EdgeUpdate]
 ) -> UpdateResult:
     """Apply one update batch to ``graph``; see the module docstring.
 
-    Weight-only batches mutate ``graph`` (weights plus its prepared
-    float64 twin) and return the same object; batches with inserts or
-    deletes return a rebuilt, unprepared :class:`CSRGraph`.  Updates
-    apply sequentially; each new weight is rounded to the graph's dtype.
-    An invalid update (missing edge, wrong direction, out-of-range vertex,
-    duplicate insert, a weight the dtype cannot hold) raises
-    :class:`~repro.errors.DynamicError` and rejects the whole batch —
-    the input graph is never left half-patched.
+    Weight-only batches patch ``graph.weights`` in place and return the
+    same object; batches with inserts or deletes return a rebuilt
+    :class:`CSRGraph`.  Updates apply sequentially; each new weight is
+    rounded to the graph's dtype.  An invalid update (missing edge,
+    wrong direction, out-of-range vertex, duplicate insert, a weight the
+    dtype cannot hold) raises :class:`~repro.errors.DynamicError` and
+    rejects the whole batch — the input graph is never left
+    half-patched.
     """
     if not isinstance(batch, UpdateBatch):
         batch = UpdateBatch(batch)
-    if len(batch) == 0:
-        return UpdateResult(
-            graph=graph,
-            deltas=EdgeDeltas.empty(),
-            topology_changed=False,
-            n_updates=0,
-        )
-    if batch.topology_changing:
-        return _apply_rebuild(graph, batch)
-    return _apply_weight_only(graph, batch)
+    n = graph.num_vertices
+    # Validate the whole batch before any mutation.  Per touched (u, v):
+    # [weight before the batch, CSR position of its live first copy or
+    # -1, current weight], where a nan weight means no live edge.  A
+    # deleted first copy stays deleted (``dead``), so a later insert of
+    # the same edge is a new edge.
+    touched: Dict[Tuple[int, int], List] = {}
+    dead: List[int] = []
+    for u in batch:
+        if not (0 <= u.src < n and 0 <= u.dst < n):
+            raise DynamicError(
+                f"{u.kind} ({u.src}->{u.dst}) out of range for {n} vertices"
+            )
+        e = touched.get((u.src, u.dst))
+        if e is None:
+            pos = _find_edge(graph, u.src, u.dst)
+            w = float(graph.weights[pos]) if pos >= 0 else math.nan
+            e = touched[(u.src, u.dst)] = [w, pos, w]
+        old = e[2]
+        if u.kind == "insert":
+            if not math.isnan(old):
+                raise DynamicError(
+                    f"insert ({u.src}->{u.dst}): edge already exists in "
+                    f"{graph.name!r}; use increase/decrease"
+                )
+            e[2] = _coerce_weight(graph, u)
+            continue
+        if math.isnan(old):
+            raise DynamicError(
+                f"{u.kind} ({u.src}->{u.dst}): no such edge in {graph.name!r}"
+            )
+        if u.kind == "delete":
+            if e[1] >= 0:
+                dead.append(e[1])
+                e[1] = -1
+            e[2] = math.nan
+            continue
+        new = _coerce_weight(graph, u)
+        if u.kind == "increase" and not new > old:
+            raise DynamicError(
+                f"increase ({u.src}->{u.dst}): new weight {new!r} is not "
+                f"above the current {old!r}"
+            )
+        if u.kind == "decrease" and not new < old:
+            raise DynamicError(
+                f"decrease ({u.src}->{u.dst}): new weight {new!r} is not "
+                f"below the current {old!r}"
+            )
+        e[2] = new
+
+    deltas = EdgeDeltas.from_map({k: (e[0], e[2]) for k, e in touched.items()})
+    if not batch.topology_changing:
+        for _, pos, new in touched.values():
+            graph.weights[pos] = new
+        # weight statistics feeding the Δ heuristic are stale now
+        graph._stats_cache.pop("avg_weight", None)
+        graph._stats_cache.pop("max_weight", None)
+        return UpdateResult(graph, deltas, False, len(batch))
+
+    alive = np.ones(graph.num_edges, dtype=bool)
+    alive[dead] = False
+    ew = graph.weights.astype(np.float64)
+    added = []
+    for (src, dst), (_, pos, w) in touched.items():
+        if pos >= 0:
+            ew[pos] = w
+        elif not math.isnan(w):
+            added.append((src, dst, w))
+    esrc = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.row_offsets))
+    kept = np.stack(
+        [esrc[alive], graph.col_indices[alive], ew[alive]], axis=1
+    )
+    edges = np.concatenate(
+        [kept, np.asarray(added, dtype=np.float64).reshape(-1, 3)]
+    )
+    rebuilt = from_edge_list(
+        n, edges, dtype=str(graph.weights.dtype), name=graph.name
+    )
+    return UpdateResult(rebuilt, deltas, True, len(batch))

@@ -22,24 +22,8 @@ import numpy as np
 from repro.errors import GraphConstructionError
 
 __all__ = [
-    "CSRGraph", "PreparedArrays", "from_edge_list", "expand_frontier", "gather_edges",
+    "CSRGraph", "from_edge_list", "expand_frontier", "gather_edges",
 ]
-
-@dataclass
-class PreparedArrays:
-    """Solver-side derived arrays of one graph, built by
-    :meth:`CSRGraph.prepare`.
-
-    ``w64`` is the float64 twin of the weights, which the incremental
-    re-solve's dirty-frontier scan (:mod:`repro.dynamic.frontier`)
-    gathers from; int32/float32→float64 is exact, so it holds the same
-    values.  It is a pure function of the weights, never of any solve's
-    distances, which is what makes sharing it across solves (and serving
-    sessions) safe.  The ADDS and Dijkstra relax loops read the graph's
-    own arrays and need nothing prepared.
-    """
-
-    w64: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,43 +149,11 @@ class CSRGraph:
             )
         return self._stats_cache["max_weight"]
 
-    # -- solver-side preparation ----------------------------------------------
-
     def prepare(self) -> "CSRGraph":
-        """Prebuild the solver-side derived arrays, once, on the graph.
-
-        Hoists the float64 weight twin's cast out of the warm re-solve
-        path: a prepared graph pays it here — e.g. at session load time —
-        and every later warm re-solve reuses it.  Unprepared graphs cast
-        per warm solve, and prepared solves are bit-identical to
-        unprepared ones.  Idempotent; returns ``self`` for chaining.
-        """
-        if "prepared" not in self._stats_cache:
-            self._stats_cache["prepared"] = PreparedArrays(
-                w64=self.weights.astype(np.float64),
-            )
+        """Returns ``self``: solvers read the graph's own arrays and need
+        nothing built ahead of a solve.  Kept so callers that prepare a
+        graph at load time keep working."""
         return self
-
-    def prepared(self) -> Optional[PreparedArrays]:
-        """The cached :class:`PreparedArrays`, or None if never prepared."""
-        return self._stats_cache.get("prepared")
-
-    # -- dynamic updates ------------------------------------------------------
-
-    def apply_updates(self, batch):
-        """Apply one :class:`~repro.dynamic.updates.UpdateBatch`.
-
-        Weight-only batches patch ``weights`` (and the prepared float64
-        twin) **in place** and drop the cached weight statistics;
-        batches with inserts or deletes rebuild the CSR and return a
-        fresh, unprepared graph.
-        Returns an :class:`~repro.dynamic.updates.UpdateResult` carrying
-        the post-batch graph and the net per-edge deltas the incremental
-        re-solve path consumes.  See ``docs/dynamic.md``.
-        """
-        from repro.dynamic.updates import apply_updates
-
-        return apply_updates(self, batch)
 
     # -- transforms -----------------------------------------------------------
 

@@ -2,10 +2,8 @@
 
 The ROADMAP's serving layer: everything below this package answers *one*
 solve at a time; this package turns the stack into a query service for
-heavy traffic.  A :class:`Session` holds graphs prepared at load time
-(:meth:`~repro.graphs.csr.CSRGraph.prepare` hoists the float64 weight
-twin out of the warm re-solve path), admits queries through
-a bounded queue (``submit`` → future, :class:`~repro.errors.
+heavy traffic.  A :class:`Session` holds graphs loaded once, admits
+queries through a bounded queue (``submit`` → future, :class:`~repro.errors.
 AdmissionError` past the limit), coalesces same-graph queries within a
 batching window (:class:`~repro.serve.batcher.Batcher`), answers
 repeated sources from an LRU :class:`~repro.serve.cache.DistanceCache`

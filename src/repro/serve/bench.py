@@ -17,8 +17,8 @@ happens in bursts through a synchronous session
 the numbers.
 
 With verification on (the default), every distinct ``(graph, source)``
-that was served is re-solved **directly** — fresh, unprepared graph
-build, straight solver call, no session, no cache — and compared
+that was served is re-solved **directly** — fresh graph build,
+straight solver call, no session, no cache — and compared
 bit-for-bit against the served full distance array.  Zero tolerated
 mismatches: this is the acceptance gate that serving infrastructure
 never changes an answer.
@@ -118,8 +118,8 @@ def _percentiles_ms(latencies_s: Sequence[float]) -> Dict[str, float]:
 
 
 def _fresh_graph(entry: SuiteEntry):
-    """An independent, *unprepared* build of a suite entry — the verify
-    path must not share arrays (or prepared state) with the session."""
+    """An independent build of a suite entry — the verify path must not
+    share arrays with the session, whose weights update in place."""
     if entry.spec is not None:
         g = entry.spec.build()
     else:

@@ -3,9 +3,7 @@
 A :class:`Session` is the front-end of :mod:`repro.serve`:
 
 1. **Load time** — :meth:`Session.add_graph` registers a graph under an
-   id and calls :meth:`~repro.graphs.csr.CSRGraph.prepare` on it, so the
-   float64 weight twin the warm re-solves read is built once, at load,
-   instead of inside each warm solve.
+   id; solvers read its arrays as they are, so loading builds nothing.
 2. **Admission** — :meth:`Session.submit` enqueues a query and returns a
    :class:`~concurrent.futures.Future`.  Past ``max_pending`` waiting
    queries it raises :class:`~repro.errors.AdmissionError` immediately:
@@ -137,10 +135,10 @@ class Session:
         Distance-cache capacity (full solves retained across batches).
     jobs:
         The default ``1`` solves inline on the serving thread —
-        deterministic, and the prepared in-memory graphs are never
-        pickled.  ``N > 1`` solves on a pool of ``N`` worker processes
-        the session owns; each cell pickles its graph to the worker, and
-        a pool that lost a worker is replaced at the next plan.
+        deterministic, and the in-memory graphs are never pickled.
+        ``N > 1`` solves on a pool of ``N`` worker processes the session
+        owns; each cell pickles its graph to the worker, and a pool that
+        lost a worker is replaced at the next plan.
     spec / cost:
         Device model forwarded to each dispatched :class:`SolveRequest`
         (used by device solvers only).
@@ -224,15 +222,14 @@ class Session:
     # -- graph registry ----------------------------------------------------- #
 
     def add_graph(self, graph_id: str, graph: CSRGraph) -> CSRGraph:
-        """Register ``graph`` under ``graph_id`` and prepare it (the
-        float64 weight twin built now, at load time).  Replacing an
-        existing id invalidates its cached distances."""
+        """Register ``graph`` under ``graph_id``.  Replacing an existing
+        id invalidates its cached distances."""
         with self._lock:
             if self._closed:
                 raise ServeError("session is closed")
             if graph_id in self._graphs:
                 self.cache.invalidate(graph_id)
-            self._graphs[graph_id] = graph.prepare()
+            self._graphs[graph_id] = graph
             self._bump_generation(graph_id)
         return graph
 
@@ -247,11 +244,11 @@ class Session:
         loaded graph; returns the :class:`~repro.dynamic.updates.
         UpdateResult`.
 
-        Weight-only batches patch the prepared graph in place and
+        Weight-only batches patch the loaded graph in place and
         invalidate **selectively**: each cached source is kept when
         :func:`~repro.dynamic.frontier.changes_affect` proves the batch
         cannot move any of its distances.  Topology-changing batches
-        swap in the rebuilt (re-prepared) graph and drop the whole
+        swap in the rebuilt graph and drop the whole
         graph's cache.  Either way, every invalidated entry is stashed
         with the net deltas since it was computed, so a later query for
         that source re-solves incrementally from the warm distances
@@ -275,7 +272,7 @@ class Session:
                         d0, acc = self._warm[key]
                         self._warm[key] = (d0, acc.merge(result.deltas))
             if result.topology_changed:
-                self._graphs[graph_id] = result.graph.prepare()
+                self._graphs[graph_id] = result.graph
                 for src in self.cache.sources(graph_id):
                     self._stash_warm(graph_id, src, result.deltas)
                 self.cache.invalidate(graph_id)

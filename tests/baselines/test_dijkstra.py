@@ -151,7 +151,7 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("name", sorted(_GRAPHS))
     @pytest.mark.parametrize("topology", [False, True], ids=["weights", "topology"])
     def test_warm_after_batch(self, name, topology):
-        g = _GRAPHS[name]().prepare()
+        g = _GRAPHS[name]()
         p = 0.5 if topology else 0.0
         (batch,) = update_stream(
             g, batches=1, batch_size=12, seed=9, p_insert=p, p_delete=p
@@ -169,7 +169,7 @@ class TestMatchesReferenceLoop:
         )
 
     def test_weight_patch_seen_without_re_preparing(self, line_graph):
-        g = line_graph.prepare()
+        g = line_graph
         assert solve_dijkstra(g, 0).dist.tolist() == [0, 1, 2, 3, 4, 5]
         apply_updates(g, [EdgeUpdate("increase", 4, 5, 101)])
         assert solve_dijkstra(g, 0).dist.tolist() == [0, 1, 2, 3, 4, 105]

@@ -28,11 +28,11 @@ def _entry(seed: int) -> SuiteEntry:
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_incremental_bit_equal_across_seeds(seed):
     """Direct fuzz loop: one graph, one stream seed."""
-    g = generators.grid_road(6, 6, seed=seed).prepare()
+    g = generators.grid_road(6, 6, seed=seed)
     warm = solve_adds(g, source=0).dist
     for batch in update_stream(g, batches=2, batch_size=6, seed=seed * 31 + 7):
         res = apply_updates(g, batch)
-        g = res.graph.prepare()
+        g = res.graph
         full = solve_adds(g, source=0)
         inc = solve_adds(g, source=0, warm_from=warm, updates=res.deltas)
         assert np.array_equal(full.dist, inc.dist)

@@ -205,7 +205,7 @@ class TestRelax:
         batch patched in place is relaxed with its new weights, exactly
         as on a graph built fresh with them."""
         g = grid_road(14, 10, seed=4)
-        g = (g.as_float() if float_weights else g).prepare()
+        g = (g.as_float() if float_weights else g)
         stale = solve_adds(g, 0)
         (batch,) = update_stream(
             g, batches=1, batch_size=40, seed=3, p_insert=0.0, p_delete=0.0

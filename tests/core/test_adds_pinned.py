@@ -55,7 +55,7 @@ def _small_blocks(pool_blocks: int) -> AddsConfig:
 
 
 def _warm(topology: bool):
-    g = _road().prepare()
+    g = _road()
     p = 0.5 if topology else 0.0
     (batch,) = update_stream(
         g, batches=1, batch_size=40, seed=9, p_insert=p, p_delete=p

@@ -153,11 +153,11 @@ class TestWarmSolvers:
         assert res.work_count == 0  # nothing to expand
 
     def test_dijkstra_incremental_matches_full_over_stream(self):
-        g = generators.grid_road(8, 8, seed=2).prepare()
+        g = generators.grid_road(8, 8, seed=2)
         warm = solve_dijkstra(g, source=0).dist
         for batch in update_stream(g, batches=4, batch_size=6, seed=13):
             res = apply_updates(g, batch)
-            g = res.graph.prepare()
+            g = res.graph
             full = solve_dijkstra(g, source=0)
             inc = solve_dijkstra(g, source=0, warm_from=warm, updates=res.deltas)
             assert np.array_equal(full.dist, inc.dist)  # bit-equal
@@ -166,11 +166,11 @@ class TestWarmSolvers:
     def test_adds_incremental_matches_full_over_stream(self):
         from repro.core.adds import solve_adds
 
-        g = generators.grid_road(6, 6, seed=4).prepare()
+        g = generators.grid_road(6, 6, seed=4)
         warm = solve_adds(g, source=0).dist
         for batch in update_stream(g, batches=3, batch_size=5, seed=21):
             res = apply_updates(g, batch)
-            g = res.graph.prepare()
+            g = res.graph
             full = solve_adds(g, source=0)
             inc = solve_adds(g, source=0, warm_from=warm, updates=res.deltas)
             assert np.array_equal(full.dist, inc.dist)

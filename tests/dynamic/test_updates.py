@@ -68,16 +68,14 @@ class TestEdgeUpdateValidation:
 
 
 class TestWeightOnlyBatch:
-    def test_in_place_patch_and_prepared_twin(self):
-        g = _line_graph().prepare()
+    def test_in_place_patch(self):
+        g = _line_graph()
         res = apply_updates(
             g, UpdateBatch([EdgeUpdate(kind="increase", src=1, dst=2, weight=5.0)])
         )
         assert res.graph is g  # patched in place, no rebuild
         assert not res.topology_changed
-        # both the public weights and the prepared float64 twin see it
         assert float(g.weights[1]) == 5.0
-        assert float(g.prepared().w64[1]) == 5.0
 
     def test_wrong_direction_rejected(self):
         g = _line_graph()
@@ -125,18 +123,18 @@ class TestWeightOnlyBatch:
         assert float(res.deltas.new_w[0]) == 4.0
 
     def test_float_weight_rounded_to_float32(self):
-        """The patched graph, its float64 twin and the recorded delta
-        hold the same float32 value, so ADDS (which reads the twin)
-        agrees with a fresh copy and with Dijkstra."""
+        """The patched weights and the recorded delta hold the same
+        float32 value, so ADDS on the patched graph agrees with ADDS and
+        Dijkstra on a fresh copy."""
         from repro.baselines import solve_dijkstra
         from repro.core.adds import solve_adds
         from repro.graphs import CSRGraph, grid_road
 
-        g = grid_road(4, 4, seed=1).as_float().prepare()
+        g = grid_road(4, 4, seed=1).as_float()
         assert int(g.col_indices[0]) == 1
         res = apply_updates(g, [EdgeUpdate("decrease", 0, 1, 0.1)])
         w = float(np.float32(0.1))
-        assert float(g.weights[0]) == float(g.prepared().w64[0]) == w
+        assert float(g.weights[0]) == w
         assert float(res.deltas.new_w[0]) == w
         fresh = CSRGraph(
             g.row_offsets.copy(), g.col_indices.copy(), g.weights.copy()
@@ -151,15 +149,15 @@ class TestWeightOnlyBatch:
     )
     def test_overflowing_weight_rejects_whole_batch(self, as_float, weight):
         g = _line_graph()
-        g = (g.as_float() if as_float else g).prepare()
-        before = g.weights.tobytes(), g.prepared().w64.tobytes()
+        g = g.as_float() if as_float else g
+        before = g.weights.tobytes()
         batch = [
             EdgeUpdate(kind="increase", src=0, dst=1, weight=6.0),  # valid
             EdgeUpdate(kind="increase", src=1, dst=2, weight=weight),
         ]
         with pytest.raises(DynamicError, match="int32|float32"):
             apply_updates(g, batch)
-        assert (g.weights.tobytes(), g.prepared().w64.tobytes()) == before
+        assert g.weights.tobytes() == before
         # a topology batch validates the same way
         with pytest.raises(DynamicError, match="int32|float32"):
             apply_updates(g, [EdgeUpdate("insert", 0, 3, weight)])
@@ -252,13 +250,6 @@ class TestEdgeDeltas:
         assert res.graph is g
         assert res.deltas.size == 0
         assert res.n_updates == 0
-
-    def test_csr_method_delegates(self):
-        g = _line_graph()
-        res = g.apply_updates(
-            UpdateBatch([EdgeUpdate(kind="increase", src=0, dst=1, weight=3.0)])
-        )
-        assert float(res.graph.weights[0]) == 3.0
 
 
 class TestMergeUpdateStreamChains:

@@ -163,6 +163,10 @@ class TestProperties:
     def test_edges_iterator(self, tiny_graph):
         assert sorted(tiny_graph.edges()) == [(0, 1, 10), (0, 2, 1), (2, 1, 2)]
 
+    def test_prepare_returns_self(self, tiny_graph):
+        # nothing is built ahead of a solve; load-time callers chain it
+        assert tiny_graph.prepare() is tiny_graph
+
 
 class TestTransforms:
     def test_reversed_roundtrip(self, small_road):

@@ -188,3 +188,64 @@ class TestGenerationGuard:
             assert s._warm
             s.remove_graph("g")
             assert not s._warm
+
+
+class TestRejectedBatch:
+    """A batch ``apply_updates`` rejects — here a replay of a batch the
+    graph already took, drawn for an older state — leaves the session
+    as it was: graph, generation, cache entries and warm stash."""
+
+    @staticmethod
+    def _state(s):
+        cached = {
+            src: s.cache.peek("g", src).tobytes() for src in s.cache.sources("g")
+        }
+        warm = {
+            key: (dist.tobytes(), d.src.tobytes(), d.dst.tobytes(),
+                  d.old_w.tobytes(), d.new_w.tobytes())
+            for key, (dist, d) in s._warm.items()
+        }
+        g = s.graph("g")
+        return g, g.weights.tobytes(), s._generation["g"], cached, warm
+
+    def test_stale_batch_leaves_session_untouched(self, grid):
+        from repro.baselines.dijkstra import solve_dijkstra
+        from repro.errors import DynamicError
+        from repro.graphs import CSRGraph
+
+        with Session(autostart=False) as s:
+            s.add_graph("g", grid)
+            dist0 = s.query("g", 0).dist
+            s.query("g", 63)
+            # raise a tight edge out of source 0: its entry moves to the
+            # warm stash, 63's may stay cached
+            g = s.graph("g")
+            lo = int(g.row_offsets[0])
+            dst, w = int(g.col_indices[lo]), float(g.weights[lo])
+            assert dist0[dst] == w
+            batch = UpdateBatch([EdgeUpdate("increase", 0, dst, w + 5)])
+            s.apply_updates("g", batch)
+            assert ("g", 0) in s._warm
+            s.query("g", 7)
+            before = self._state(s)
+
+            for stale in (
+                batch,  # the increase is no longer an increase
+                UpdateBatch([  # a valid update, then a duplicate insert
+                    EdgeUpdate("decrease", 0, dst, w),
+                    EdgeUpdate("insert", 0, dst, 1.0),
+                ]),
+            ):
+                with pytest.raises(DynamicError):
+                    s.apply_updates("g", stale)
+                after = self._state(s)
+                assert after[0] is before[0]
+                assert after[1:] == before[1:]
+
+            fresh = CSRGraph(
+                g.row_offsets.copy(), g.col_indices.copy(), g.weights.copy()
+            )
+            for src in (0, 63, 7, 12):
+                served = s.query("g", src).dist
+                assert served.tobytes() == solve_dijkstra(fresh, src).dist.tobytes()
+            assert s.counters()["serve_incremental"] >= 1
