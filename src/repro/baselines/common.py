@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import SolverError
 from repro.gpu.timeline import Timeline
 from repro.graphs.csr import gather_edges
+from repro.trace.export import json_safe
 from repro.trace.metrics import UNIFORM_SOLVER_KEYS
 
 __all__ = [
@@ -125,7 +126,7 @@ class SSSPResult:
             "reached": self.reached(),
             "time_us": float(self.time_us),
             "work_count": int(self.work_count),
-            "stats": _json_safe(self.stats),
+            "stats": json_safe(self.stats),
         }
         if include_dist:
             out["dist"] = [
@@ -163,22 +164,6 @@ class SSSPResult:
             f"predecessor tree of {self.solver} on {self.graph_name} is "
             f"inconsistent at vertex {target}"
         )
-
-
-def _json_safe(v):
-    """Recursively coerce numpy scalars/arrays and non-finite floats to
-    JSON-native values (non-finite floats become None)."""
-    if isinstance(v, dict):
-        return {str(k): _json_safe(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_json_safe(x) for x in v.tolist()]
-    if hasattr(v, "item"):
-        v = v.item()
-    if isinstance(v, float) and not np.isfinite(v):
-        return None
-    return v
 
 
 def uniform_stats(

@@ -338,7 +338,6 @@ def cmd_serve_bench(ns) -> int:
         categories=ns.categories.split(",") if ns.categories else None,
         solver=ns.solver,
         options=_options(ns),
-        window_s=ns.window,
         max_batch=ns.max_batch,
         cache_entries=ns.cache_entries,
         burst=ns.burst,
@@ -642,9 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--solver", default="dijkstra",
                     choices=sorted(SOLVERS),
                     help="solver every query is answered with")
-    sv.add_argument("--window", type=float, default=0.0, metavar="SECONDS",
-                    help="batching window recorded in the payload (the "
-                         "replay drains synchronously per burst)")
     sv.add_argument("--max-batch", type=int, default=32,
                     help="unique sources per dispatched batch")
     sv.add_argument("--cache-entries", type=int, default=64,

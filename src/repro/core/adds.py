@@ -65,7 +65,6 @@ class AddsState:
     # counters
     work_count: int = 0
     outstanding_edges: float = 0.0
-    head_switches: int = 0
     delta_trace: List[Tuple[float, float]] = field(default_factory=list)
     #: dynamic protocol checker (:class:`repro.check.ProtocolChecker`);
     #: set by ``checker.attach``, consulted by the MTB/WTB programs.
@@ -141,13 +140,7 @@ def solve_adds(
     if updates is not None and warm_from is None:
         raise SolverError("updates= requires warm_from= distances")
 
-    initial_delta = (
-        delta
-        if delta is not None
-        else config.initial_delta
-        if config.initial_delta is not None
-        else davidson_delta(graph)
-    )
+    initial_delta = delta if delta is not None else davidson_delta(graph)
     if not initial_delta > 0:  # also rejects NaN
         raise SolverError(f"initial delta must be positive (got {initial_delta})")
 
@@ -166,11 +159,11 @@ def solve_adds(
 
     pool = GlobalPool(config.pool_blocks, words_per_block=config.slots_per_block)
     queue = BucketQueue(device.mem, pool, config, initial_delta=initial_delta)
-    if config.delta_floor is not None:
-        delta_floor = config.delta_floor
-    else:
-        positive = graph.weights[graph.weights > 0]
-        delta_floor = float(positive.min()) / 4.0 if positive.size else 1e-9
+    # Δ floor: a quarter of the smallest positive weight.  Below it every
+    # band boundary falls between weights, and shrinking further only
+    # mints empty buckets and clipping.
+    positive = graph.weights[graph.weights > 0]
+    delta_floor = float(positive.min()) / 4.0 if positive.size else 1e-9
     controller = DeltaController(
         config=config,
         spec=spec,
@@ -267,7 +260,6 @@ def solve_adds(
     for key, value in (
         ("delta_adjustments", controller.adjustments),
         ("rotations", queue.rotations),
-        ("head_switches", state.head_switches),
         ("total_pushed", queue.total_pushed),
         ("total_completed", queue.total_completed),
         ("high_clips", queue.high_clips),

@@ -30,9 +30,8 @@ pattern, and the same storage serves int- and float-weighted graphs
 Python ints and the slots move through Python lists: every per-batch
 operation touches a handful of values, where NumPy's per-call dispatch
 would cost more than the work.  For the same reason the queue updates
-its own counters in place and counts each atomic and fence straight
-into the shared ``SimMemory.stats``, the numbers ``atomic_add`` and
-``fence`` would have counted.
+its own counters in place and counts each ``atomicAdd`` and
+``__threadfence`` straight into the shared ``SimMemory.stats``.
 
 A writer publishes a batch in one pass: :meth:`BucketQueue.push_groups`
 reads the winners' distances, bands them with one

@@ -20,12 +20,15 @@ class AddsConfig:
     ``dynamic_delta=False`` (Static-Δ) and additionally ``n_buckets=2``
     (2-Buckets).
 
-    Only knobs some caller sets are fields.  The controller's fixed
-    constants — utilization band, settling switches, EWMA factor and Δ
-    growth step — are module constants of
+    A field exists only if code outside ``tests/`` sets it; a value
+    nothing varies is a module constant where it is read, and tests that
+    need another value monkeypatch it.  The controller's constants —
+    utilization band, settling switches and passes, warm-up, EWMA factor,
+    Δ growth step and the clip-guard fraction — live in
     :mod:`repro.core.delta_controller`; the MTB's idle re-scan interval
-    is :data:`repro.core.mtb.MTB_IDLE_CYCLES`; the initial-Δ heuristic
-    uses :data:`repro.baselines.NEAR_FAR_C`.
+    and termination sweeps in :mod:`repro.core.mtb`; the initial-Δ
+    heuristic uses :data:`repro.baselines.NEAR_FAR_C`.  The starting Δ
+    is the solver's ``delta=`` option.
     """
 
     #: Number of buckets in the circular work queue (paper: "a fixed
@@ -67,43 +70,10 @@ class AddsConfig:
     #: §5.5 dynamic Δ on/off (off = Table 5 "Static-Δ" ablation).
     dynamic_delta: bool = True
 
-    #: Starting Δ; None → Davidson heuristic (same as the baselines).
-    initial_delta: Optional[float] = None
-
-    #: Fallback settling horizon in MTB passes, for executions that rotate
-    #: rarely or never (e.g. when Δ already covers the whole distance
-    #: range).  The paper counts head-bucket switches only; at simulation
-    #: scale some graphs finish within a couple of rotations, so the
-    #: controller is also allowed to act after this many passes.
-    settle_passes: int = 60
-
-    #: MTB passes before the controller may make its first adjustment.
-    #: Early execution is dominated by the BFS-like ramp-up from the
-    #: source, whose transient starvation says nothing about the graph
-    #: (the paper: "when a new bucket ... is first being processed,
-    #: utilization will temporally jump and then gradually fall ...
-    #: adjusting is likely to be counterproductive").
-    warmup_passes: int = 150
-
-    #: Clip guard: if the tail bucket received at least this fraction of
-    #: pushes since the last check, Δ is below the clipping bound (§5.5:
-    #: "the tail bucket contains at least 65% of the total number of
-    #: assigned work items").
-    clip_fraction: float = 0.65
-
-    #: Hard floor for Δ.  None → a quarter of the smallest positive edge
-    #: weight (below that, every band boundary falls between weights and
-    #: shrinking further only mints empty buckets and clipping).
-    delta_floor: Optional[float] = None
-
     #: Bounds for the dynamic number of high-priority buckets the MTB
     #: assigns from (§5.4 optimization / §5.5 fine-grained mechanism).
     min_active_buckets: int = 1
     max_active_buckets: int = 8
-
-    #: Consecutive empty sweeps of the work queue before terminating
-    #: (§5.4: "two sweeps are needed").
-    termination_sweeps: int = 2
 
     #: TESTS ONLY — §5.4's failure mode: rotate the head bucket as soon as
     #: it looks empty, without waiting for its CWC to match resv_ptr.
@@ -124,16 +94,8 @@ class AddsConfig:
             raise SolverError("pool needs at least one block per bucket")
         if self.max_chunk < 1:
             raise SolverError("max_chunk must be positive")
-        if not (0 < self.clip_fraction <= 1):
-            raise SolverError("clip_fraction must be in (0, 1]")
         if not (1 <= self.min_active_buckets <= self.max_active_buckets <= self.n_buckets):
             raise SolverError("invalid active-bucket bounds")
-        if self.termination_sweeps < 1:
-            raise SolverError("termination_sweeps must be >= 1")
-        if self.settle_passes < 1:
-            raise SolverError("settle_passes must be >= 1")
-        if self.warmup_passes < 0:
-            raise SolverError("warmup_passes must be >= 0")
 
     def replace(self, **kw) -> "AddsConfig":
         """A copy with fields overridden (ablations, sweeps)."""

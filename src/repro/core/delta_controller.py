@@ -27,7 +27,7 @@ pass:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.core.config import AddsConfig
 from repro.gpu.specs import DeviceSpec
@@ -44,6 +44,27 @@ UTIL_HIGH = 0.55
 
 #: Head-bucket switches to wait between Δ adjustments (§5.5 settling).
 SETTLE_SWITCHES = 2
+
+#: Fallback settling horizon in MTB passes, for executions that rotate
+#: rarely or never (e.g. when Δ already covers the whole distance
+#: range).  The paper counts head-bucket switches only; at simulation
+#: scale some graphs finish within a couple of rotations, so the
+#: controller is also allowed to act after this many passes.
+SETTLE_PASSES = 60
+
+#: MTB passes before the controller may make its first adjustment.
+#: Early execution is dominated by the BFS-like ramp-up from the source,
+#: whose transient starvation says nothing about the graph (the paper:
+#: "when a new bucket ... is first being processed, utilization will
+#: temporally jump and then gradually fall ... adjusting is likely to be
+#: counterproductive").
+WARMUP_PASSES = 150
+
+#: Clip guard: if the tail bucket received at least this fraction of
+#: pushes since the last check, Δ is below the clipping bound (§5.5:
+#: "the tail bucket contains at least 65% of the total number of
+#: assigned work items").
+CLIP_FRACTION = 0.65
 
 #: Smoothing factor for the utilization signal (EWMA of in-flight
 #: edges sampled each MTB pass) — the paper's "some utilization
@@ -62,7 +83,7 @@ class DeltaController:
     spec: DeviceSpec
     avg_degree: float
     delta: float
-    #: hard lower bound on Δ (see AddsConfig.delta_floor)
+    #: hard lower bound on Δ (``solve_adds`` derives it from the weights)
     delta_floor: float = 1e-9
     active_buckets: int = 1
     rotations_at_last_change: int = 0
@@ -79,7 +100,6 @@ class DeltaController:
     #: solution").
     util_at_growth: Optional[float] = None
     growth_frozen: bool = False
-    history: List[Tuple[int, float]] = field(default_factory=list)
     #: observability hooks (see attach_tracer); excluded from comparisons
     tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
     clock: Callable[[], float] = field(
@@ -98,7 +118,6 @@ class DeltaController:
             self.config.min_active_buckets,
             min(self.config.max_active_buckets, self.active_buckets),
         )
-        self.history.append((0, self.delta))
         # utilization's divisor, read on every MTB pass: the device and
         # the graph's degree are fixed for a solve
         self._util_div = max(self.target_edges(), 1.0)
@@ -142,14 +161,14 @@ class DeltaController:
         """Has the system had time to absorb the last Δ change?
 
         The paper's criterion is head-bucket switches; the pass-count
-        fallback covers executions that barely rotate (config docstring).
+        fallback covers executions that barely rotate (``SETTLE_PASSES``).
         A warm-up window suppresses reactions to the ramp-up transient.
         """
-        if self.passes_total < self.config.warmup_passes:
+        if self.passes_total < WARMUP_PASSES:
             return False
         return (
             rotations - self.rotations_at_last_change >= SETTLE_SWITCHES
-            or self.passes_since_change >= self.config.settle_passes
+            or self.passes_since_change >= SETTLE_PASSES
         )
 
     def maybe_adjust_delta(self, tail_fraction: float, rotations: int) -> float:
@@ -165,7 +184,7 @@ class DeltaController:
 
         g = DELTA_GROWTH
         u = self.utilization(self.util_ewma)
-        if tail_fraction >= self.config.clip_fraction:
+        if tail_fraction >= CLIP_FRACTION:
             # clip guard: Δ is below the clipping bound, grow regardless
             self.growth_frozen = False
             self._grow(rotations, g)
@@ -217,4 +236,3 @@ class DeltaController:
             self.rotations_at_last_change = rotations
             self.passes_since_change = 0
             self.adjustments += 1
-            self.history.append((rotations, new_delta))

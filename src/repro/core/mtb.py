@@ -15,7 +15,7 @@ Every management pass the MTB:
    cramming failure, available as ``unsafe_rotation`` for the tests);
 4. **tunes** — feeds the Δ controller the current in-flight work and the
    clip-guard signal, applying active-bucket and Δ adjustments;
-5. **terminates** — after ``termination_sweeps`` consecutive passes in
+5. **terminates** — after ``TERMINATION_SWEEPS`` consecutive passes in
    which the queue is empty, nothing is in flight and every WTB is idle,
    it broadcasts STOP to all AFs and exits (§5.4: two sweeps "to ensure
    that all work in progress has been completed").
@@ -36,6 +36,10 @@ __all__ = ["mtb_program"]
 #: Idle MTB pass interval, cycles (how often the manager re-scans when
 #: nothing changed).
 MTB_IDLE_CYCLES = 400.0
+
+#: Consecutive empty sweeps of the work queue before terminating (§5.4:
+#: "two sweeps are needed").
+TERMINATION_SWEEPS = 2
 
 
 def mtb_program(state):
@@ -179,7 +183,6 @@ def mtb_program(state):
                 break  # nothing left anywhere: rotating forever is pointless
             q.rotate()
             q.reset_push_window()  # clip guard measures the freshest band
-            state.head_switches += 1
             rotated += 1
 
         # ---- 4. Δ controller -----------------------------------------------------
@@ -213,7 +216,7 @@ def mtb_program(state):
         )
         if queue_empty:
             empty_sweeps += 1
-            if empty_sweeps >= cfg.termination_sweeps:
+            if empty_sweeps >= TERMINATION_SWEEPS:
                 for w in range(n_wtbs):
                     af_state[w] = AF_STOP
                     notify(af_keys[w])

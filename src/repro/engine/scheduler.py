@@ -15,7 +15,7 @@ Timeout enforcement is two-layered:
    solve, so a cell stuck in Python code raises ``CellTimeout`` right
    inside the worker and the worker survives to take the next cell.
 2. **Parent-side stall watchdog** (backstop): if *no* cell completes for
-   ``timeout_s + pool_grace_s`` seconds, the pool is presumed wedged
+   ``timeout_s + POOL_GRACE_S`` seconds, the pool is presumed wedged
    (e.g. a worker stuck in native code where the alarm can't fire); the
    parent terminates the workers, fails the in-flight cells, requeues the
    never-started ones, and continues on a fresh pool.
@@ -65,6 +65,10 @@ __all__ = [
     "sweep_options",
 ]
 
+#: Slack added to ``timeout_s`` for the parent-side stall watchdog: a
+#: pool with no completion for that long is presumed wedged.
+POOL_GRACE_S = 30.0
+
 
 @dataclass
 class EngineConfig:
@@ -96,8 +100,6 @@ class EngineConfig:
         Extra modules to import in every worker (and the parent) before
         solving — the plugin hook for solvers registered outside
         :mod:`repro`; each must call ``register_solver`` at import time.
-    pool_grace_s:
-        Slack added to ``timeout_s`` for the parent-side stall watchdog.
     """
 
     jobs: Optional[int] = 1
@@ -107,7 +109,6 @@ class EngineConfig:
     store_path: Optional[Union[str, Path]] = None
     resume: bool = False
     solver_modules: Tuple[str, ...] = ()
-    pool_grace_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.jobs is not None and self.jobs < 1:
@@ -333,7 +334,7 @@ def _run_parallel(
     """Fan cells over a process pool; rebuild the pool if it wedges."""
     stall_limit = (
         None if config.timeout_s is None
-        else config.timeout_s + config.pool_grace_s
+        else config.timeout_s + POOL_GRACE_S
     )
     pending = deque(cells)
     while pending:

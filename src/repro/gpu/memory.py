@@ -1,16 +1,17 @@
-"""Simulated device memory: atomics, fences and traffic accounting.
+"""Simulated device memory: atomics and operation accounting.
 
 The event engine in :mod:`repro.gpu.device` is cooperative (a block's
 program runs uninterrupted between ``yield`` points), so the *values*
 produced by these atomics are trivially correct; what this module adds is
 
-- the **API shape** of the CUDA primitives the simulated kernels use:
-  ``atomicAdd`` and ``__threadfence`` for the ADDS bucket queue's SRMW
-  protocol (§5.2), and a batched ``atomicMin`` for the frontier relax
-  of the BSP baselines (the ADDS worker relax in :mod:`repro.core.wtb`
-  applies the same winner rule edge by edge);
-- **operation counters**, which feed reports and tests (e.g. the tests
-  that assert the MTB performs a fence before trusting ``resv_ptr``); and
+- the **API shape** of the CUDA atomics the simulated kernels use: a
+  batched ``atomicMin`` for the frontier relax of the BSP baselines (the
+  ADDS worker relax in :mod:`repro.core.wtb` applies the same winner
+  rule edge by edge) and ``atomicAdd``;
+- **operation counters** (:class:`MemoryStats`), which feed reports and
+  tests; the ADDS bucket queue's SRMW protocol (§5.2) does not call
+  this API but counts each of its ``atomicAdd`` and ``__threadfence``
+  operations into them (:mod:`repro.core.bucket_queue`); and
 - an **arena** (:class:`GlobalPool`) from which the ADDS block
   allocator draws its 64 Ki-word blocks, standing in for the paper's
   "large block of pre-allocated GPU memory" (§5.3).
@@ -19,7 +20,7 @@ produced by these atomics are trivially correct; what this module adds is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 import numpy as np
 
@@ -38,12 +39,6 @@ class MemoryStats:
 
     atomics: int = 0
     fences: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "atomics": self.atomics,
-            "fences": self.fences,
-        }
 
 
 class SimMemory:
@@ -107,14 +102,6 @@ class SimMemory:
             if payload is not None and payload_out is not None:
                 payload_out[indices[winners]] = payload[winners]
         return winners
-
-    # -- fences ------------------------------------------------------------ #
-
-    def fence(self) -> None:
-        """``__threadfence``: in the cooperative simulator ordering is
-        already sequential; the call is counted so protocol tests can
-        assert it happened where §5.2 requires it."""
-        self.stats.fences += 1
 
 
 class GlobalPool:

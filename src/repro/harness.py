@@ -47,6 +47,11 @@ __all__ = [
     "write_result_files",
 ]
 
+#: Tolerances of ``run_suite``'s cross-solver check
+#: (:func:`~repro.validation.verify_results`).
+VERIFY_ATOL = 1e-2
+VERIFY_RTOL = 1e-5
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -134,8 +139,6 @@ def run_suite(
     cost: Optional[CostModel] = None,
     options: Optional[Dict[str, object]] = None,
     verify: bool = True,
-    verify_atol: float = 1e-2,
-    verify_rtol: float = 1e-5,
     progress: Optional[Callable[[str], None]] = None,
     jobs: Optional[int] = 1,
     timeout_s: Optional[float] = None,
@@ -151,9 +154,10 @@ def run_suite(
     RTX 2080 Ti); CPU solvers ignore them.  ``options`` are per-solve
     options, each applied to the solvers in the sweep that accept it
     (see :func:`repro.engine.sweep_options`).  With ``verify=True`` every
-    solver's distances are checked against the first solver's (the
-    ``verify_against_*`` step); failures are recorded, not raised, so one
-    bad run doesn't lose a whole sweep.
+    solver's distances are checked against the first solver's within
+    ``VERIFY_ATOL``/``VERIFY_RTOL`` (the ``verify_against_*`` step);
+    failures are recorded, not raised, so one bad run doesn't lose a
+    whole sweep.
 
     Engine knobs (see :class:`repro.engine.EngineConfig`):
 
@@ -206,7 +210,7 @@ def run_suite(
                     continue
                 mism = verify_results(
                     results[ref_name], results[name],
-                    atol=verify_atol, rtol=verify_rtol,
+                    atol=VERIFY_ATOL, rtol=VERIFY_RTOL,
                 )
                 if mism:
                     run.verification_failures.append(

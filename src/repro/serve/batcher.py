@@ -80,9 +80,8 @@ class Batcher:
     Parameters
     ----------
     window_s:
-        How long the session lets queries accumulate before draining
-        (carried here so session and bench read one knob; the batcher
-        itself never sleeps).
+        How long the session's batcher thread lets queries accumulate
+        before draining (the batcher itself never sleeps).
     max_batch:
         Upper bound on *unique sources* per plan — the unit that bounds
         solver work.  A graph's queries spill into as many plans as

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Version of the JSON payload emitted by :func:`run_serve_bench`.
-SERVE_BENCH_SCHEMA_VERSION = 2
+SERVE_BENCH_SCHEMA_VERSION = 3
 
 #: (graph_id, source, targets-or-None) — one query of a replay trace.
 TraceQuery = Tuple[str, int, Optional[Tuple[int, ...]]]
@@ -135,7 +135,6 @@ def run_serve_bench(
     categories: Optional[List[str]] = None,
     solver: str = "dijkstra",
     options: Optional[Dict[str, object]] = None,
-    window_s: float = 0.0,
     max_batch: int = 32,
     cache_entries: int = 64,
     burst: int = 32,
@@ -156,8 +155,7 @@ def run_serve_bench(
     a handful of quarter-scale suite graphs and the ``dijkstra`` CPU
     reference.  ``burst`` is how many submissions accumulate before each
     synchronous drain — the deterministic stand-in for the wall-clock
-    window an asynchronous session would use (``window_s`` is recorded
-    in the payload but the replay never sleeps).
+    window an asynchronous session would use; the replay never sleeps.
 
     ``updates > 0`` turns the replay into a sustained **update + query
     mix**: per graph, ``updates`` edge-update batches of ``update_size``
@@ -194,7 +192,6 @@ def run_serve_bench(
         session = Session(
             solver=solver,
             options=options,
-            window_s=window_s,
             max_batch=max_batch,
             max_pending=max(burst * 2, 64),
             cache_entries=cache_entries,
@@ -381,7 +378,6 @@ def run_serve_bench(
             "categories": categories,
             "solver": solver,
             "options": options.to_json(),
-            "window_s": window_s,
             "max_batch": max_batch,
             "cache_entries": cache_entries,
             "burst": burst,

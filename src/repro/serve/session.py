@@ -128,9 +128,6 @@ class Session:
     max_pending:
         Admission limit on *waiting* queries; submissions beyond it
         raise :class:`AdmissionError`.
-    default_timeout_s:
-        Per-request deadline applied when ``submit`` gets no explicit
-        ``timeout_s``; ``None`` = no deadline.
     cache_entries:
         Distance-cache capacity (full solves retained across batches).
     jobs:
@@ -160,7 +157,6 @@ class Session:
         window_s: float = 0.005,
         max_batch: int = 32,
         max_pending: int = 1024,
-        default_timeout_s: Optional[float] = None,
         cache_entries: int = 64,
         jobs: int = 1,
         spec=None,
@@ -182,7 +178,6 @@ class Session:
             get_solver(solver).accepts("warm_from") and incremental
         )
         self.max_pending = max_pending
-        self.default_timeout_s = default_timeout_s
         self.spec = spec
         self.cost = cost
         self.batcher = Batcher(window_s=window_s, max_batch=max_batch)
@@ -318,10 +313,6 @@ class Session:
                 f"unknown graph id {graph_id!r}; loaded: {sorted(self._graphs)}"
             ) from None
 
-    @property
-    def graph_ids(self) -> List[str]:
-        return sorted(self._graphs)
-
     # -- admission ----------------------------------------------------------- #
 
     def submit(
@@ -334,7 +325,9 @@ class Session:
     ) -> "Future[QueryResult]":
         """Enqueue one query; the future resolves to a
         :class:`QueryResult` (or :class:`ServeTimeout` /
-        :class:`ServeError` exceptionally).
+        :class:`ServeError` exceptionally).  ``timeout_s`` is the
+        query's deadline, in seconds from submission; ``None`` (default)
+        sets none.
 
         Raises :class:`AdmissionError` synchronously when the pending
         queue is full and :class:`ServeError` for unknown graph ids or
@@ -366,8 +359,6 @@ class Session:
                     f"pending queue full ({self.max_pending} queries); "
                     f"retry after the current window drains"
                 )
-            if timeout_s is None:
-                timeout_s = self.default_timeout_s
             now_mono = time.monotonic()
             q = Query(
                 graph_id=graph_id,
@@ -422,21 +413,6 @@ class Session:
         for plan in plans:
             settled += self._execute_plan(plan)
         return settled
-
-    def flush(self, timeout_s: float = 30.0) -> None:
-        """Block until every query admitted so far has settled."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._pending:
-                    return
-                if self._thread is None:
-                    break  # synchronous mode: drain ourselves below
-            time.sleep(self.batcher.window_s or 0.001)
-        if self._thread is None:
-            self.serve_pending()
-            return
-        raise ServeError(f"flush timed out after {timeout_s:g}s")
 
     def _serve_loop(self) -> None:
         while True:

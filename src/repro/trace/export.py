@@ -26,9 +26,12 @@ from pathlib import Path
 from numbers import Real
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.trace.tracer import COUNTER, INSTANT, SPAN, Tracer
 
 __all__ = [
+    "json_safe",
     "to_perfetto",
     "write_trace_json",
     "counters_csv",
@@ -40,14 +43,19 @@ __all__ = [
 _PID = 1
 
 
-def _json_safe(v: object) -> object:
-    """Coerce numpy scalars and other exotica to JSON-native values."""
-    if hasattr(v, "item"):
-        return v.item()
-    if isinstance(v, (list, tuple)):
-        return [_json_safe(x) for x in v]
+def json_safe(v: object) -> object:
+    """Recursively coerce numpy scalars/arrays and non-finite floats to
+    strict-JSON values (non-finite floats become None)."""
     if isinstance(v, dict):
-        return {str(k): _json_safe(x) for k, x in v.items()}
+        return {str(k): json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [json_safe(x) for x in v]
+    if isinstance(v, np.ndarray):
+        return [json_safe(x) for x in v.tolist()]
+    if hasattr(v, "item"):
+        v = v.item()
+    if isinstance(v, float) and not np.isfinite(v):
+        return None
     return v
 
 
@@ -86,7 +94,7 @@ def to_perfetto(tracer: Tracer, process_name: str = "repro-sim") -> dict:
                     "tid": tid,
                     "ts": ev.ts_us,
                     "dur": ev.dur_us,
-                    "args": {k: _json_safe(v) for k, v in ev.args.items()},
+                    "args": {k: json_safe(v) for k, v in ev.args.items()},
                 }
             )
         elif ev.kind == INSTANT:
@@ -99,7 +107,7 @@ def to_perfetto(tracer: Tracer, process_name: str = "repro-sim") -> dict:
                     "pid": _PID,
                     "tid": tid,
                     "ts": ev.ts_us,
-                    "args": {k: _json_safe(v) for k, v in ev.args.items()},
+                    "args": {k: json_safe(v) for k, v in ev.args.items()},
                 }
             )
         elif ev.kind == COUNTER:
@@ -109,7 +117,7 @@ def to_perfetto(tracer: Tracer, process_name: str = "repro-sim") -> dict:
                     "ph": "C",
                     "pid": _PID,
                     "ts": ev.ts_us,
-                    "args": {"value": _json_safe(ev.args.get("value", 0.0))},
+                    "args": {"value": json_safe(ev.args.get("value", 0.0))},
                 }
             )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import davidson_delta, solve_dijkstra, solve_nf
 from repro.check import ProtocolChecker
-from repro.core import AddsConfig, solve_adds
+from repro.core import AddsConfig, delta_controller, solve_adds
 from repro.dynamic import EdgeDeltas, apply_updates
 from repro.errors import SolverError
 from repro.graphs import CSRGraph, from_edge_list, grid_road, rmat, update_stream
@@ -27,8 +27,11 @@ class TestConfigHandling:
         assert r.stats["initial_delta"] == 123.0
 
     def test_config_initial_delta(self, small_road):
-        r = solve_adds(small_road, 0, config=AddsConfig(initial_delta=77.0))
-        assert r.stats["initial_delta"] == 77.0
+        # delta= is the one starting-Δ knob, and the static Δ of the
+        # Static-Δ ablation
+        cfg = AddsConfig().static_delta_ablation()
+        r = solve_adds(small_road, 0, config=cfg, delta=77.0)
+        assert r.stats["initial_delta"] == r.stats["final_delta"] == 77.0
 
     def test_invalid_delta(self, small_road):
         with pytest.raises(SolverError):
@@ -90,17 +93,21 @@ class TestDynamicDelta:
         assert r.stats["delta_adjustments"] == 0
         assert r.stats["final_delta"] == r.stats["initial_delta"]
 
-    def test_dynamic_mode_records_trace(self, small_mesh):
-        r = solve_adds(small_mesh, 0, config=AddsConfig(warmup_passes=10, settle_passes=10))
+    @pytest.fixture
+    def fast_settle(self, monkeypatch):
+        monkeypatch.setattr(delta_controller, "WARMUP_PASSES", 10)
+        monkeypatch.setattr(delta_controller, "SETTLE_PASSES", 10)
+
+    def test_dynamic_mode_records_trace(self, small_mesh, fast_settle):
+        r = solve_adds(small_mesh, 0)
         assert r.stats["delta_adjustments"] == len(r.stats["delta_trace"])
 
-    def test_tiny_initial_delta_recovers_via_clip_guard(self, small_mesh, oracle):
+    def test_tiny_initial_delta_recovers_via_clip_guard(
+        self, small_mesh, oracle, fast_settle
+    ):
         """Start in the Figure 6(b) clipping regime; the 65 % guard must
         pull Δ back up and the answer must stay exact."""
-        r = solve_adds(
-            small_mesh, 0, delta=0.5,
-            config=AddsConfig(warmup_passes=10, settle_passes=10),
-        )
+        r = solve_adds(small_mesh, 0, delta=0.5)
         assert r.stats["final_delta"] > 0.5
         np.testing.assert_allclose(
             np.nan_to_num(r.dist, posinf=-1),

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import AddsConfig
+from repro.core import AddsConfig, delta_controller, mtb
 from repro.errors import SolverError
 
 
@@ -15,8 +15,8 @@ class TestDefaults:
         cfg = AddsConfig()
         assert cfg.n_buckets == 32  # §5.4
         assert cfg.dynamic_delta is True
-        assert cfg.clip_fraction == 0.65  # §5.5's empirical bound
-        assert cfg.termination_sweeps == 2  # §5.4
+        assert delta_controller.CLIP_FRACTION == 0.65  # §5.5's empirical bound
+        assert mtb.TERMINATION_SWEEPS == 2  # §5.4
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -28,13 +28,18 @@ class TestDefaults:
         assert AddsConfig().n_buckets == 32
 
     def test_fixed_constants_are_not_fields(self):
-        # values no caller sets live as module constants where they are read
+        # a field exists only if code outside tests/ sets it; values no
+        # caller varies live as module constants where they are read, and
+        # the starting Δ is the solver's delta= option
         names = {f.name for f in dataclasses.fields(AddsConfig)}
         fixed = {
             "util_low", "util_high", "settle_switches", "ewma_alpha",
             "delta_growth", "mtb_idle_cycles", "delta_constant",
+            "clip_fraction", "settle_passes", "warmup_passes",
+            "termination_sweeps", "delta_floor", "initial_delta",
         }
         assert not names & fixed
+        assert len(names) == 11
 
 
 class TestValidation:
@@ -47,14 +52,9 @@ class TestValidation:
             {"slots_per_block": 100, "segment_size": 32},
             {"pool_blocks": 8},
             {"max_chunk": 0},
-            {"clip_fraction": 0.0},
-            {"clip_fraction": 1.5},
             {"min_active_buckets": 0},
             {"min_active_buckets": 5, "max_active_buckets": 3},
             {"max_active_buckets": 64},
-            {"termination_sweeps": 0},
-            {"settle_passes": 0},
-            {"warmup_passes": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kw):

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import delta_controller
 from repro.core.config import AddsConfig
 from repro.core.delta_controller import DeltaController
 from repro.gpu.specs import RTX_2080TI
 
 
+@pytest.fixture(autouse=True)
+def no_warmup(monkeypatch):
+    monkeypatch.setattr(delta_controller, "WARMUP_PASSES", 0)
+
+
 def make_ctrl(delta=100.0, **cfgkw):
-    cfg = AddsConfig(warmup_passes=0, **cfgkw)
+    cfg = AddsConfig(**cfgkw)
     return DeltaController(
         config=cfg, spec=RTX_2080TI.scaled(1 / 16), avg_degree=8.0, delta=delta,
         delta_floor=0.01,
@@ -19,7 +25,7 @@ def make_ctrl(delta=100.0, **cfgkw):
 
 def settle(ctrl, u_edges, passes=None):
     """Feed a steady utilization until the controller may act."""
-    n = passes if passes is not None else ctrl.config.settle_passes
+    n = passes if passes is not None else delta_controller.SETTLE_PASSES
     for _ in range(n):
         ctrl.observe(u_edges)
 
@@ -65,9 +71,9 @@ class TestActiveBuckets:
 
 
 class TestSettling:
-    def test_warmup_blocks_everything(self):
+    def test_warmup_blocks_everything(self, monkeypatch):
         c = make_ctrl()
-        c.config = AddsConfig(warmup_passes=1000)
+        monkeypatch.setattr(delta_controller, "WARMUP_PASSES", 1000)
         settle(c, 0.0, passes=500)
         assert not c.settled(rotations=100)
 
@@ -79,7 +85,7 @@ class TestSettling:
 
     def test_pass_fallback(self):
         c = make_ctrl()
-        settle(c, 0.0, passes=c.config.settle_passes)
+        settle(c, 0.0, passes=delta_controller.SETTLE_PASSES)
         assert c.settled(rotations=0)
 
     def test_not_settled_right_after_change(self):
@@ -138,7 +144,7 @@ class TestDeltaMoves:
         c = make_ctrl(delta=100.0)
         settle(c, 0.0)
         c.maybe_adjust_delta(0.0, rotations=5)
-        assert c.history[-1][1] == 200.0
+        assert c.delta == 200.0
         assert c.adjustments == 1
 
 

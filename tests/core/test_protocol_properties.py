@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import delta_controller
 from repro.core.bucket_queue import BucketQueue
 from repro.core.config import AddsConfig
 from repro.gpu.memory import GlobalPool, SimMemory
@@ -203,8 +204,10 @@ class TestSolverProperties:
         if not es:
             es = [(0, 1 % n, 1)]
         g = from_edge_list(n, es, dedupe=True)
-        cfg = AddsConfig(n_wtbs=4, warmup_passes=5, settle_passes=10)
-        r = solve_adds(g, 0, config=cfg, delta=delta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(delta_controller, "WARMUP_PASSES", 5)
+            mp.setattr(delta_controller, "SETTLE_PASSES", 10)
+            r = solve_adds(g, 0, config=AddsConfig(n_wtbs=4), delta=delta)
         ref = solve_dijkstra(g, 0)
         np.testing.assert_allclose(
             np.nan_to_num(r.dist, posinf=-1.0),

@@ -33,8 +33,8 @@ class TestAtomics:
         a = np.array([0], dtype=np.int64)
         mem.atomic_add(a, 0, 1)
         mem.atomic_min_batch(a, np.array([0]), np.array([-1]))
-        mem.fence()
-        assert mem.stats.snapshot() == {"atomics": 2, "fences": 1}
+        assert mem.stats.atomics == 2
+        assert mem.stats.fences == 0  # counted by the bucket queue itself
 
 
 class TestAtomicMinBatch:

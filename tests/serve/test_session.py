@@ -270,14 +270,6 @@ class TestTimeouts:
             s.serve_pending()
             assert f2.result().from_cache
 
-    def test_default_timeout_applies(self, small_road):
-        with make_session(default_timeout_s=0.0) as s:
-            s.add_graph("road", small_road)
-            f = s.submit("road", 0)
-            s.serve_pending()
-            with pytest.raises(ServeTimeout):
-                f.result()
-
 
 class TestDeterminism:
     def test_served_distances_bit_match_direct_solves(self, small_road, small_mesh):

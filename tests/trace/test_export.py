@@ -52,6 +52,14 @@ def test_perfetto_phase_mapping():
     assert by_name["mtb_pass"]["tid"] != by_name["relax_batch"]["tid"]
 
 
+def test_array_and_non_finite_args_stay_strict_json():
+    t = Tracer()
+    t.instant("MTB", "assign", 0.0, items=np.array([1, 2]), bound=float("inf"))
+    doc = json.loads(json.dumps(to_perfetto(t), allow_nan=False))
+    (ev,) = [e for e in doc["traceEvents"] if e["name"] == "assign"]
+    assert ev["args"] == {"items": [1, 2], "bound": None}
+
+
 def test_counters_csv_format():
     stats = {
         "work_count": 5, "atomics": np.int64(7), "delta": 32.0,
