@@ -21,6 +21,10 @@ from repro.baselines.common import SSSPResult
 
 __all__ = ["EfficiencyPoint", "efficiency_points", "classify_region"]
 
+#: Multiplicative distance from the diagonal that still counts as
+#: "correlated" in :func:`classify_region`.
+REGION_TOLERANCE = 1.35
+
 
 @dataclass(frozen=True)
 class EfficiencyPoint:
@@ -38,20 +42,14 @@ class EfficiencyPoint:
         return classify_region(self.work_gain, self.speedup)
 
 
-def classify_region(
-    work_gain: float, speedup: float, *, tolerance: float = 1.35
-) -> str:
-    """Name the Figure 10 region of a point.
-
-    ``tolerance`` is the multiplicative distance from the diagonal that
-    still counts as "correlated".
-    """
+def classify_region(work_gain: float, speedup: float) -> str:
+    """Name the Figure 10 region of a point (see :data:`REGION_TOLERANCE`)."""
     if work_gain <= 0 or speedup <= 0:
         raise ValueError("ratios must be positive")
     ratio = speedup / work_gain
-    if ratio > tolerance:
+    if ratio > REGION_TOLERANCE:
         return "parallelism"  # upper-left: faster than the work explains
-    if ratio < 1.0 / tolerance:
+    if ratio < 1.0 / REGION_TOLERANCE:
         return "underparallel"  # lower-right: work saved, time not
     return "work"  # on the diagonal
 

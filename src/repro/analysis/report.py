@@ -7,7 +7,7 @@ comparable to the paper's tables and figures in a terminal or log file.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.distributions import Distribution
 
@@ -70,13 +70,12 @@ def ascii_scatter(
     log_x: bool = False,
     log_y: bool = False,
     title: str = "",
-    marker: str = "*",
     labels: Sequence[str] = None,
 ) -> str:
     """A terminal scatter plot (the Figures 8–10 rendering).
 
-    ``labels``, when given, mark each point with its first character
-    instead of ``marker`` — used to tag the named graphs A–E like
+    Points are marked ``*``; ``labels``, when given, mark each point with
+    its first character instead — used to tag the named graphs A–E like
     Figure 10 does.
     """
     if len(xs) != len(ys) or not xs:
@@ -91,7 +90,7 @@ def ascii_scatter(
         fy = (math.log10(y) if log_y else y)
         cx = min(width - 1, int((fx - x_lo) / (x_hi - x_lo) * (width - 1)))
         cy = min(height - 1, int((fy - y_lo) / (y_hi - y_lo) * (height - 1)))
-        ch = labels[i][0] if labels and labels[i] else marker
+        ch = labels[i][0] if labels and labels[i] else "*"
         grid[height - 1 - cy][cx] = ch
     lines = []
     if title:

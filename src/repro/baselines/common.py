@@ -96,11 +96,6 @@ class SSSPResult:
     #: unreachable vertices).  None if the solver did not track it.
     predecessors: Optional[np.ndarray] = field(repr=False, default=None)
 
-    @property
-    def work_efficiency(self) -> float:
-        """The paper's §3.1 definition: inverse of vertices processed."""
-        return 1.0 / self.work_count if self.work_count else float("inf")
-
     def reached(self) -> int:
         """Number of vertices with a finite distance."""
         return int(np.isfinite(self.dist).sum())

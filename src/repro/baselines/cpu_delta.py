@@ -34,7 +34,7 @@ from repro.baselines.heuristics import davidson_delta
 from repro.errors import SolverError
 from repro.gpu.costmodel import CpuCostModel
 from repro.gpu.memory import SimMemory
-from repro.gpu.specs import CPU_I9_7900X, CpuSpec
+from repro.gpu.specs import CPU_I9_7900X
 from repro.gpu.timeline import Timeline
 from repro.graphs.csr import CSRGraph
 
@@ -59,12 +59,11 @@ def solve_cpu_ds(
     source: int = 0,
     *,
     sources: Optional[Sequence[int]] = None,
-    cpu: Optional[CpuSpec] = None,
     cost: Optional[CpuCostModel] = None,
     delta: Optional[float] = None,
 ) -> SSSPResult:
     """Galois-style delta-stepping on the simulated multicore."""
-    cost = cost if cost is not None else CpuCostModel(cpu or CPU_I9_7900X)
+    cost = cost if cost is not None else CpuCostModel(CPU_I9_7900X)
     if delta is None:
         delta = davidson_delta(graph)
     if not delta > 0:  # also rejects NaN

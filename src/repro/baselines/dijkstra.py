@@ -27,7 +27,7 @@ from repro.baselines.common import (
     uniform_stats,
 )
 from repro.gpu.costmodel import CpuCostModel
-from repro.gpu.specs import CPU_I9_7900X, CpuSpec
+from repro.gpu.specs import CPU_I9_7900X
 from repro.gpu.timeline import Timeline
 from repro.graphs.csr import CSRGraph
 
@@ -40,7 +40,6 @@ def solve_dijkstra(
     source: int = 0,
     *,
     sources: Optional[Sequence[int]] = None,
-    cpu: Optional[CpuSpec] = None,
     cost: Optional[CpuCostModel] = None,
     warm_from: Optional[np.ndarray] = None,
     updates: Optional[object] = None,
@@ -64,7 +63,7 @@ def solve_dijkstra(
 
     if updates is not None and warm_from is None:
         raise SolverError("updates= requires warm_from= distances")
-    cost = cost if cost is not None else CpuCostModel(cpu or CPU_I9_7900X)
+    cost = cost if cost is not None else CpuCostModel(CPU_I9_7900X)
     n = graph.num_vertices
     srcs = resolve_sources(n, source, sources)
     seed_info = None

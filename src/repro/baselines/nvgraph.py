@@ -71,5 +71,4 @@ def solve_nv(
         result.dist,
     )
     result.graph_name = graph.name
-    result.stats["work_count_public"] = None  # closed source: not reported
     return result

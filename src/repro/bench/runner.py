@@ -95,6 +95,10 @@ def _peak_rss_kb(*, getrusage=None, sys_platform: Optional[str] = None) -> Optio
 #: Rows kept in the per-cell ``profile.top`` table (by cumulative time).
 PROFILE_TOP_N = 20
 
+#: Untimed runs of each cell before its timed repeats (graph build and
+#: allocator warm-up).
+WARMUP_RUNS = 1
+
 
 def _profile_top(pr: cProfile.Profile, top_n: int = PROFILE_TOP_N) -> List[dict]:
     """The ``top_n`` functions by cumulative time, as JSON-ready rows."""
@@ -214,18 +218,17 @@ def run_bench(
     spec=None,
     cost=None,
     options: Optional[Dict[str, object]] = None,
-    warmup: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     profile_dir: Optional[Union[str, Path]] = None,
 ) -> BenchReport:
     """Execute a pinned matrix; returns the in-memory report.
 
-    ``repeats`` timed runs per cell follow ``warmup`` untimed ones; the
-    reported ``wall_s`` is the minimum over the timed runs.  Simulated
-    metrics (``time_us``, ``work_count``, distances) are asserted
-    identical across repeats — the simulator is deterministic, and a
-    repeat that disagrees means the tree itself is broken, which must
-    fail the benchmark rather than average out.  ``options`` are
+    ``repeats`` timed runs per cell follow :data:`WARMUP_RUNS` untimed
+    ones; the reported ``wall_s`` is the minimum over the timed runs.
+    Simulated metrics (``time_us``, ``work_count``, distances) are
+    asserted identical across repeats — the simulator is deterministic,
+    and a repeat that disagrees means the tree itself is broken, which
+    must fail the benchmark rather than average out.  ``options`` are
     per-solve options, each applied to the matrix solvers that accept it.
 
     With ``profile_dir`` set, each cell gets one *extra* untimed run
@@ -267,15 +270,15 @@ def run_bench(
     for cell in cells:
         walls: List[float] = []
         reference: Optional[SSSPResult] = None
-        for rep in range(warmup + repeats):
+        for rep in range(WARMUP_RUNS + repeats):
             kind, result, elapsed = execute_cell(cell)
             if kind != "ok":
                 raise ReproError(
                     f"bench cell {cell.key} failed on run {rep + 1}: "
                     f"{kind}: {result}"
                 )
-            if rep < warmup:
-                continue  # graph build + allocator warm-up, not timed
+            if rep < WARMUP_RUNS:
+                continue
             walls.append(elapsed)
             if reference is None:
                 reference = result
@@ -287,7 +290,7 @@ def run_bench(
                 ):
                     raise ReproError(
                         f"bench cell {cell.key} is non-deterministic: "
-                        f"repeat {rep - warmup} disagrees with repeat 0"
+                        f"repeat {rep - WARMUP_RUNS} disagrees with repeat 0"
                     )
         profile_record = None
         if profile_dir is not None:

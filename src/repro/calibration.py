@@ -33,7 +33,7 @@ import math
 from typing import Optional
 
 from repro.gpu.costmodel import CostModel
-from repro.gpu.specs import RTX_2080TI, RTX_3090, DeviceSpec
+from repro.gpu.specs import RTX_2080TI, DeviceSpec
 
 __all__ = [
     "SIM_SCALE",
@@ -50,24 +50,23 @@ SIM_SCALE = 1.0 / 16.0
 #: Kernel-launch time scale (see module docstring).
 LAUNCH_SCALE = SIM_SCALE ** 0.375
 
-#: DRAM-bandwidth scale (sqrt of SIM_SCALE): latency constants don't
-#: shrink with the device, so bandwidth per SM must grow at small scale to
-#: keep starved runs latency-bound and saturated runs bandwidth-bound,
-#: as on the real cards (see DeviceSpec.scaled).
-BANDWIDTH_SCALE = math.sqrt(SIM_SCALE)
-
 #: Full-device kernel launch overhead, µs (CostModel default).
 _FULL_LAUNCH_US = 6.0
 
 
 def sim_gpu(base: DeviceSpec = RTX_2080TI, scale: float = SIM_SCALE) -> DeviceSpec:
     """The scaled twin of ``base`` used throughout benches and defaults."""
+    # DRAM bandwidth scales by sqrt(scale): latency constants don't shrink
+    # with the device, so bandwidth per SM must grow at small scale to keep
+    # starved runs latency-bound and saturated runs bandwidth-bound, as on
+    # the real cards (see DeviceSpec.scaled).
     return base.scaled(scale, bandwidth_factor=math.sqrt(scale))
 
 
-def sim_cost(spec: DeviceSpec, *, launch_scale: float = LAUNCH_SCALE, **overrides) -> CostModel:
-    """A cost model for a scaled device, with launch overhead scaled too."""
-    kw = {"kernel_launch_us": _FULL_LAUNCH_US * launch_scale}
+def sim_cost(spec: DeviceSpec, **overrides) -> CostModel:
+    """A cost model for a scaled device, with launch overhead scaled by
+    :data:`LAUNCH_SCALE` too."""
+    kw = {"kernel_launch_us": _FULL_LAUNCH_US * LAUNCH_SCALE}
     kw.update(overrides)
     return CostModel(spec, **kw)
 

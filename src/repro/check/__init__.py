@@ -29,7 +29,6 @@ from repro.check.dynamic import (
 )
 from repro.check.invariants import ProtocolChecker
 from repro.check.runner import (
-    CHECKABLE_SOLVERS,
     CellCheck,
     CheckReport,
     ScheduleRun,
@@ -38,7 +37,6 @@ from repro.check.runner import (
 )
 
 __all__ = [
-    "CHECKABLE_SOLVERS",
     "CellCheck",
     "CheckReport",
     "ProtocolChecker",

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.baselines.common import Options, SolveRequest, get_solver, solver_names
+from repro.baselines.common import Options, SolveRequest, get_solver
 from repro.bench.matrix import matrix_entries, matrix_solvers
 from repro.calibration import resolve_device
 from repro.check.invariants import ProtocolChecker
@@ -50,19 +50,12 @@ from repro.errors import ReproError
 from repro.validation import dist_sha256
 
 __all__ = [
-    "CHECKABLE_SOLVERS",
     "ScheduleRun",
     "CellCheck",
     "CheckReport",
     "schedule_seed",
     "run_check",
 ]
-
-#: Solvers that accept ``checker=``/``perturb_seed=`` (run on a Device
-#: with schedule freedom).  The BSP baselines are deterministic host
-#: loops — nothing to perturb, nothing to check beyond their output.
-CHECKABLE_SOLVERS = frozenset(solver_names(accepts="checker"))
-
 
 def schedule_seed(seed: int, index: int) -> int:
     """The perturbation seed of schedule ``index`` under base ``--seed``.
@@ -204,6 +197,8 @@ def _run_schedule(
     run = ScheduleRun(perturb_seed=perturb_seed)
     info = get_solver(solver)
     checker = None
+    # Only solvers on a Device have schedule freedom; the BSP baselines
+    # are deterministic host loops, with nothing to perturb or check.
     if info.accepts("checker"):
         checker = checker_factory()
         options = Options(options, checker=checker, perturb_seed=perturb_seed)

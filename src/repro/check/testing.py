@@ -33,7 +33,7 @@ fault                     invariant that catches it
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

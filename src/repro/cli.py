@@ -31,8 +31,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-import numpy as np
-
 from repro import __version__
 from repro.analysis import bin_ratios, format_distribution_table, format_table
 from repro.baselines.common import (

@@ -10,7 +10,6 @@ returns the standard :class:`~repro.baselines.common.SSSPResult`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 

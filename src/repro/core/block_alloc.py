@@ -111,10 +111,6 @@ class BucketStorage:
 
     # -- capacity management (MTB only) ------------------------------------ #
 
-    @property
-    def live_blocks(self) -> int:
-        return len(self._table)
-
     def ensure_capacity(self, slots: int) -> int:
         """Allocate blocks until ``capacity >= slots``; returns blocks added."""
         added = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 

@@ -36,7 +36,7 @@ running the algorithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.gpu.specs import CpuSpec, DeviceSpec
 
@@ -101,7 +101,7 @@ class CostModel:
         # and every MTB pass prices a batch); compute them once per model
         # instead of per call.  ``object.__setattr__`` because the
         # dataclass is frozen; none of these are fields, so eq/hash and
-        # ``with_overrides`` are unaffected.
+        # ``dataclasses.replace`` are unaffected.
         object.__setattr__(
             self, "_launch_cycles", self.spec.us_to_cycles(self.kernel_launch_us)
         )
@@ -112,10 +112,6 @@ class CostModel:
         )
         object.__setattr__(self, "_edge_bytes_memo", {})
 
-    def with_overrides(self, **kw) -> "CostModel":
-        """A copy with some constants replaced (ablations, sensitivity)."""
-        return replace(self, **kw)
-
     def effective_edge_bytes(self, avg_degree: float) -> float:
         """DRAM bytes per relaxed edge after the divergence penalty."""
         memo = self._edge_bytes_memo
@@ -125,10 +121,6 @@ class CostModel:
             v = self.base_edge_bytes * (1.0 + self.coalesce_penalty / d)
             memo[avg_degree] = v
         return v
-
-    def peak_edge_rate(self, avg_degree: float) -> float:
-        """Bandwidth-bound edges per cycle for the whole device."""
-        return self.spec.bytes_per_cycle / self.effective_edge_bytes(avg_degree)
 
     def kernel_launch_cycles(self) -> float:
         return self._launch_cycles
@@ -217,9 +209,6 @@ class CpuCostModel:
     #: Parallel efficiency of the 20-thread delta-stepping loop (memory
     #: bandwidth and work-stealing losses).
     parallel_efficiency: float = 0.62
-
-    def with_overrides(self, **kw) -> "CpuCostModel":
-        return replace(self, **kw)
 
     def dijkstra_us(self, edges_relaxed: int, heap_ops: int, n: int) -> float:
         """Serial Dijkstra wall time, microseconds."""

@@ -230,10 +230,6 @@ class Device:
         ctx = self._current_ctx
         return None if ctx is None else ctx.name
 
-    def active_relax_edges(self) -> float:
-        """Edges currently in flight (the figures' 'parallelism')."""
-        return self._relax_edges
-
     def relax_edge_integral(self) -> float:
         """∫ edges-in-flight dt so far, in edge·cycles.
 
@@ -267,10 +263,6 @@ class Device:
         pay one evaluation per waiter."""
         if channel in self._channels:
             self._notified.add(channel)
-
-    def has_waiters(self, channel: Hashable) -> bool:
-        """True if some block is currently waiting on ``channel``."""
-        return bool(self._channels.get(channel))
 
     # -- engine ----------------------------------------------------------------- #
 
@@ -534,26 +526,3 @@ class Device:
         name, args = ctx._annotation
         ctx._annotation = None
         return name, args
-
-    # -- reporting ------------------------------------------------------------------ #
-
-    def wake_stats(self) -> dict:
-        """Channel-efficiency counters (see the module docstring)."""
-        return {
-            "wakeups": self.wakeups,
-            "spurious_wakeups": self.spurious_wakeups,
-            "missed_wakeups": self.missed_wakeups,
-        }
-
-    def block_report(self) -> List[dict]:
-        """Per-block busy/idle summary (debugging and tests)."""
-        return [
-            {
-                "name": c.name,
-                "busy_cycles": c.busy_cycles,
-                "idle_cycles": c.idle_cycles,
-                "events": c.events,
-                "finished": c.finished,
-            }
-            for c in self._blocks
-        ]

@@ -174,13 +174,6 @@ class GlobalPool:
         self._clock = clock
 
     @property
-    def free_blocks(self) -> Optional[int]:
-        """Blocks ``acquire`` can still hand out; ``None`` with no cap."""
-        if self.num_blocks is None:
-            return None
-        return self.num_blocks - self.blocks_in_use
-
-    @property
     def blocks_in_use(self) -> int:
         return self._minted - len(self._free)
 

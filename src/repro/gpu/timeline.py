@@ -20,11 +20,6 @@ class Timeline:
         self.label = label
         self._t: List[float] = []
         self._v: List[float] = []
-        # Extremum over every recorded sample, including ones a later
-        # record() at the same timestamp overwrote in the step series:
-        # a transient spike (assign-then-complete within one event) must
-        # still show up in peak().
-        self._peak: float = float("-inf")
         #: Samples whose timestamp ran backwards and was clamped forward.
         #: A non-zero count flags a cost-model or engine bug — exposed in
         #: solver stats as ``timeline_clamps`` so it can't hide.
@@ -35,8 +30,6 @@ class Timeline:
         counted in :attr:`clamps` — clamping hides cost-model bugs)."""
         ts = self._t
         value = float(value)
-        if value > self._peak:
-            self._peak = value
         if ts:
             last = ts[-1]
             if t_us < last:
@@ -61,15 +54,6 @@ class Timeline:
         """``(times_us, values)`` of the raw step samples."""
         return tuple(self._t), tuple(self._v)
 
-    def value_at(self, t_us: float) -> float:
-        """The step-function value at time ``t_us``."""
-        if not self._t or t_us < self._t[0]:
-            return 0.0
-        import bisect
-
-        i = bisect.bisect_right(self._t, t_us) - 1
-        return self._v[i]
-
     def time_average(self) -> float:
         """Time-weighted mean value — 'average parallelism' in the figures."""
         if len(self._t) < 2:
@@ -79,23 +63,6 @@ class Timeline:
             total += self._v[i] * (self._t[i + 1] - self._t[i])
         span = self._t[-1] - self._t[0]
         return total / span if span > 0 else self._v[-1]
-
-    def peak(self) -> float:
-        """Largest value ever recorded — tied-timestamp overwrites in the
-        step series do not hide a transient spike."""
-        return self._peak if self._v else 0.0
-
-    def resample(self, num_points: int) -> Tuple[List[float], List[float]]:
-        """Evenly-spaced samples for plotting/printing (endpoints included)."""
-        if not self._t:
-            return [], []
-        if num_points < 2 or self.duration_us == 0:
-            return [self._t[0]], [self._v[0]]
-        ts = [
-            self._t[0] + (self._t[-1] - self._t[0]) * i / (num_points - 1)
-            for i in range(num_points)
-        ]
-        return ts, [self.value_at(t) for t in ts]
 
     def to_rows(self) -> List[Tuple[float, float]]:
         """``(t_us, value)`` rows, e.g. for CSV export."""

@@ -157,24 +157,6 @@ class CSRGraph:
 
     # -- transforms -----------------------------------------------------------
 
-    def reversed(self) -> "CSRGraph":
-        """The transpose graph (used by reachability checks on directed inputs)."""
-        n, m = self.num_vertices, self.num_edges
-        src = np.repeat(
-            np.arange(n, dtype=np.int32), np.diff(self.row_offsets).astype(np.int64)
-        )
-        order = np.argsort(self.col_indices, kind="stable")
-        new_src = self.col_indices[order]
-        counts = np.bincount(new_src, minlength=n).astype(np.int64)
-        ro = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ro[1:])
-        return CSRGraph(
-            row_offsets=ro,
-            col_indices=src[order].astype(np.int32),
-            weights=self.weights[order].copy(),
-            name=f"{self.name}^T",
-        )
-
     def with_weights(self, weights: np.ndarray, name: Optional[str] = None) -> "CSRGraph":
         """Same topology with a different weight vector."""
         return CSRGraph(

@@ -24,7 +24,7 @@ directions, as Lonestar's ``.gr`` road/rmat inputs do.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

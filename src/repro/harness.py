@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.distributions import Distribution, bin_ratios
 from repro.baselines.common import Options, SSSPResult, SolveRequest, get_solver
 from repro.calibration import resolve_device
 from repro.engine import (
@@ -118,17 +117,6 @@ class SuiteRun:
             1.0 / r.ratio("work", solver, baseline)
             for r in self._both(solver, baseline)
         ]
-
-    def speedup_distribution(self, solver: str, baseline: str, label: str = None) -> Distribution:
-        return bin_ratios(
-            self.speedups(solver, baseline), label=label or baseline.upper()
-        )
-
-    def by_category(self) -> Dict[str, List[RunRecord]]:
-        out: Dict[str, List[RunRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.category, []).append(r)
-        return out
 
 
 def run_suite(

@@ -60,6 +60,14 @@ SERVE_BENCH_SCHEMA_VERSION = 3
 #: (graph_id, source, targets-or-None) — one query of a replay trace.
 TraceQuery = Tuple[str, int, Optional[Tuple[int, ...]]]
 
+#: Share of :func:`synthesize_trace` queries drawn from the hot sources
+#: (the cache-friendly mass).
+HOT_FRACTION = 0.8
+#: Share of queries that ask for explicit targets instead of the full
+#: array, and the most targets such a query asks for.
+TARGET_FRACTION = 0.5
+MAX_TARGETS = 4
+
 
 def synthesize_trace(
     graphs: Dict[str, int],
@@ -67,17 +75,14 @@ def synthesize_trace(
     *,
     seed: int = 0,
     hot_sources: int = 8,
-    hot_fraction: float = 0.8,
-    target_fraction: float = 0.5,
-    max_targets: int = 4,
 ) -> List[TraceQuery]:
     """Generate a deterministic skewed query trace.
 
     ``graphs`` maps graph id -> vertex count.  Per graph a hot set of
     ``hot_sources`` vertices is drawn once; each query picks a graph
-    uniformly, then a hot source with probability ``hot_fraction`` (the
-    cache-friendly mass) or a uniform cold source otherwise, and with
-    probability ``target_fraction`` asks for 1..``max_targets`` explicit
+    uniformly, then a hot source with probability :data:`HOT_FRACTION`
+    or a uniform cold source otherwise, and with probability
+    :data:`TARGET_FRACTION` asks for 1..:data:`MAX_TARGETS` explicit
     targets instead of the full array.
     """
     if not graphs:
@@ -92,13 +97,13 @@ def synthesize_trace(
     for _ in range(n_queries):
         gid = ids[int(rng.integers(len(ids)))]
         n = graphs[gid]
-        if rng.random() < hot_fraction:
+        if rng.random() < HOT_FRACTION:
             source = int(hot[gid][int(rng.integers(hot[gid].size))])
         else:
             source = int(rng.integers(n))
         targets: Optional[Tuple[int, ...]] = None
-        if rng.random() < target_fraction:
-            k = int(rng.integers(1, max_targets + 1))
+        if rng.random() < TARGET_FRACTION:
+            k = int(rng.integers(1, MAX_TARGETS + 1))
             targets = tuple(int(t) for t in rng.integers(0, n, size=k))
         trace.append((gid, source, targets))
     return trace

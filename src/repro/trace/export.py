@@ -59,14 +59,14 @@ def json_safe(v: object) -> object:
     return v
 
 
-def to_perfetto(tracer: Tracer, process_name: str = "repro-sim") -> dict:
+def to_perfetto(tracer: Tracer) -> dict:
     """The trace as a Chrome/Perfetto trace-event JSON object."""
     events: List[dict] = [
         {
             "name": "process_name",
             "ph": "M",
             "pid": _PID,
-            "args": {"name": process_name},
+            "args": {"name": "repro-sim"},
         }
     ]
     tids: Dict[str, int] = {}
@@ -123,9 +123,9 @@ def to_perfetto(tracer: Tracer, process_name: str = "repro-sim") -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_trace_json(path: Union[str, Path], tracer: Tracer, **kw) -> Path:
+def write_trace_json(path: Union[str, Path], tracer: Tracer) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(to_perfetto(tracer, **kw)))
+    path.write_text(json.dumps(to_perfetto(tracer)))
     return path
 
 

@@ -112,15 +112,14 @@ class Tracer:
             return
         self.record(TraceEvent(INSTANT, track, name, float(ts_us), 0.0, cat, args))
 
-    def counter(
-        self, name: str, ts_us: float, value: float, track: str = "counters"
-    ) -> None:
-        """A sampled counter value (Chrome ph ``C``)."""
+    def counter(self, name: str, ts_us: float, value: float) -> None:
+        """A sampled counter value (Chrome ph ``C``) on the ``counters``
+        track."""
         if not self.enabled:
             return
         self.record(
             TraceEvent(
-                COUNTER, track, name, float(ts_us), 0.0, "counter",
+                COUNTER, "counters", name, float(ts_us), 0.0, "counter",
                 {"value": float(value)},
             )
         )

@@ -62,10 +62,6 @@ class MismatchReport(List[Mismatch]):
         super().__init__(mismatches)
         self.total = len(self) if total is None else int(total)
 
-    @property
-    def truncated(self) -> bool:
-        return self.total > len(self)
-
 
 def verify_results(
     a: SSSPResult,

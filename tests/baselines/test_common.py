@@ -58,12 +58,6 @@ class TestSSSPResult:
             time_us=1500.0,
         )
 
-    def test_work_efficiency_is_inverse(self):
-        assert self.make(4).work_efficiency == pytest.approx(0.25)
-
-    def test_work_efficiency_zero_work(self):
-        assert self.make(0).work_efficiency == float("inf")
-
     def test_reached_counts_finite(self):
         assert self.make().reached() == 2
 

@@ -57,7 +57,7 @@ class TestTiming:
         assert large.time_us > small.time_us * 4
 
     def test_custom_cost_model(self, small_road):
-        slow = CpuCostModel(CPU_I9_7900X).with_overrides(edge_ns=1000.0)
+        slow = CpuCostModel(CPU_I9_7900X, edge_ns=1000.0)
         fast = CpuCostModel(CPU_I9_7900X)
         r_slow = solve_dijkstra(small_road, 0, cost=slow)
         r_fast = solve_dijkstra(small_road, 0, cost=fast)

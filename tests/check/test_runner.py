@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.common import get_solver
 from repro.bench.matrix import matrix_entries
-from repro.check import CHECKABLE_SOLVERS, run_check, schedule_seed
+from repro.check import run_check, schedule_seed
 from repro.check.testing import FAULTS, FaultyChecker
 from repro.errors import ReproError
 
@@ -63,7 +64,7 @@ class TestScheduleInvariance:
     def test_perturbed_solvers_are_the_checkable_ones(self):
         report = run_check("small", schedules=0, replay=False)
         for cell in report.cells:
-            assert cell.perturbed == (cell.solver in CHECKABLE_SOLVERS)
+            assert cell.perturbed == get_solver(cell.solver).accepts("checker")
 
 
 class TestFaultDetection:

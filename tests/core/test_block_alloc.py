@@ -22,13 +22,13 @@ def storage(pool):
 class TestCapacity:
     def test_starts_empty(self, storage):
         assert storage.capacity == 0
-        assert storage.live_blocks == 0
+        assert storage.blocks_allocated - storage.blocks_retired == 0
 
     def test_ensure_capacity_allocates_blocks(self, storage):
         added = storage.ensure_capacity(100)
         assert added == 2
         assert storage.capacity == 128
-        assert storage.live_blocks == 2
+        assert storage.blocks_allocated - storage.blocks_retired == 2
 
     def test_ensure_capacity_idempotent(self, storage):
         storage.ensure_capacity(100)
@@ -83,7 +83,7 @@ class TestFifoRetire:
         assert storage.retire_below(63) == 0  # partial block: keep
         assert storage.retire_below(64) == 1
         assert storage.retire_below(190) == 1  # only block 1 fully below
-        assert pool.free_blocks == 16 - 1
+        assert pool.blocks_in_use == 1
 
     def test_data_above_retire_point_survives(self, storage):
         storage.ensure_capacity(192)
@@ -101,7 +101,7 @@ class TestFifoRetire:
     def test_reset_frees_everything(self, storage, pool):
         storage.ensure_capacity(256)
         storage.reset()
-        assert pool.free_blocks == 16
+        assert pool.blocks_in_use == 0
         assert storage.capacity == 0
         # reusable after reset
         storage.ensure_capacity(64)
@@ -113,7 +113,7 @@ class TestFifoRetire:
         for epoch in range(10):
             s.ensure_capacity((epoch + 1) * 640)  # keeps growing virtually
             s.retire_below(epoch * 640 + 600)
-        assert s.live_blocks <= 2
+        assert s.blocks_allocated - s.blocks_retired <= 2
         assert pool.high_water < pool.num_blocks
 
 

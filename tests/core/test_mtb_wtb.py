@@ -14,14 +14,21 @@ from repro.graphs import clique_chain, from_edge_list, grid_road
 
 
 def run_with_device(graph, config=None, **kw):
-    """solve_adds but also returns the Device for inspection."""
+    """solve_adds but also returns the Device for inspection; its
+    ``contexts`` are the BlockContexts ``add_block`` returned."""
     captured = {}
     orig = adds_mod.Device
 
     class Capturing(orig):
         def __init__(self, *a, **k):
             super().__init__(*a, **k)
+            self.contexts = []
             captured["device"] = self
+
+        def add_block(self, name, program):
+            ctx = super().add_block(name, program)
+            self.contexts.append(ctx)
+            return ctx
 
     adds_mod.Device = Capturing
     try:
@@ -54,7 +61,7 @@ class TestTermination:
     def test_all_blocks_finish(self):
         g = grid_road(12, 10, seed=2)
         _, dev = run_with_device(g)
-        assert all(b["finished"] for b in dev.block_report())
+        assert dev.contexts and all(b.finished for b in dev.contexts)
 
     def test_single_vertex(self):
         g = from_edge_list(1, [])

@@ -26,6 +26,20 @@ from repro.serve import Session
 from repro.trace import Tracer
 
 
+@pytest.fixture
+def probe_solver():
+    """A registered solver whose one option, ``probe``, no other takes."""
+    seen = []
+
+    def solve_probe(graph, source=0, *, probe=None):
+        seen.append(probe)
+        return solve_dijkstra(graph, source)
+
+    register_solver("probe-solver")(solve_probe)
+    yield seen
+    SOLVERS.pop("probe-solver")
+
+
 class TestSolveRequest:
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_request_matches_legacy_call(self, name, small_road):
@@ -92,10 +106,13 @@ class TestSolveRequest:
             )
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
-    def test_option_the_solver_lacks_is_rejected(self, name, small_road):
+    def test_option_the_solver_lacks_is_rejected(
+        self, name, small_road, probe_solver
+    ):
         """Through a request and through ``repro.sssp``, an option the
         solver lacks is a SolverError naming the solvers that take it —
-        never a bare TypeError from the solver call."""
+        never a bare TypeError from the solver call.  ``probe`` is one
+        option every real solver lacks."""
         lacking = sorted(
             set().union(*(i.params for i in SOLVERS.values()))
             - get_solver(name).params
@@ -197,25 +214,13 @@ class TestCapabilityFlags:
 
     def test_params_are_the_keyword_only_parameters(self):
         assert get_solver("dijkstra").params == {
-            "sources", "cpu", "cost", "warm_from", "updates",
+            "sources", "cost", "warm_from", "updates",
         }
 
 
 class TestNewOption:
     """A solver with a new keyword needs no plumbing anywhere else: the
     option reaches it through every front door."""
-
-    @pytest.fixture
-    def probe_solver(self):
-        seen = []
-
-        def solve_probe(graph, source=0, *, probe=None):
-            seen.append(probe)
-            return solve_dijkstra(graph, source)
-
-        register_solver("probe-solver")(solve_probe)
-        yield seen
-        SOLVERS.pop("probe-solver")
 
     def test_probe_reaches_the_solver(self, probe_solver, small_road):
         repro.sssp(small_road, 0, algorithm="probe-solver", probe=1)

@@ -229,15 +229,15 @@ class TestRelaxTracking:
 
         def worker(dev, edges, dur):
             yield ("relax", dur, edges, 0)
-            observed.append(dev.active_relax_edges())
+            observed.append(dev.relax_edge_integral())
 
         d = make_device()
         d.add_block("w1", worker(d, 100, 50))
         d.add_block("w2", worker(d, 200, 80))
         d.run()
-        # when w1 finishes at t=50, w2 (200 edges) still in flight;
-        # when w2 finishes, nothing is left
-        assert observed == [200.0, 0.0]
+        # 300 edges in flight until w1 finishes at t=50, then w2's 200
+        # alone until t=80
+        assert observed == [300.0 * 50, 300.0 * 50 + 200.0 * 30]
 
     def test_timeline_records_parallelism(self):
         def worker():
@@ -281,12 +281,11 @@ class TestSharedState:
             yield ("busy", 10)
 
         d = make_device()
-        d.add_block("p", prog())
+        ctx = d.add_block("p", prog())
         d.run()
-        (rep,) = d.block_report()
-        assert rep["name"] == "p"
-        assert rep["finished"]
-        assert rep["busy_cycles"] == pytest.approx(10)
+        assert ctx.name == "p"
+        assert ctx.finished
+        assert ctx.busy_cycles == pytest.approx(10)
 
 
 class TestRescueWaiterDedupe:

@@ -155,9 +155,9 @@ class TestGlobalPool:
         a = pool.acquire()
         b = pool.acquire()
         assert a != b
-        assert pool.free_blocks == 1
+        assert pool.blocks_in_use == 2
         pool.release(a)
-        assert pool.free_blocks == 2
+        assert pool.blocks_in_use == 1
 
     def test_exhaustion_raises(self):
         pool = GlobalPool(1, words_per_block=16)
@@ -215,7 +215,7 @@ class TestGlobalPool:
             pool.words[8 * b] = 100 + b
         for _ in range(5 * GlobalPool.INITIAL_BLOCKS):
             blocks.append(pool.acquire())
-        assert pool.free_blocks is None
+        assert pool.blocks_in_use == 8 * GlobalPool.INITIAL_BLOCKS
         assert len(pool.storage) == 8 * GlobalPool.INITIAL_BLOCKS
         assert [pool.words[8 * b] for b in blocks[: GlobalPool.INITIAL_BLOCKS]] == [
             100 + b for b in blocks[: GlobalPool.INITIAL_BLOCKS]

@@ -62,14 +62,6 @@ class TestQueries:
         tl.record(20.0, 0)
         return tl
 
-    def test_value_at(self):
-        tl = self.make()
-        assert tl.value_at(-1) == 0.0
-        assert tl.value_at(0) == 100
-        assert tl.value_at(9.99) == 100
-        assert tl.value_at(10) == 300
-        assert tl.value_at(50) == 0
-
     def test_time_average(self):
         tl = self.make()
         # 100 for 10us, 300 for 10us → 200
@@ -80,33 +72,8 @@ class TestQueries:
         tl.record(3.0, 42)
         assert tl.time_average() == 42.0
 
-    def test_peak(self):
-        assert self.make().peak() == 300
-
-    def test_peak_survives_tied_timestamp_overwrite(self):
-        """A transient spike overwritten at the same timestamp (e.g.
-        assign-then-complete within one event) must still show in peak()."""
-        tl = Timeline()
-        tl.record(1.0, 7)
-        tl.record(1.0, 2)
-        assert tl.series() == ((1.0,), (2.0,))  # step series keeps the last
-        assert tl.peak() == 7.0
-
-    def test_peak_empty(self):
-        assert Timeline().peak() == 0.0
-
     def test_empty_average(self):
         assert Timeline().time_average() == 0.0
-
-    def test_resample(self):
-        tl = self.make()
-        ts, vs = tl.resample(5)
-        assert len(ts) == len(vs) == 5
-        assert ts[0] == 0.0 and ts[-1] == 20.0
-        assert vs[0] == 100 and vs[-1] == 0
-
-    def test_resample_empty(self):
-        assert Timeline().resample(4) == ([], [])
 
     def test_to_rows(self):
         assert self.make().to_rows() == [(0.0, 100.0), (10.0, 300.0), (20.0, 0.0)]

@@ -169,17 +169,6 @@ class TestProperties:
 
 
 class TestTransforms:
-    def test_reversed_roundtrip(self, small_road):
-        rev = small_road.reversed()
-        assert rev.num_edges == small_road.num_edges
-        back = rev.reversed()
-        fwd = sorted(small_road.edges())
-        assert sorted(back.edges()) == fwd
-
-    def test_reversed_edges(self, tiny_graph):
-        rev = tiny_graph.reversed()
-        assert sorted(rev.edges()) == [(1, 0, 10), (1, 2, 2), (2, 0, 1)]
-
     def test_as_float_preserves_topology(self, tiny_graph):
         f = tiny_graph.as_float()
         assert not f.is_integer_weighted

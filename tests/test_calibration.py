@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.calibration import (
-    BANDWIDTH_SCALE,
     LAUNCH_SCALE,
     SIM_SCALE,
     default_cost,
@@ -31,7 +32,7 @@ class TestScaledDevices:
     def test_bandwidth_scales_by_sqrt(self):
         d = sim_gpu(RTX_2080TI)
         assert d.dram_bandwidth_gbs == pytest.approx(
-            RTX_2080TI.dram_bandwidth_gbs * BANDWIDTH_SCALE
+            RTX_2080TI.dram_bandwidth_gbs * math.sqrt(SIM_SCALE)
         )
 
     def test_relative_3090_advantage_preserved(self):

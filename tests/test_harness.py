@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import bin_ratios
 from repro.baselines.common import SSSPResult
 from repro.errors import SolverError
 from repro.graphs import build_suite
@@ -39,8 +40,7 @@ class TestRunSuite:
         run = run_suite(solvers=("adds", "nf"), suite=tiny_suite)
         sp = run.speedups("adds", "nf")
         assert len(sp) == 2 and all(s > 0 for s in sp)
-        dist = run.speedup_distribution("adds", "nf")
-        assert dist.total == 2
+        assert bin_ratios(sp, label="NF").total == 2
 
     def test_work_ratio_convention(self, tiny_suite):
         """Table 4 reports ADDS's vertex count normalized to the baseline:
@@ -66,10 +66,6 @@ class TestRunSuite:
         seen = []
         run_suite(solvers=("nf",), suite=tiny_suite, progress=seen.append)
         assert len(seen) == 2
-
-    def test_by_category(self, tiny_suite):
-        run = run_suite(solvers=("nf",), suite=tiny_suite)
-        assert set(run.by_category()) == {"road"}
 
     def test_ratio_unknown_metric(self, tiny_suite):
         run = run_suite(solvers=("adds", "nf"), suite=tiny_suite)

@@ -13,12 +13,8 @@ import pytest
 from repro.baselines.common import SOLVERS, SolveRequest, get_solver
 from repro.trace import UNIFORM_SOLVER_KEYS
 
-#: Stats entries that are not counts: Δ values, traces, and
-#: figures a solver does not report.
-NON_COUNT_KEYS = {
-    "initial_delta", "final_delta", "delta", "delta_trace",
-    "work_count_public",
-}
+#: Stats entries that are not counts: Δ values and traces.
+NON_COUNT_KEYS = {"initial_delta", "final_delta", "delta", "delta_trace"}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -37,6 +33,14 @@ def test_every_count_is_a_python_int(name, small_road):
     assert counts
     for key, value in counts.items():
         assert type(value) is int, (name, key, value)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_no_stat_is_none(name, small_road):
+    """A stats key always carries a value; a figure a solver cannot
+    report is left out, not set to ``None``."""
+    stats = get_solver(name).solve(SolveRequest(graph=small_road)).stats
+    assert [k for k, v in stats.items() if v is None] == []
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
