@@ -63,12 +63,10 @@ def sim_gpu(base: DeviceSpec = RTX_2080TI, scale: float = SIM_SCALE) -> DeviceSp
     return base.scaled(scale, bandwidth_factor=math.sqrt(scale))
 
 
-def sim_cost(spec: DeviceSpec, **overrides) -> CostModel:
+def sim_cost(spec: DeviceSpec) -> CostModel:
     """A cost model for a scaled device, with launch overhead scaled by
     :data:`LAUNCH_SCALE` too."""
-    kw = {"kernel_launch_us": _FULL_LAUNCH_US * LAUNCH_SCALE}
-    kw.update(overrides)
-    return CostModel(spec, **kw)
+    return CostModel(spec, kernel_launch_us=_FULL_LAUNCH_US * LAUNCH_SCALE)
 
 
 def resolve_device(spec, cost):

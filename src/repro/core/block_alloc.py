@@ -158,7 +158,8 @@ class BucketStorage:
     def write_range(self, start: int, vertices, dists) -> None:
         """Write ``len(vertices)`` consecutive slots starting at ``start``:
         each vertex id into the slot's int64 word, its distance into the
-        float64 word beside it."""
+        float64 word beside it.  Takes lists or arrays; each block's run
+        is two slice assignments, one per lane."""
         k = len(vertices)
         if k == 0:
             return
@@ -168,28 +169,26 @@ class BucketStorage:
                 f"bucket {self.name}: write [{start}, {start + k}) outside "
                 f"allocated range"
             )
-        words = self.pool.words
-        words_f64 = self.pool.words_f64
+        vertex_lane = self.pool.vertex_lane
+        dist_lane = self.pool.dist_lane
         wpb = self.pool.words_per_block
         pos = 0
         while pos < k:
             vblock, off = divmod(start + pos, spb)
             take = min(k - pos, spb - off)
-            w = 2 * (self._table[vblock] * wpb + off)
-            for i in range(pos, pos + take):
-                words[w] = vertices[i]
-                words_f64[w + 1] = dists[i]
-                w += 2
+            w = self._table[vblock] * wpb + off
+            if take == k:  # the common case: one run, no slicing
+                vertex_lane[w : w + k] = vertices
+                dist_lane[w : w + k] = dists
+            else:
+                vertex_lane[w : w + take] = vertices[pos : pos + take]
+                dist_lane[w : w + take] = dists[pos : pos + take]
             pos += take
 
-    def read_range(self, start: int, end: int) -> Tuple[list, list]:
-        """Gather slots ``[start, end)`` → ``(vertices, dists)`` lists."""
+    def _runs(self, start: int, end: int):
+        """Slots ``[start, end)`` as ``(block, offset, count)`` runs, one
+        per storage block the range touches."""
         spb = self.slots_per_block
-        words = self.pool.words
-        words_f64 = self.pool.words_f64
-        wpb = self.pool.words_per_block
-        verts: list = []
-        dists: list = []
         idx = start
         while idx < end:
             vblock, off = divmod(idx, spb)
@@ -199,8 +198,32 @@ class BucketStorage:
                     f"bucket {self.name}: read of unallocated slot {idx}"
                 )
             take = min(end - idx, spb - off)
-            w = 2 * (blk * wpb + off)
-            verts += words[w : w + 2 * take : 2].tolist()
-            dists += words_f64[w + 1 : w + 2 * take : 2].tolist()
+            yield blk, off, take
             idx += take
+
+    def read_range(self, start: int, end: int) -> Tuple[list, list]:
+        """Gather slots ``[start, end)`` → ``(vertices, dists)`` lists."""
+        vertex_lane = self.pool.vertex_lane
+        dist_lane = self.pool.dist_lane
+        wpb = self.pool.words_per_block
+        verts: list = []
+        dists: list = []
+        for blk, off, take in self._runs(start, end):
+            w = blk * wpb + off
+            verts += vertex_lane[w : w + take].tolist()
+            dists += dist_lane[w : w + take].tolist()
         return verts, dists
+
+    def address_runs(self, start: int, end: int, out) -> int:
+        """Write slots ``[start, end)`` into ``out`` (an int64 buffer) as
+        ``(address, count)`` pairs, one per storage block, for a kernel
+        that reads the arena in place; returns the number of runs.  The
+        addresses hold only until the pool next grows."""
+        base = self.pool.address
+        block_bytes = 16 * self.pool.words_per_block  # two 8-byte words a slot
+        n = 0
+        for blk, off, take in self._runs(start, end):
+            out[n] = base + blk * block_bytes + 16 * off
+            out[n + 1] = take
+            n += 2
+        return n // 2

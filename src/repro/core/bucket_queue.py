@@ -27,19 +27,25 @@ Each slot is a vertex word and a distance word.  The distance is written
 through a float64 view of the arena, so the word holds its float64 bit
 pattern, and the same storage serves int- and float-weighted graphs
 (like the artifact's single GR payload word).  The queue's counters are
-Python ints and the slots move through Python lists: every per-batch
-operation touches a handful of values, where NumPy's per-call dispatch
-would cost more than the work.  For the same reason the queue updates
-its own counters in place and counts each ``atomicAdd`` and
-``__threadfence`` straight into the shared ``SimMemory.stats``.
+Python ints: every protocol operation touches a handful of values, where
+NumPy's per-call dispatch would cost more than the work.  For the same
+reason the queue updates its own counters in place and counts each
+``atomicAdd`` and ``__threadfence`` straight into the shared
+``SimMemory.stats``.
 
-A writer publishes a batch in one pass: :meth:`BucketQueue.push_groups`
-reads the winners' distances, bands them with one
-:meth:`~BucketQueue.rel_bands_list` call and splits them into per-bucket
-groups in ascending physical slot; each group then takes one
-reserve → write → fence → WCC sequence (:meth:`~BucketQueue.reserve`,
-:meth:`~BucketQueue.publish`).  The split is the bucket split of GPU
-Multisplit (Ashkiani et al., arXiv:1701.01189) done by one host loop.
+A worker reads its assignment through :meth:`BucketQueue.read_runs`
+(the native relax kernel reads the arena in place, by address) or
+:meth:`BucketQueue.read_items` (lists, for the Python reference); both
+do the same accounting.  It publishes its winners in one pass: they are
+banded, clipped and split into per-bucket groups in ascending physical
+slot — natively by one ``band_groups`` call of :mod:`repro.native`
+into the worker's buffer, else by :meth:`BucketQueue.push_groups` over
+one :meth:`~BucketQueue.rel_bands_list` call, the same band rule bit for
+bit — and each group then takes one reserve → write → fence → WCC
+sequence (:meth:`~BucketQueue.reserve`, :meth:`~BucketQueue.publish`,
+which takes the group as lists or NumPy views).  The split is the
+bucket split of GPU Multisplit (Ashkiani et al., arXiv:1701.01189): a
+counting pass, then a stable scatter.
 """
 
 from __future__ import annotations
@@ -217,7 +223,9 @@ class BucketQueue:
         the order a writer reserves and publishes in, which the protocol
         can observe.  Items keep their input order inside a group.  A
         batch that falls in one band comes back as one group without
-        being split.
+        being split.  The warm-start seed and the Python reference path
+        split through here; the native ``band_groups`` of
+        :mod:`repro.native` is held to it group for group.
         """
         dists = [dist[u] for u in vertices]
         if not dists:
@@ -392,10 +400,21 @@ class BucketQueue:
     def read_items(self, slot: int, start: int, end: int) -> Tuple[list, list]:
         """Fetch items (vertices, distances) from a readable range, as
         lists of Python ints and floats."""
+        return self._read(slot, start, end).read_range(start, end)
+
+    def read_runs(self, slot: int, start: int, end: int, out) -> int:
+        """:meth:`read_items` for a kernel that reads the arena in place:
+        the range goes into ``out`` as ``(address, count)`` runs
+        (:meth:`~repro.core.block_alloc.BucketStorage.address_runs`);
+        returns the number of runs."""
+        return self._read(slot, start, end).address_runs(start, end, out)
+
+    def _read(self, slot: int, start: int, end: int) -> BucketStorage:
+        """The accounting of a read: the checker's hook, the translation
+        cache and the trace instant.  Returns the bucket's storage."""
         if self._checker is not None:
             self._checker.on_read(slot, int(start), int(end))
         storage = self.storage[slot]
-        verts, dists = storage.read_range(start, end)
         spb = storage.slots_per_block
         access = self.mtb_cache.access
         for vb in range(start // spb, max(start, end - 1) // spb + 1):
@@ -406,7 +425,7 @@ class BucketQueue:
                 bucket=slot, rel=(slot - self.head) % self.n_buckets,
                 items=end - start,
             )
-        return verts, dists
+        return storage
 
     def bucket_drained(self, slot: int) -> bool:
         """Everything reserved has been read *and* completed."""

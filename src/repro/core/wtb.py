@@ -9,10 +9,10 @@ Each WTB loops forever:
    stale ones (their vertex has improved since the push), expand the rest
    and atomically relax their out-edges on the shared distance array;
 3. push every *winning* relaxation as a new work item, in one pass:
-   :meth:`~repro.core.bucket_queue.BucketQueue.push_groups` bands the
-   batch under the current Δ and splits it by bucket, then each touched
-   bucket gets one atomic reservation (``resv_ptr``), write, fence and
-   WCC bump — the multi-writer half of §5.2.  If the reservation outruns
+   the batch's winners are banded under the current Δ and split by
+   bucket, then each touched bucket gets one atomic reservation
+   (``resv_ptr``), write, fence and WCC bump — the multi-writer half of
+   §5.2.  If the reservation outruns
    the allocated blocks the WTB waits for the MTB's allocator to catch up
    (§5.3: all memory management is the MTB's job);
 4. report completion: bump the source bucket's CWC by the full assignment
@@ -23,14 +23,22 @@ The relaxation is one batch priced by the cost model; its memory effects
 land when the batch *finishes*, so concurrent WTBs genuinely race on the
 distance array and redundant work arises exactly as it does on hardware.
 
-Step 2 is :func:`make_relax`: one closure per solve, shared by every
-worker.  It runs each batch in one call into the C kernel of
-:mod:`repro.native` (``relax.c``): the stale check, the relax and the
-winner list, over the graph's CSR arrays and ``dist``/``pred`` in place.
-Where no C compiler is found, or ``REPRO_NATIVE=0`` is set, it runs the
-same batch as one loop over Python scalars through zero-copy
-memoryviews; that loop is the reference the kernel is tested against,
-bit for bit.  Each worker's step 2 runs alone in its own event: the
+Steps 2 and 3 are the two closures of :func:`make_relax`, made once per
+solve and shared by every worker.  Natively (``relax.c`` of
+:mod:`repro.native`), a worker's items and winners never become Python
+lists: the relax kernel reads the assignment straight out of the bucket
+arena as ``(address, count)`` runs and writes the winners into a buffer
+of that worker's own, and at publication one ``band_groups`` call bands,
+clips and splits them into per-bucket groups there; each group reaches
+``publish`` as NumPy views.  Python keeps every protocol seam: the
+reservations, the capacity wait, the checker hooks, the fence and WCC
+bumps and the tracer.  Where no C compiler is found, or
+``REPRO_NATIVE=0`` is set, the items come as lists from
+:meth:`~repro.core.bucket_queue.BucketQueue.read_items`, the batch runs
+as one loop over Python scalars through zero-copy memoryviews, and
+:meth:`~repro.core.bucket_queue.BucketQueue.push_groups` splits the
+winners; that path is the reference the kernels are tested against, bit
+for bit.  Each worker's step 2 runs alone in its own event: the
 single-reader MTB hands out assignments one at a time, so too few
 workers are ready at one timestamp for fusing their relaxations to pay
 (see ``docs/simulator.md``).
@@ -39,7 +47,6 @@ workers are ready at one timestamp for fusing their relaxations to pay
 from __future__ import annotations
 
 import ctypes
-import struct
 
 import numpy as np
 
@@ -54,18 +61,23 @@ AF_STOP = 2
 
 
 def make_relax(state):
-    """The WTB relaxation phase (step 2) as one per-solve closure.
+    """The WTB relaxation phase (step 2) and its push groups (step 3), as
+    two per-solve closures ``(relax, groups)`` shared by every worker.
 
     ``relax(wid)`` decodes worker ``wid``'s AF, reads the assigned items,
     drops stale ones, relaxes the live vertices' out-edges and prices the
     batch.  It returns the plain tuple
-    ``(slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw)`` where
-    the list ``new_v`` holds the ``nw`` winning destinations.
+    ``(slot, k, epoch, n_live, edges, latency, nbytes, nw)``, ``nw`` the
+    number of winning destinations, which the worker keeps until it
+    publishes them.  ``groups(wid, nw)`` is that publication's split: the
+    winners at their distances as of the call, banded under the current
+    Δ, as ``(slot, vertices, dists)`` groups in ascending physical slot
+    with the winners' order inside each group.
 
     The edges relax in batch order, each as ``atomicMin`` would: a
     candidate below the stored distance stores itself and its source as
     the predecessor.  So the last store at an index is the first batch
-    entry holding the batch minimum, and ``new_v`` lists the improved
+    entry holding the batch minimum, and the winners are the improved
     destinations in the order of those entries — the winner semantics of
     :meth:`~repro.gpu.memory.SimMemory.atomic_min_batch`, which the BSP
     baselines relax through
@@ -73,8 +85,11 @@ def make_relax(state):
     protocol checker attached, each batch is reported to its
     ``on_atomic_min_batch`` from here; ``SimMemory`` takes no checker.
 
-    The batch runs in the native kernel of :mod:`repro.native` when it
-    loads, else in the Python loop of :func:`_python_batch`; both give
+    Both run in the native kernels of :mod:`repro.native` when they load
+    (:func:`_native_steps`), else as :meth:`BucketQueue.read_items
+    <repro.core.bucket_queue.BucketQueue.read_items>`, the Python loop of
+    :func:`_python_batch` and :meth:`BucketQueue.push_groups
+    <repro.core.bucket_queue.BucketQueue.push_groups>`; both give
     bit-identical results.
     """
     dev = state.device
@@ -88,7 +103,6 @@ def make_relax(state):
     af_start = state.af_start
     af_end = state.af_end
     af_epoch = state.af_epoch
-    read_items = q.read_items
     wtb_batch_latency = cost.wtb_batch_latency
     wtb_batch_bytes = cost.wtb_batch_bytes
     # Batch pricing is a pure function of the edge count once the solve
@@ -98,9 +112,10 @@ def make_relax(state):
     # dynamic protocol checker (repro.check), or None
     checker = state.checker
     lib = native.load()
-    relax_batch = (
-        _python_batch(state) if lib is None else _native_batch(state, lib)
-    )
+    steps = None if lib is None else _native_steps(state, lib)
+    if steps is None:
+        steps = _python_steps(state)
+    batch, groups = steps
 
     def relax(wid: int):
         slot = af_slot[wid]
@@ -112,13 +127,12 @@ def make_relax(state):
             # the claim check: what this WTB decoded from its AF must be
             # exactly what the MTB assigned, in the epoch it was made
             checker.on_claim(wid, slot, start, end, epoch)
-        verts, pushed = read_items(slot, start, end)
         # Distance updates commit as the batch runs (hardware atomics are
         # visible to concurrently running blocks), so they are applied at
         # dispatch; the *work items* this batch spawns only become visible
         # when the push instructions + WCC increments execute, i.e. after
         # the batch's duration (see wtb_program).
-        n_live, edges, new_v = relax_batch(verts, pushed)
+        n_live, edges, nw = batch(wid, slot, start, end)
         mem_stats.atomics += edges  # one atomicMin per edge
         state.work_count += n_live
         priced = price_memo.get(edges)
@@ -128,9 +142,31 @@ def make_relax(state):
                 wtb_batch_bytes(edges, avg_deg),
             )
         latency, nbytes = priced
-        return (slot, k, epoch, n_live, edges, latency, nbytes, new_v, len(new_v))
+        return (slot, k, epoch, n_live, edges, latency, nbytes, nw)
 
-    return relax
+    return relax, groups
+
+
+def _python_steps(state):
+    """The reference ``(batch, groups)`` of :func:`make_relax`: the items
+    read as lists, :func:`_python_batch`, and each worker's winners kept
+    as a list until :meth:`BucketQueue.push_groups
+    <repro.core.bucket_queue.BucketQueue.push_groups>` splits them."""
+    q = state.queue
+    read_items = q.read_items
+    push_groups = q.push_groups
+    relax_batch = _python_batch(state)
+    dist = memoryview(state.dist)
+    pending = [None] * len(state.af_state)  # each worker's winners
+
+    def batch(wid, slot, start, end):
+        n_live, edges, pending[wid] = relax_batch(*read_items(slot, start, end))
+        return n_live, edges, len(pending[wid])
+
+    def groups(wid, nw):
+        return push_groups(pending[wid], dist)
+
+    return batch, groups
 
 
 def _python_batch(state):
@@ -199,15 +235,26 @@ def _python_batch(state):
     return relax_batch
 
 
-def _native_batch(state, lib):
-    """:func:`_python_batch` as one call into the ``relax.c`` kernel.
+def _native_steps(state, lib):
+    """:func:`_python_steps` as calls into the ``relax.c`` kernels:
+    ``(batch, groups)``, or ``None`` when the arrays do not have the
+    layout the kernels assume.
 
-    The kernel gets raw addresses, so this closure holds every array it
-    points into — the graph's CSR arrays (the live weight buffer, so
+    The kernels get raw addresses, so this closure holds every array they
+    point into — the graph's CSR arrays (the live weight buffer, so
     in-place patches are seen), ``dist``, ``pred`` and the scratch — for
-    as long as the solve can call it.  A batch's items are packed and
-    passed on each call.  The win log starts at ``max_chunk`` slots and
-    grows to the largest batch's edge count.
+    as long as the solve can call them.  ``batch`` hands the relax kernel
+    its assignment as ``(address, count)`` runs of the pool's arena
+    (:meth:`BucketQueue.read_runs
+    <repro.core.bucket_queue.BucketQueue.read_runs>`), never as lists.
+    The win log is shared, as a batch's relax runs in one call; it starts
+    at ``max_chunk`` slots and grows to the largest batch's edge count.
+    The winners go into the worker's own :class:`~repro.native.WinBuf`,
+    where they wait across the relax and capacity-wait yields while other
+    workers' batches run, and where ``groups`` bands and splits them in
+    one ``band_groups`` call.  A batch may write as many winners as it
+    has edges, so before each relax call the worker's buffers grow to the
+    win log's current size: another worker may have grown the log since.
     """
     graph = state.graph
     n = graph.num_vertices
@@ -223,11 +270,14 @@ def _native_batch(state, lib):
     ):
         # the kernel indexes raw memory: hold it to the layout it assumes
         if arr.size != size or arr.dtype != dtype or not arr.flags.c_contiguous:
-            return _python_batch(state)
+            return None
     if not (dist.flags.writeable and pred.flags.writeable):
-        return _python_batch(state)
-    ctx = native.RelaxCtx(n=n, m=m)
+        return None
+    q = state.queue
+    nb = q.n_buckets
+    ctx = native.RelaxCtx(n=n, m=m, n_buckets=nb)
     pinned = {}  # every array whose address ctx holds
+    log_cap = 0
 
     def point(**arrays):
         pinned.update(arrays)
@@ -235,53 +285,90 @@ def _native_batch(state, lib):
             setattr(ctx, name, arr.ctypes.data)
 
     def grow_log(slots):
-        ctx.log_cap = slots
+        nonlocal log_cap
+        ctx.log_cap = log_cap = slots
         point(log_u=np.empty(slots, dtype=np.int64),
               log_d=np.empty(slots, dtype=np.float64),
               log_pos=np.empty(slots, dtype=np.int64))
+
+    n_wtbs = len(state.af_state)
+    bufs = [native.WinBuf() for _ in range(n_wtbs)]
+    buf_addr = [ctypes.addressof(b) for b in bufs]
+    buf_cap = [0] * n_wtbs
+    held = [None] * n_wtbs  # each worker's (win, grp_v, grp_d, grp) arrays
+    grp_view = [None] * n_wtbs  # grp: the clips, then (slot, size) pairs
+
+    def grow_buf(wid, slots):
+        arrays = held[wid] = (
+            np.empty(slots, dtype=np.int64), np.empty(slots, dtype=np.int64),
+            np.empty(slots, dtype=np.float64), np.zeros(2 + 3 * nb, dtype=np.int64),
+        )
+        buf = bufs[wid]
+        buf.cap = buf_cap[wid] = slots
+        buf.win, buf.grp_v, buf.grp_d, buf.grp = (a.ctypes.data for a in arrays)
+        grp_view[wid] = memoryview(arrays[3])
 
     cap = state.config.max_chunk  # the MTB's largest assignment
     point(ro=ro, col=col, w=wts, dist=dist, pred=pred,
           live_v=np.empty(cap, dtype=np.int64), live_d=np.empty(cap, dtype=np.float64))
     grow_log(cap)
+    # the storage blocks an assignment of at most max_chunk slots touches
+    runs = np.empty(2 * (cap // state.config.slots_per_block + 2), dtype=np.int64)
+    runs_view = memoryview(runs)
+    runs_p = runs.ctypes.data
     ctx_p = ctypes.addressof(ctx)
     kernel = lib.relax_i32 if graph.is_integer_weighted else lib.relax_f32
-    packers: dict = {}
+    band_groups = lib.band_groups
+    read_runs = q.read_runs
     checker = state.checker
     views = (memoryview(ro), memoryview(col), memoryview(wts))
 
-    def relax_batch(verts, pushed):
-        k = len(verts)
-        pack = packers.get(k)
-        if pack is None:
-            if k > cap:
-                raise ProtocolError(
-                    f"an assignment of {k} items exceeds max_chunk {cap}"
-                )
-            pack = packers[k] = (
-                struct.Struct(f"{k}q").pack, struct.Struct(f"{k}d").pack
-            )
+    def batch(wid, slot, start, end):
+        k = end - start
+        if k > cap:
+            raise ProtocolError(f"an assignment of {k} items exceeds max_chunk {cap}")
+        nruns = read_runs(slot, start, end, runs_view)
+        if buf_cap[wid] < log_cap:
+            grow_buf(wid, log_cap)
         if checker is not None:
             before = dist.copy()  # the batch's loads precede its stores
-        items = (pack[0](*verts), pack[1](*pushed))
-        nw = kernel(ctx_p, k, *items)
+        nw = kernel(ctx_p, buf_addr[wid], nruns, runs_p)
         if nw == native.RELAX_LOG_FULL:  # nothing stored yet: grow, retry
-            grow_log(max(ctx.edges, 2 * ctx.log_cap))
-            nw = kernel(ctx_p, k, *items)
+            grow_log(max(ctx.edges, 2 * log_cap))
+            grow_buf(wid, log_cap)
+            nw = kernel(ctx_p, buf_addr[wid], nruns, runs_p)
         if nw < 0:
+            verts = q.storage[slot].read_range(start, end)[0]
             _raise_bad_index(nw, ctx.bad, verts, n)
         n_live = ctx.n_live
         edges = ctx.edges
         if checker is not None and edges:
             live = list(zip(pinned["live_v"][:n_live].tolist(),
                             pinned["live_d"][:n_live].tolist()))
-            batch = _batch_arrays(live, *views, before)
+            arrays = _batch_arrays(live, *views, before)
             winners = np.zeros(edges, dtype=bool)
             winners[pinned["log_pos"][:nw]] = True
-            checker.on_atomic_min_batch(dist, *batch, winners)
-        return n_live, edges, pinned["log_u"][:nw].tolist()
+            checker.on_atomic_min_batch(dist, *arrays, winners)
+        return n_live, edges, nw
 
-    return relax_batch
+    def groups(wid, nw):
+        ng = band_groups(ctx_p, buf_addr[wid], nw, q.base_dist, q.delta, q.head)
+        if ng < 0:
+            _raise_bad_index(ng, 0, (), n)
+        g = grp_view[wid]
+        if g[0] or g[1]:
+            q.low_clips += g[0]
+            q.high_clips += g[1]
+        _, grp_v, grp_d, _ = held[wid]
+        out = []
+        off = 0
+        for i in range(2, 2 + 2 * ng, 2):
+            end = off + g[i + 1]
+            out.append((g[i], grp_v[off:end], grp_d[off:end]))
+            off = end
+        return out
+
+    return batch, groups
 
 
 def _batch_arrays(live, ro, col, wts, dist_arr):
@@ -305,6 +392,11 @@ def _raise_bad_index(code, bad, verts, n):
         raise ProtocolError(
             f"work item {bad} names vertex {verts[bad]}, outside [0, {n})"
         )
+    if code == native.RELAX_WIN_SHORT:
+        raise ProtocolError(
+            "a worker's winner buffer is smaller than its batch: it was "
+            "not grown to the win log"
+        )
     what = {
         native.RELAX_BAD_OFFSETS: f"row_offsets of vertex {bad}",
         native.RELAX_BAD_COLUMN: f"col_indices[{bad}]",
@@ -314,12 +406,11 @@ def _raise_bad_index(code, bad, verts, n):
     )
 
 
-def wtb_program(state, wid: int, relax):
+def wtb_program(state, wid: int, relax, groups):
     """Generator program for worker ``wid`` over the shared solver state;
-    ``relax`` is the solve's :func:`make_relax` closure."""
+    ``relax`` and ``groups`` are the solve's :func:`make_relax` closures."""
     dev = state.device
     q = state.queue
-    dist = memoryview(state.dist)
     af_state = state.af_state
     tracer = dev.tracer
     track = f"WTB{wid}"
@@ -332,7 +423,6 @@ def wtb_program(state, wid: int, relax):
     # Hoisted hot-path lookups: this loop body runs once per assignment,
     # tens of thousands of times per solve.
     trace_on = tracer.enabled
-    push_groups = q.push_groups
     reserve = q.reserve
     storage = q.storage
     publish = q.publish
@@ -345,7 +435,7 @@ def wtb_program(state, wid: int, relax):
         if af_state[wid] == AF_STOP:
             return
 
-        slot, k, epoch, n_live, edges, latency, nbytes, new_v, nw = relax(wid)
+        slot, k, epoch, n_live, edges, latency, nbytes, nw = relax(wid)
 
         if trace_on:
             dev.annotate(
@@ -360,7 +450,7 @@ def wtb_program(state, wid: int, relax):
             # distances as of now: other WTBs' batches may have improved
             # them since this one relaxed
             push_cost = 0.0
-            for s, vs, ds in push_groups(new_v, dist):
+            for s, vs, ds in groups(wid, nw):
                 kk = len(vs)
                 idx0 = reserve(s, kk)
                 need = idx0 + kk

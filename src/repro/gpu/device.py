@@ -96,9 +96,6 @@ class BlockContext:
     block_id: int
     name: str
     program: Program = field(repr=False)
-    busy_cycles: float = 0.0
-    idle_cycles: float = 0.0
-    events: int = 0
     finished: bool = False
     _wait_started: float = 0.0
     _pending_relax: Optional[float] = None
@@ -304,9 +301,8 @@ class Device:
         heappush(self._heap, (t, self._next_prio(), ctx))
 
     def _wake(self, ctx: BlockContext) -> None:
-        """Resume a waiter: account idle time, charge the successful poll."""
+        """Resume a waiter: trace its idle span, charge the successful poll."""
         now = self.now
-        ctx.idle_cycles += now - ctx._wait_started
         if self._trace_on:
             start_us = self.spec.cycles_to_us(ctx._wait_started)
             self.tracer.span(
@@ -431,7 +427,6 @@ class Device:
                 ctx.finished = True
                 return
 
-            ctx.events += 1
             kind = event[0]
             if kind == "busy":
                 try:
@@ -441,7 +436,6 @@ class Device:
                 cycles = float(cycles)
                 if cycles < 0:
                     raise DeviceError(f"{ctx.name}: negative busy duration")
-                ctx.busy_cycles += cycles
                 if self._trace_on:
                     name, args = self._take_annotation(ctx, "busy")
                     self.tracer.span(
@@ -467,7 +461,6 @@ class Device:
                 transfer_done = service_start + nbytes / self._bytes_per_cycle
                 self._bw_clock = transfer_done
                 cycles = max(cycles, transfer_done - now)
-                ctx.busy_cycles += cycles
                 if now != self._relax_changed_at:
                     self._relax_integral += self._relax_edges * (
                         now - self._relax_changed_at

@@ -14,7 +14,8 @@ produced by these atomics are trivially correct; what this module adds is
   operations into them (:mod:`repro.core.bucket_queue`); and
 - an **arena** (:class:`GlobalPool`) from which the ADDS block
   allocator draws its 64 Ki-word blocks, standing in for the paper's
-  "large block of pre-allocated GPU memory" (§5.3).
+  "large block of pre-allocated GPU memory" (§5.3); the WTB relax
+  kernel reads its work items there in place, by address.
 """
 
 from __future__ import annotations
@@ -154,14 +155,16 @@ class GlobalPool:
         storage = np.zeros((blocks, self.words_per_block, 2), dtype=np.int64)
         storage[: len(self.storage)] = self.storage
         self.storage = storage
-        # Flat views of the whole arena, word ``2 * slot + lane``: the
-        # bucket storage moves slots through these with Python scalars
-        # and re-reads them on every call, so growth may replace them.
-        # ``words_f64`` reinterprets the same buffer, so a distance
-        # written there lands as its float64 bit pattern.
-        flat = storage.reshape(-1)
-        self.words = memoryview(flat)
-        self.words_f64 = memoryview(flat.view(np.float64))
+        # The arena's two lanes, indexed by ``block * words_per_block +
+        # offset``: the bucket storage writes and reads runs of slots
+        # through them, and the relax kernel reads the arena at
+        # ``address``.  Both re-read these on every call, so growth may
+        # replace them.  ``dist_lane`` reinterprets the same buffer, so a
+        # distance written there lands as its float64 bit pattern.
+        slots = storage.reshape(-1, 2)
+        self.vertex_lane = slots[:, 0]
+        self.dist_lane = slots.view(np.float64)[:, 1]
+        self.address = storage.ctypes.data
 
     def attach_tracer(
         self, tracer: Optional[Tracer], clock: Callable[[], float]

@@ -1,12 +1,15 @@
 """Native kernels, compiled on first use with the system C compiler.
 
-:func:`load` returns the ``ctypes`` library built from ``relax.c``, or
-``None`` when ``REPRO_NATIVE=0`` is set or no working ``cc`` is found;
-callers then keep their pure-Python loops, which are also the reference
-the tests hold the kernels to.  The library is cached under
-``$XDG_CACHE_HOME/repro`` (else ``~/.cache/repro``, else a private
-``repro-<uid>`` directory in the system temp dir), named by the hash of
-the source, and loaded once per process.
+``relax.c`` holds the ADDS worker's relax (``relax_i32``/``relax_f32``,
+which read their items from the bucket arena by address) and its band
+and split at publication (``band_groups``).  :func:`load` returns the
+``ctypes`` library built from it, or ``None`` when ``REPRO_NATIVE=0`` is
+set or no working ``cc`` is found; callers then keep their pure-Python
+loops, which are also the reference the tests hold the kernels to.  The
+library is cached under ``$XDG_CACHE_HOME/repro`` (else
+``~/.cache/repro``, else a private ``repro-<uid>`` directory in the
+system temp dir), named by the hash of the source and flags
+(:func:`library_path`), and loaded once per process.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-__all__ = ["RelaxCtx", "load"]
+__all__ = ["RelaxCtx", "WinBuf", "library_path", "load"]
 
 SOURCE = Path(__file__).with_name("relax.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
+LIBS = ("-lm",)
 
 _i64, _ptr = ctypes.c_int64, ctypes.c_void_p
 
@@ -36,12 +40,23 @@ class RelaxCtx(ctypes.Structure):
         ("n", _i64), ("m", _i64), ("ro", _ptr), ("col", _ptr), ("w", _ptr),
         ("dist", _ptr), ("pred", _ptr), ("live_v", _ptr), ("live_d", _ptr),
         ("log_cap", _i64), ("log_u", _ptr), ("log_d", _ptr), ("log_pos", _ptr),
-        ("n_live", _i64), ("edges", _i64), ("bad", _i64),
+        ("n_buckets", _i64), ("n_live", _i64), ("edges", _i64), ("bad", _i64),
+    ]
+
+
+class WinBuf(ctypes.Structure):
+    """``win_buf`` of ``relax.c``: one worker's winners, from its relax
+    until it publishes them, and their per-bucket groups."""
+
+    _fields_ = [
+        ("cap", _i64), ("win", _ptr), ("grp_v", _ptr), ("grp_d", _ptr),
+        ("grp", _ptr),
     ]
 
 
 #: ``relax.c``'s negative return codes
-RELAX_BAD_ITEM, RELAX_BAD_OFFSETS, RELAX_BAD_COLUMN, RELAX_LOG_FULL = -1, -2, -3, -4
+RELAX_BAD_ITEM, RELAX_BAD_OFFSETS, RELAX_BAD_COLUMN = -1, -2, -3
+RELAX_LOG_FULL, RELAX_WIN_SHORT = -4, -5
 
 
 def load() -> Optional[ctypes.CDLL]:
@@ -57,12 +72,22 @@ def _cache_dirs():
     yield Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"
 
 
+def library_path(cache: Optional[Path] = None) -> Path:
+    """The file the loader looks for in ``cache`` (default: the first
+    cache directory it tries), named by the hash of the source and the
+    build flags.  A library put there before the first :func:`load` is
+    used as it is, which is how a sanitizer build is slipped in."""
+    if cache is None:
+        cache = next(_cache_dirs())
+    flags = " ".join(CFLAGS + LIBS).encode()
+    tag = hashlib.sha256(SOURCE.read_bytes() + flags).hexdigest()[:16]
+    return cache / f"relax-{tag}.so"
+
+
 @functools.lru_cache(maxsize=None)
 def _build() -> Optional[ctypes.CDLL]:
-    src = SOURCE.read_bytes()
-    tag = hashlib.sha256(src + " ".join(CFLAGS).encode()).hexdigest()[:16]
     for cache in _cache_dirs():
-        lib = cache / f"relax-{tag}.so"
+        lib = library_path(cache)
         try:
             cache.mkdir(mode=0o700, parents=True, exist_ok=True)
             st = cache.stat()
@@ -75,7 +100,7 @@ def _build() -> Optional[ctypes.CDLL]:
                 os.close(fd)
                 try:
                     subprocess.run(
-                        ["cc", *CFLAGS, "-o", tmp, str(SOURCE)],
+                        ["cc", *CFLAGS, "-o", tmp, str(SOURCE), *LIBS],
                         check=True, capture_output=True, timeout=120,
                     )
                     os.replace(tmp, lib)
@@ -90,6 +115,10 @@ def _build() -> Optional[ctypes.CDLL]:
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     for fn in (lib.relax_i32, lib.relax_f32):
-        fn.argtypes = (_ptr, _i64, _ptr, _ptr)
+        fn.argtypes = (_ptr, _ptr, _i64, _ptr)
         fn.restype = _i64
+    lib.band_groups.argtypes = (
+        _ptr, _ptr, _i64, ctypes.c_double, ctypes.c_double, _i64,
+    )
+    lib.band_groups.restype = _i64
     return lib

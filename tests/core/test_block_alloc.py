@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+
+import numpy as np
 import pytest
 
 from repro.core.block_alloc import BucketStorage, TranslationCache
@@ -70,6 +73,27 @@ class TestIndexSplit:
     def test_read_unallocated_rejected(self, storage):
         with pytest.raises(ProtocolError, match="unallocated"):
             storage.read_range(0, 4)
+
+    def test_write_arrays_read_as_address_runs(self, storage, pool):
+        # pool blocks 0 and 2 back the bucket's virtual blocks 0 and 1,
+        # so the range [60, 70) is two runs that do not abut
+        storage.ensure_capacity(64)
+        assert pool.acquire() == 1
+        storage.ensure_capacity(128)
+        verts = np.arange(60, 70)
+        dists = np.arange(160.5, 170.5)
+        storage.write_range(60, verts, dists)
+        out = memoryview(np.zeros(6, dtype=np.int64))
+        assert storage.address_runs(60, 70, out) == 2
+        items = []
+        for addr, count in zip(out[0:4:2], out[1:4:2]):
+            words = np.ctypeslib.as_array(
+                (ctypes.c_int64 * (2 * count)).from_address(addr))
+            items += list(zip(words[0::2].tolist(),
+                              words[1::2].view(np.float64).tolist()))
+        assert items == list(zip(verts.tolist(), dists.tolist()))
+        with pytest.raises(ProtocolError, match="unallocated slot 128"):
+            storage.address_runs(120, 130, out)
 
     def test_empty_ranges(self, storage):
         v, d = storage.read_range(10, 10)

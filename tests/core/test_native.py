@@ -1,11 +1,14 @@
-"""The native relax kernel (``repro.native``) against the Python loop.
+"""The native kernels (``repro.native``) against the Python path.
 
-The Python loop of ``repro.core.wtb`` is the reference: every solve that
-runs through the kernel must equal it bit for bit, and so must the
-arrays a protocol checker is shown.  The kernel also has to reject index
-arrays that would send it outside its buffers, and the loader has to
-survive two processes compiling into one cache at once and a host
-without a C compiler.
+The Python path of ``repro.core.wtb`` (items read as lists, the relax
+loop, ``push_groups``) is the reference: every solve that runs through
+the kernels must equal it bit for bit, and so must the arrays a protocol
+checker is shown.  The relax kernel also has to reject index arrays, and
+vertex words in the arena, that would send it outside its buffers; the
+worker buffers have to keep up with a win log other workers grow; and
+the loader has to survive two processes compiling into one cache at
+once and a host without a C compiler.  ``test_protocol_properties.py``
+holds the band call to ``push_groups``.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ import repro
 from repro import native
 from repro.check import ProtocolChecker
 from repro.core import AddsConfig, solve_adds
+from repro.core.bucket_queue import BucketQueue
+from repro.core.wtb import _native_steps, _python_batch, _python_steps
 from repro.dynamic import apply_updates
-from repro.core.wtb import _python_batch
 from repro.errors import GraphConstructionError, ProtocolError
+from repro.gpu.memory import GlobalPool, SimMemory
 from repro.graphs import fem_mesh, grid_road, rmat, update_stream
 
 needs_kernel = pytest.mark.skipif(
@@ -88,21 +93,60 @@ class _Recorder(ProtocolChecker):
         super().on_atomic_min_batch(arr, indices, values, before, winners)
 
 
-@needs_kernel
-@pytest.mark.parametrize("graph", [
-    grid_road(12, 10, seed=3), rmat(8, edge_factor=8, seed=3).as_float(),
-], ids=["road-int", "rmat-float"])
-def test_checker_sees_the_python_loops_arrays(graph, monkeypatch):
-    def batches():
-        rec = _Recorder()
-        solve_adds(graph, 0, checker=rec, perturb_seed=2)
-        return rec.batches
+def _record_runs(monkeypatch):
+    """The run counts of the pool reads made after this call."""
+    counts = []
+    read_runs = BucketQueue.read_runs
 
-    kernel = batches()
+    def spy(self, slot, start, end, out):
+        counts.append(read_runs(self, slot, start, end, out))
+        return counts[-1]
+
+    monkeypatch.setattr(BucketQueue, "read_runs", spy)
+    return counts
+
+
+@needs_kernel
+@pytest.mark.parametrize("graph, config", [
+    pytest.param(grid_road(12, 10, seed=3), None, id="road-int"),
+    pytest.param(rmat(8, edge_factor=8, seed=3).as_float(), None, id="rmat-float"),
+    # max_chunk 256 over 32-slot blocks: an assignment reads up to nine
+    # runs of the arena
+    pytest.param(rmat(9, edge_factor=8, seed=5), AddsConfig(slots_per_block=32),
+                 id="rmat-int-multi-block"),
+])
+def test_checker_sees_the_python_loops_arrays(graph, config, monkeypatch):
+    """Every batch's arrays, winners included, and the solve's distances,
+    tree and stats equal the Python loop's, which reads the same slots
+    as lists."""
+    def solve():
+        rec = _Recorder()
+        r = solve_adds(graph, 0, config=config, checker=rec, perturb_seed=2)
+        return _observed(r), rec.batches
+
+    runs = _record_runs(monkeypatch)
+    kernel = solve()
+    if config is not None:
+        assert max(runs) > 2  # assignments read across storage blocks
     monkeypatch.setenv("REPRO_NATIVE", "0")
-    reference = batches()
-    assert len(kernel) > 10
+    reference = solve()
+    assert len(kernel[1]) > 10
     assert kernel == reference
+
+
+@needs_kernel
+def test_win_log_grows_under_unpublished_winners(monkeypatch):
+    """max_chunk=2 starts the shared win log at 2 slots, and a batch of
+    rmat's hubs has hundreds of edges, so the log grows while other
+    workers hold winners they have not published yet.  Each worker's
+    winner buffer grows to the log before its next relax; a buffer left
+    at an older log size would be overrun (the kernel refuses the batch
+    instead)."""
+    graph = rmat(9, edge_factor=8, seed=7)
+    config = AddsConfig(max_chunk=2)
+    kernel = _observed(solve_adds(graph, 0, config=config))
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    assert kernel == _observed(solve_adds(graph, 0, config=config))
 
 
 class TestBadIndices:
@@ -125,10 +169,12 @@ class TestBadIndices:
             solve_adds(g, 0)
 
     @staticmethod
-    def call_kernel(ro, col, dist, verts, log_cap=8):
+    def call_kernel(ro, col, dist, verts, log_cap=8, win_cap=None):
         """One ``relax_i32`` call on hand-built arrays (unit weights, every
-        item pushed at distance 0): ``(code, ctx)``."""
+        item pushed at distance 0, the items one run of a hand-built
+        arena): ``(code, ctx)``."""
         n, m, k = len(dist), len(col), len(verts)
+        win_cap = log_cap if win_cap is None else win_cap
         arrays = {
             "ro": np.array(ro, dtype=np.int64),
             "col": np.array(col, dtype=np.int32),
@@ -144,10 +190,13 @@ class TestBadIndices:
         ctx = native.RelaxCtx(n=n, m=m, log_cap=log_cap, **{
             name: arr.ctypes.data for name, arr in arrays.items()
         })
-        verts = np.array(verts, dtype=np.int64)
-        pushed = np.zeros(k)
+        win = np.empty(win_cap, dtype=np.int64)
+        buf = native.WinBuf(cap=win_cap, win=win.ctypes.data)
+        items = np.zeros((k, 2), dtype=np.int64)  # pushed distance 0.0
+        items[:, 0] = verts
+        runs = np.array([items.ctypes.data, k], dtype=np.int64)
         code = native.load().relax_i32(
-            ctypes.addressof(ctx), k, verts.ctypes.data, pushed.ctypes.data
+            ctypes.addressof(ctx), ctypes.addressof(buf), 1, runs.ctypes.data
         )
         return code, ctx
 
@@ -166,6 +215,31 @@ class TestBadIndices:
         code, ctx = self.call_kernel([0, 1, 1, 2], [1, 7], dist, [0, 2])
         assert (code, ctx.bad) == (native.RELAX_BAD_COLUMN, 1)
         assert np.isinf(dist[1])
+
+    @pytest.mark.parametrize("steps", [
+        pytest.param(lambda state: _native_steps(state, native.load()),
+                     id="native", marks=needs_kernel),
+        pytest.param(_python_steps, id="python"),
+    ])
+    def test_bad_vertex_word_in_a_bucket_slot(self, steps):
+        # eight items at distance 0 over two 4-slot blocks; the assigned
+        # range [2, 8) reads two runs, the second holding vertex n
+        g = grid_road(6, 5, seed=1)
+        n = g.num_vertices
+        config = AddsConfig(slots_per_block=4, segment_size=4, n_wtbs=1)
+        q = BucketQueue(SimMemory(), GlobalPool(words_per_block=4), config,
+                        initial_delta=10.0)
+        q.ensure_capacity(0, 8)
+        q.publish(0, q.reserve(0, 8), list(range(8)), [0.0] * 8)
+        q.storage[0].write_range(5, [n], [0.0])
+        dist = np.full(n, np.inf)
+        dist[:8] = 0.0
+        state = SimpleNamespace(graph=g, dist=dist, pred=np.full(n, -1),
+                                queue=q, config=config, af_state=[0], checker=None)
+        batch, _ = steps(state)
+        with pytest.raises(ProtocolError, match=f"work item 3 names vertex {n},"):
+            batch(0, 0, 2, 8)
+        assert np.isinf(dist[8:]).all() and (state.pred == -1).all()
 
     def test_python_loop_checks_before_its_first_store(self):
         # the kernel case above, through the Python loop
@@ -187,6 +261,14 @@ class TestBadIndices:
         dist = np.array([0.0, np.inf, np.inf])
         code, ctx = self.call_kernel([0, 2, 2, 2], [1, 2], dist, [0], log_cap=1)
         assert (code, ctx.edges) == (native.RELAX_LOG_FULL, 2)
+        assert np.isinf(dist[1:]).all()
+
+    @needs_kernel
+    def test_short_winner_buffer_is_refused_before_storing(self):
+        # the log has room, the worker's buffer does not
+        dist = np.array([0.0, np.inf, np.inf])
+        code, ctx = self.call_kernel([0, 2, 2, 2], [1, 2], dist, [0], win_cap=1)
+        assert (code, ctx.edges) == (native.RELAX_WIN_SHORT, 2)
         assert np.isinf(dist[1:]).all()
 
 

@@ -9,11 +9,14 @@ value-level properties of the codec, the batch atomics and the solver.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.core import delta_controller
 from repro.core.bucket_queue import BucketQueue
 from repro.core.config import AddsConfig
@@ -113,30 +116,80 @@ class TestBandMappingProperties:
         assert (np.diff(rel) >= 0).all()  # clipping preserves order
 
 
+@st.composite
+def push_batches(draw):
+    """``(dists, head, base, delta)``: a batch of pushes and the window it
+    is banded under.  The batch mixes arbitrary and below-window
+    distances with ones on band boundaries (``base + j * delta``, where
+    float ``//`` and ``floor(a / b)`` part), the head wraps, and Δ gets
+    tiny enough for the quotient to overflow to infinity (the clip
+    fallback)."""
+    head = draw(st.integers(0, 3))
+    base = draw(st.floats(min_value=0, max_value=1e4))
+    delta = draw(st.one_of(
+        st.sampled_from([1e-310, 1e-300]),
+        st.floats(min_value=0.01, max_value=1e6),
+    ))
+    on_boundary = st.integers(-1, 5).map(lambda j: base + j * delta)
+    dists = draw(st.lists(
+        st.one_of(st.floats(min_value=-1e3, max_value=1e9, allow_nan=False),
+                  on_boundary),
+        min_size=1,
+        max_size=40,
+    ))
+    return dists, head, base, delta
+
+
+def windowed_queues(head, base, delta):
+    """Two fresh queues whose window is at ``(head, base, delta)``."""
+    queues = [fresh_queue(), fresh_queue()]
+    for queue in queues:
+        queue.set_delta(delta)
+        queue.base_dist = base
+        queue.head = head
+    return queues
+
+
+def band_groups(q, vertices, dist):
+    """The native ``band_groups`` call of one worker's winners, on
+    hand-built buffers, as ``push_groups`` returns it: ``(slot,
+    vertices, dists)`` groups; the clips are counted into ``q``."""
+    nw, nb = len(vertices), q.n_buckets
+    arrays = {
+        "dist": np.asarray(dist, dtype=np.float64),
+        "log_u": np.empty(nw, dtype=np.int64),
+        "log_d": np.empty(nw),
+    }
+    ctx = native.RelaxCtx(log_cap=nw, n_buckets=nb, **{
+        name: arr.ctypes.data for name, arr in arrays.items()
+    })
+    win = np.array(vertices, dtype=np.int64)
+    grp_v, grp_d = np.empty(nw, dtype=np.int64), np.empty(nw)
+    grp = np.full(2 + 3 * nb, -1, dtype=np.int64)
+    buf = native.WinBuf(cap=nw, win=win.ctypes.data, grp_v=grp_v.ctypes.data,
+                        grp_d=grp_d.ctypes.data, grp=grp.ctypes.data)
+    ng = native.load().band_groups(
+        ctypes.addressof(ctx), ctypes.addressof(buf), nw, q.base_dist,
+        q.delta, q.head,
+    )
+    q.low_clips += int(grp[0])
+    q.high_clips += int(grp[1])
+    bounds = np.cumsum([0, *grp[3 : 3 + 2 * ng : 2]])
+    return [
+        (int(grp[2 + 2 * g]), grp_v[bounds[g] : bounds[g + 1]].tolist(),
+         grp_d[bounds[g] : bounds[g + 1]].tolist())
+        for g in range(ng)
+    ]
+
+
 class TestPushGroupsProperties:
     """``push_groups`` is the per-item band rule, split in one pass."""
 
-    @given(
-        dists=st.lists(
-            st.floats(min_value=-1e3, max_value=1e9, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        ),
-        head=st.integers(0, 3),
-        base=st.floats(min_value=0, max_value=1e4),
-        # 1e-310 makes quotients overflow to infinity (the clip fallback)
-        delta=st.one_of(
-            st.sampled_from([1e-310, 1e-300]),
-            st.floats(min_value=0.01, max_value=1e6),
-        ),
-    )
+    @given(push_batches())
     @settings(max_examples=300)
-    def test_groups_match_per_item_bands(self, dists, head, base, delta):
-        q, ref = fresh_queue(), fresh_queue()
-        for queue in (q, ref):
-            queue.set_delta(delta)
-            queue.base_dist = base
-            queue.head = head
+    def test_groups_match_per_item_bands(self, batch):
+        dists, head, base, delta = batch
+        q, ref = windowed_queues(head, base, delta)
         vertices = [7 * i + 3 for i in range(len(dists))]
         dist = {v: d for v, d in zip(vertices, dists)}
 
@@ -156,6 +209,25 @@ class TestPushGroupsProperties:
         q = fresh_queue()
         assert list(q.push_groups([], {})) == []
         assert (q.low_clips, q.high_clips) == (0, 0)
+
+    @pytest.mark.skipif(native.load() is None, reason="native kernels unavailable")
+    @given(push_batches())
+    # band boundaries where floor((d - base) / delta) is one band off, and
+    # where the inexact quotient needs float //'s round-up to the integer
+    @example(([0.03, 0.9], 0, 0.0, 0.01))
+    @example(([84.21770554777032], 1, 74.31770554777032, 3.3))
+    @settings(max_examples=300)
+    def test_band_call_matches_push_groups(self, batch):
+        dists, head, base, delta = batch
+        q, ref = windowed_queues(head, base, delta)
+        vertices = [7 * i + 3 for i in range(len(dists))]
+        dist = np.zeros(vertices[-1] + 1)
+        dist[vertices] = dists
+
+        expect = [(s, list(vs), list(ds))
+                  for s, vs, ds in ref.push_groups(vertices, dist.tolist())]
+        assert band_groups(q, vertices, dist) == expect
+        assert (q.low_clips, q.high_clips) == (ref.low_clips, ref.high_clips)
 
 
 class TestAtomicMinBatchProperties:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import DeviceError
 from repro.gpu import Device, RTX_2080TI
+from repro.trace.tracer import Tracer
 
 
 def make_device(**kw):
@@ -216,11 +217,15 @@ class TestWaiting:
         def waiter():
             yield ("wait", lambda: flag[0] == 1, "flag")
 
-        d = make_device()
-        w = d.add_block("w", waiter())
+        tracer = Tracer()
+        d = make_device(tracer=tracer)
+        d.add_block("w", waiter())
         d.add_block("s", setter())
         d.run()
-        assert w.idle_cycles == pytest.approx(1000)
+        # the waiter's one idle span covers the setter's busy time
+        [idle] = [ev for ev in tracer.events if ev.name == "idle"]
+        assert idle.track == "w"
+        assert idle.dur_us == pytest.approx(RTX_2080TI.cycles_to_us(1000))
 
 
 class TestRelaxTracking:
@@ -285,7 +290,6 @@ class TestSharedState:
         d.run()
         assert ctx.name == "p"
         assert ctx.finished
-        assert ctx.busy_cycles == pytest.approx(10)
 
 
 class TestRescueWaiterDedupe:

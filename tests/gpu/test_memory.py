@@ -212,12 +212,12 @@ class TestGlobalPool:
         pool = GlobalPool(words_per_block=4)
         blocks = [pool.acquire() for _ in range(3 * GlobalPool.INITIAL_BLOCKS)]
         for b in blocks[: GlobalPool.INITIAL_BLOCKS]:
-            pool.words[8 * b] = 100 + b
+            pool.vertex_lane[4 * b] = 100 + b
         for _ in range(5 * GlobalPool.INITIAL_BLOCKS):
             blocks.append(pool.acquire())
         assert pool.blocks_in_use == 8 * GlobalPool.INITIAL_BLOCKS
         assert len(pool.storage) == 8 * GlobalPool.INITIAL_BLOCKS
-        assert [pool.words[8 * b] for b in blocks[: GlobalPool.INITIAL_BLOCKS]] == [
+        assert [pool.vertex_lane[4 * b] for b in blocks[: GlobalPool.INITIAL_BLOCKS]] == [
             100 + b for b in blocks[: GlobalPool.INITIAL_BLOCKS]
         ]
 

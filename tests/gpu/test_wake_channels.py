@@ -90,13 +90,15 @@ class TestTargetedWakeups:
             flag[0] = 1
             dev.notify("gate")
 
-        d = make_device()
-        w = d.add_block("w", waiter(d))
+        tracer = Tracer()
+        d = make_device(tracer=tracer)
+        d.add_block("w", waiter(d))
         d.add_block("writer", writer(d))
         d.run()
         # the notify lands at t=300; the waiter resumes one poll later
         assert woke_at == [pytest.approx(300 + d.cost.af_poll_cycles)]
-        assert w.idle_cycles == pytest.approx(300)
+        [idle] = [ev for ev in tracer.events if ev.name == "idle"]
+        assert idle.dur_us == pytest.approx(RTX_2080TI.cycles_to_us(300))
         assert d.wakeups == 1
 
     def test_spurious_notify_is_counted_not_resumed(self):

@@ -61,8 +61,13 @@ class TestScaledCost:
         assert cost.kernel_launch_us == pytest.approx(6.0 * LAUNCH_SCALE)
 
     def test_overrides_pass_through(self):
-        cost = sim_cost(sim_gpu(RTX_2080TI), atomic_cycles=999.0)
+        # sim_cost takes no overrides: other constants mean building the
+        # CostModel directly, with the scaled launch carried over
+        spec = sim_gpu(RTX_2080TI)
+        launch = sim_cost(spec).kernel_launch_us
+        cost = CostModel(spec, kernel_launch_us=launch, atomic_cycles=999.0)
         assert cost.atomic_cycles == 999.0
+        assert cost.kernel_launch_us == pytest.approx(6.0 * LAUNCH_SCALE)
 
     def test_default_cost_matches_default_gpu(self):
         c = default_cost()
