@@ -72,8 +72,7 @@ def _install_phantom_wcc(checker, device, queue, state) -> None:
             segs = orig(slot, start, vertices[:-1], dists[:-1])
             ss = queue.segment_size
             seg = (start + k - 1) // ss
-            wcc = queue._wcc_through(slot, seg)
-            queue.mem.atomic_add(wcc, seg, 1)
+            queue.mem.atomic_add(queue.wcc[slot], seg, 1)
             return segs
         return orig(slot, start, vertices, dists)
 

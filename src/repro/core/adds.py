@@ -236,10 +236,10 @@ def solve_adds(
             queue.publish(slot, start, verts, dists)
     # (empty frontier: nothing to relax — the MTB terminates on its own)
 
-    relax, groups = make_relax(state)
+    relax, publish = make_relax(state)
     device.add_block("MTB", mtb_program(state))
     for w in range(n_wtbs):
-        device.add_block(f"WTB{w}", wtb_program(state, w, relax, groups))
+        device.add_block(f"WTB{w}", wtb_program(state, w, relax, publish))
     if tracer.enabled:
         # ADDS runs as one persistent kernel (MTB + WTBs, §5.1).
         tracer.instant(

@@ -16,13 +16,16 @@ allocator."
   ``(index // slots_per_block, index % slots_per_block)`` — the pointer-
   array index and in-block offset (the 16/16 split, generalized to the
   configured block size);
-- the pointer array maps virtual block numbers to pool blocks; it only
-  grows at the tail (:meth:`ensure_capacity`, called by the MTB) and only
-  shrinks at the head (:meth:`retire_below`, as ``read_ptr``/``CWC`` move
-  past a block) — the FIFO property.  Both ends are kept as plain ints,
-  ``capacity`` (first unbacked slot) and ``retire_at`` (the index whose
-  passing frees the oldest block), so the queue answers "nothing to do"
-  — the common case on every MTB pass and WTB push — with one
+- the pointer array maps virtual block numbers to pool blocks.  It is a
+  flat ``array('q')`` indexed by virtual block, so the native publish
+  call of :mod:`repro.native` translates through it in place; it only
+  grows at the tail (:meth:`ensure_capacity`, called by the MTB) and
+  only retires at the head (:meth:`retire_below`, as ``read_ptr``/``CWC``
+  move past a block, which leaves −1 in the retired entry) — the FIFO
+  property.  ``capacity`` (first unbacked slot) is the table's length
+  times ``slots_per_block``, and ``retire_at`` (the index whose passing
+  frees the oldest block) is a plain int, so the queue answers "nothing
+  to do" — the common case on every MTB pass and WTB push — with one
   comparison;
 - :class:`TranslationCache` models the scratchpad direct-mapped caches
   that spare most accesses the extra indirection ("keeping direct-mapped
@@ -36,12 +39,16 @@ freeing WTBs from dealing with this task."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import List, Optional, Tuple
 
 from repro.errors import AllocationError, ProtocolError
 from repro.gpu.memory import GlobalPool
 
 __all__ = ["BucketStorage", "TranslationCache"]
+
+#: Sets of a :class:`TranslationCache`.
+N_SETS = 8
 
 
 class TranslationCache:
@@ -53,26 +60,20 @@ class TranslationCache:
     array.
     """
 
-    def __init__(self, n_sets: int = 8) -> None:
-        if n_sets < 1:
-            raise AllocationError("cache needs at least one set")
-        self.n_sets = n_sets
-        self._tags: List[Optional[int]] = [None] * n_sets
+    def __init__(self) -> None:
+        self._tags: List[Optional[int]] = [None] * N_SETS
         self.hits = 0
         self.misses = 0
 
     def access(self, vblock: int) -> bool:
         """Touch ``vblock``; returns True on hit."""
-        s = vblock % self.n_sets
+        s = vblock % N_SETS
         if self._tags[s] == vblock:
             self.hits += 1
             return True
         self._tags[s] = vblock
         self.misses += 1
         return False
-
-    def invalidate(self) -> None:
-        self._tags = [None] * self.n_sets
 
 
 class BucketStorage:
@@ -95,32 +96,29 @@ class BucketStorage:
         self.pool = pool
         self.slots_per_block = int(slots_per_block)
         self.name = name
-        # pointer array: virtual block number -> pool block id
-        self._table: Dict[int, int] = {}
-        self._first_vblock = 0  # oldest still-mapped virtual block
-        self._next_vblock = 0  # next virtual block to allocate
-        #: First virtual slot index *not* backed by an allocated block.
-        #: A plain int kept by ensure_capacity and reset: WTBs read it on
-        #: every push and the MTB on every pass.
-        self.capacity = 0
+        #: The pointer array: virtual block number -> pool block id, −1
+        #: once retired.  Appending may move it, so whoever holds its
+        #: address re-reads it after :meth:`ensure_capacity` and
+        #: :meth:`reset`.
+        self.table = array("q")
         #: Lowest index whose passing frees a block (the end of the
         #: oldest mapped block), kept by retire_below and reset.
         self.retire_at = self.slots_per_block
-        self.blocks_allocated = 0
-        self.blocks_retired = 0
+
+    @property
+    def capacity(self) -> int:
+        """First virtual slot index *not* backed by an allocated block."""
+        return len(self.table) * self.slots_per_block
 
     # -- capacity management (MTB only) ------------------------------------ #
 
     def ensure_capacity(self, slots: int) -> int:
         """Allocate blocks until ``capacity >= slots``; returns blocks added."""
-        added = 0
-        while self.capacity < slots:
-            self._table[self._next_vblock] = self.pool.acquire()
-            self._next_vblock += 1
-            self.capacity += self.slots_per_block
-            self.blocks_allocated += 1
-            added += 1
-        return added
+        table = self.table
+        added = -(-slots // self.slots_per_block) - len(table)
+        for _ in range(added):
+            table.append(self.pool.acquire())
+        return max(added, 0)
 
     def retire_below(self, index: int) -> int:
         """Free whole blocks strictly below virtual slot ``index``.
@@ -128,29 +126,28 @@ class BucketStorage:
         FIFO shrink: callers guarantee no live data below ``index``
         (``read_ptr`` and ``CWC`` have both passed it).
         """
+        table = self.table
+        spb = self.slots_per_block
         retired = 0
         while self.retire_at <= index:
-            blk = self._table.pop(self._first_vblock, None)
-            if blk is None:
+            vblock = self.retire_at // spb - 1
+            blk = table[vblock] if vblock < len(table) else -1
+            if blk < 0:
                 raise ProtocolError(
-                    f"bucket {self.name}: retire of unmapped block "
-                    f"{self._first_vblock}"
+                    f"bucket {self.name}: retire of unmapped block {vblock}"
                 )
             self.pool.release(blk)
-            self._first_vblock += 1
-            self.retire_at += self.slots_per_block
-            self.blocks_retired += 1
+            table[vblock] = -1
+            self.retire_at += spb
             retired += 1
         return retired
 
     def reset(self) -> None:
         """Free everything (bucket rotation starts a fresh epoch)."""
-        for blk in self._table.values():
-            self.pool.release(blk)
-        self._table.clear()
-        self._first_vblock = 0
-        self._next_vblock = 0
-        self.capacity = 0
+        for blk in self.table:
+            if blk >= 0:
+                self.pool.release(blk)
+        del self.table[:]
         self.retire_at = self.slots_per_block
 
     # -- slot access ---------------------------------------------------------- #
@@ -163,20 +160,21 @@ class BucketStorage:
         k = len(vertices)
         if k == 0:
             return
-        spb = self.slots_per_block
-        if start + k > self.capacity or start < self._first_vblock * spb:
-            raise ProtocolError(
-                f"bucket {self.name}: write [{start}, {start + k}) outside "
-                f"allocated range"
-            )
+        if start < 0 or start + k > self.capacity:
+            self._outside(start, k)
         vertex_lane = self.pool.vertex_lane
         dist_lane = self.pool.dist_lane
         wpb = self.pool.words_per_block
+        spb = self.slots_per_block
+        table = self.table
         pos = 0
         while pos < k:
             vblock, off = divmod(start + pos, spb)
             take = min(k - pos, spb - off)
-            w = self._table[vblock] * wpb + off
+            blk = table[vblock]
+            if blk < 0:
+                self._outside(start, k)
+            w = blk * wpb + off
             if take == k:  # the common case: one run, no slicing
                 vertex_lane[w : w + k] = vertices
                 dist_lane[w : w + k] = dists
@@ -185,15 +183,22 @@ class BucketStorage:
                 dist_lane[w : w + take] = dists[pos : pos + take]
             pos += take
 
+    def _outside(self, start: int, k: int):
+        raise ProtocolError(
+            f"bucket {self.name}: write [{start}, {start + k}) outside "
+            f"allocated range"
+        )
+
     def _runs(self, start: int, end: int):
         """Slots ``[start, end)`` as ``(block, offset, count)`` runs, one
         per storage block the range touches."""
         spb = self.slots_per_block
+        table = self.table
         idx = start
         while idx < end:
             vblock, off = divmod(idx, spb)
-            blk = self._table.get(vblock)
-            if blk is None:
+            blk = table[vblock] if 0 <= vblock < len(table) else -1
+            if blk < 0:
                 raise ProtocolError(
                     f"bucket {self.name}: read of unallocated slot {idx}"
                 )

@@ -26,7 +26,14 @@ Data structure recap from the paper:
 Each slot is a vertex word and a distance word.  The distance is written
 through a float64 view of the arena, so the word holds its float64 bit
 pattern, and the same storage serves int- and float-weighted graphs
-(like the artifact's single GR payload word).  The queue's counters are
+(like the artifact's single GR payload word).  The metadata a writer
+touches — ``resv``, each bucket's WCC array and its block table — lives
+in ``array('q')`` buffers, so the native publish call of
+:mod:`repro.native` updates it in place through one
+:class:`~repro.native.QueueCtx` and Python indexes the same buffers;
+:meth:`BucketQueue.refresh_native` re-points that context wherever a
+buffer can move (block allocation, bucket rotation).  ``read`` is one
+too, as the MTB compares it with ``resv`` whole.  The other counters are
 Python ints: every protocol operation touches a handful of values, where
 NumPy's per-call dispatch would cost more than the work.  For the same
 reason the queue updates its own counters in place and counts each
@@ -38,23 +45,29 @@ A worker reads its assignment through :meth:`BucketQueue.read_runs`
 :meth:`BucketQueue.read_items` (lists, for the Python reference); both
 do the same accounting.  It publishes its winners in one pass: they are
 banded, clipped and split into per-bucket groups in ascending physical
-slot — natively by one ``band_groups`` call of :mod:`repro.native`
-into the worker's buffer, else by :meth:`BucketQueue.push_groups` over
-one :meth:`~BucketQueue.rel_bands_list` call, the same band rule bit for
-bit — and each group then takes one reserve → write → fence → WCC
-sequence (:meth:`~BucketQueue.reserve`, :meth:`~BucketQueue.publish`,
-which takes the group as lists or NumPy views).  The split is the
-bucket split of GPU Multisplit (Ashkiani et al., arXiv:1701.01189): a
-counting pass, then a stable scatter.
+slot, and each group then takes one reserve → write → fence → WCC
+sequence.  Natively that is one ``publish_groups`` call of
+:mod:`repro.native` per batch, which stops at a reservation not yet
+backed by a block and resumes after the worker's capacity wait; the
+worker then adds the call's counts to the queue's (see
+:mod:`repro.core.wtb`).  The Python reference is
+:meth:`BucketQueue.push_groups` over one :meth:`~BucketQueue.rel_bands_list`
+call (the same band rule, bit for bit), then :meth:`~BucketQueue.reserve`
+and :meth:`~BucketQueue.publish` per group; it is the path whenever a
+checker or tracer is attached, as their hooks live on those two
+methods.  The split is the bucket split of GPU Multisplit (Ashkiani et
+al., arXiv:1701.01189): a counting pass, then a stable scatter.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import floor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import native
 from repro.core.block_alloc import BucketStorage, TranslationCache
 from repro.core.config import AddsConfig
 from repro.errors import ProtocolError
@@ -84,25 +97,34 @@ class BucketQueue:
         self.n_buckets = n_buckets
         self.segment_size = config.segment_size
 
-        # shared metadata (global memory on the real device), one int
-        # per bucket
-        self.resv = [0] * n_buckets
-        self.read = [0] * n_buckets
+        # shared metadata (global memory on the real device), one word
+        # per bucket; never replaced, as self.native holds resv's address
+        self.resv = array("q", bytes(8 * n_buckets))
+        self.read = array("q", bytes(8 * n_buckets))
         self.cwc = [0] * n_buckets
         # Bucket reuse epoch: the simulator's stand-in for the monotonic
         # 32-bit circular index.  A completion that arrives after its
         # bucket was recycled (possible only under unsafe_rotation) is
         # dropped from the recycled bucket's CWC but still counts globally.
         self.epoch = [0] * n_buckets
-        # Per-bucket segment WCC counters, indexed by segment number
-        # (grown on demand as buckets gain capacity).
-        self.wcc: List[List[int]] = [
-            [0] * self._initial_segments() for _ in range(n_buckets)
-        ]
+        # Per-bucket segment WCC counters, indexed by segment number;
+        # ensure_capacity grows each to cover its bucket's capacity.
+        self.wcc: List[array] = [array("q") for _ in range(n_buckets)]
         self.storage = [
             BucketStorage(pool, config.slots_per_block, name=f"b{i}")
             for i in range(n_buckets)
         ]
+        # where the native publish call finds that metadata
+        self._bucket_addrs = array("q", bytes(32 * n_buckets))
+        self.native = native.QueueCtx(
+            n_buckets=n_buckets, segment_size=self.segment_size,
+            slots_per_block=config.slots_per_block,
+            words_per_block=pool.words_per_block,
+            resv=self.resv.buffer_info()[0],
+            bucket=self._bucket_addrs.buffer_info()[0],
+        )
+        for slot in range(n_buckets):
+            self.refresh_native(slot)
         self.mtb_cache = TranslationCache()
         # Wake-channel keys for capacity waiters, one per bucket; WTBs
         # register on cap_keys[slot] and ensure_capacity notifies it.
@@ -130,16 +152,15 @@ class BucketQueue:
         # detached, full SRMW invariant enforcement when attached
         self._checker = None
 
-    def _initial_segments(self) -> int:
-        """WCC array size covering one storage block's worth of slots."""
-        return max(1, -(-self.config.slots_per_block // self.segment_size))
-
-    def _wcc_through(self, slot: int, last_seg: int) -> List[int]:
-        """The bucket's WCC list, grown (×2 amortized) to index ``last_seg``."""
-        wcc = self.wcc[slot]
-        if last_seg >= len(wcc):
-            wcc += [0] * (max(last_seg + 1, 2 * len(wcc)) - len(wcc))
-        return wcc
+    def refresh_native(self, slot: int) -> None:
+        """Point :attr:`native` at bucket ``slot``'s WCC array and block
+        table, and at the pool's arena, after any of them may have
+        moved."""
+        addrs = self._bucket_addrs
+        i = 4 * slot
+        addrs[i], addrs[i + 1] = self.wcc[slot].buffer_info()
+        addrs[i + 2], addrs[i + 3] = self.storage[slot].table.buffer_info()
+        self.native.pool = self.pool.address
 
     def attach_tracer(
         self, tracer: Optional[Tracer], clock: Callable[[], float]
@@ -224,8 +245,9 @@ class BucketQueue:
         can observe.  Items keep their input order inside a group.  A
         batch that falls in one band comes back as one group without
         being split.  The warm-start seed and the Python reference path
-        split through here; the native ``band_groups`` of
-        :mod:`repro.native` is held to it group for group.
+        split through here; the native ``publish_groups`` of
+        :mod:`repro.native` is held to it, with the writer path after it,
+        bit for bit.
         """
         dists = [dist[u] for u in vertices]
         if not dists:
@@ -268,7 +290,8 @@ class BucketQueue:
         return start
 
     def ensure_capacity(self, slot: int, slots: int) -> int:
-        """Grow a bucket's block table to ``slots`` (MTB allocator path).
+        """Grow a bucket's block table, and its WCC array with it, to
+        ``slots`` (MTB allocator path).
 
         Returns blocks added; growth notifies the bucket's capacity wake
         channel so a WTB stalled on an unbacked reservation re-checks.
@@ -279,6 +302,11 @@ class BucketQueue:
         if slots <= storage.capacity:
             return 0
         added = storage.ensure_capacity(slots)
+        wcc = self.wcc[slot]
+        short = -(-storage.capacity // self.segment_size) - len(wcc)
+        if short > 0:
+            wcc.frombytes(bytes(8 * short))
+        self.refresh_native(slot)
         if self._device is not None:
             self._device.notify(self.cap_keys[slot])
         return added
@@ -297,13 +325,15 @@ class BucketQueue:
             # before the write: a publish outside the writer's own
             # reservation must fail before it corrupts storage
             self._checker.on_publish(slot, int(start), k)
-        self.storage[slot].write_range(start, vertices, dists)
-        stats = self.mem.stats
-        stats.fences += 1  # items fully written before WCC increments
         ss = self.segment_size
         first = start // ss
         last = (start + k - 1) // ss
-        wcc = self._wcc_through(slot, last)
+        wcc = self.wcc[slot]
+        if last >= len(wcc):
+            raise ProtocolError(f"bucket {slot}: segment {last} has no WCC")
+        self.storage[slot].write_range(start, vertices, dists)
+        stats = self.mem.stats
+        stats.fences += 1  # items fully written before WCC increments
         # one atomicAdd per touched segment: partial ends, full middle
         stats.atomics += last - first + 1
         lo = start
@@ -458,7 +488,8 @@ class BucketQueue:
         # CWC may lag resv under unsafe rotation; the epoch bump reroutes
         # those late completions to the global counter only.
         self.storage[slot].reset()
-        self.wcc[slot] = [0] * len(self.wcc[slot])
+        self.wcc[slot] = array("q", bytes(8 * len(self.wcc[slot])))
+        self.refresh_native(slot)
         self.resv[slot] = 0
         self.read[slot] = 0
         self.cwc[slot] = 0

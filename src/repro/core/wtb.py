@@ -28,20 +28,27 @@ solve and shared by every worker.  Natively (``relax.c`` of
 :mod:`repro.native`), a worker's items and winners never become Python
 lists: the relax kernel reads the assignment straight out of the bucket
 arena as ``(address, count)`` runs and writes the winners into a buffer
-of that worker's own, and at publication one ``band_groups`` call bands,
-clips and splits them into per-bucket groups there; each group reaches
-``publish`` as NumPy views.  Python keeps every protocol seam: the
-reservations, the capacity wait, the checker hooks, the fence and WCC
-bumps and the tracer.  Where no C compiler is found, or
-``REPRO_NATIVE=0`` is set, the items come as lists from
+of that worker's own, and at publication one ``publish_groups`` call
+bands, clips and splits them into per-bucket groups there and runs each
+group's reserve → write → fence → WCC sequence on the queue's own
+metadata.  It stops at a reservation not yet backed by a block; the
+worker waits for capacity and calls again to resume.  Python adds each
+call's counts to the queue's and the memory stats before its next
+yield, so the MTB sees every count when it would on the Python path.
+Where no C compiler is found, or ``REPRO_NATIVE=0`` is set, the items
+come as lists from
 :meth:`~repro.core.bucket_queue.BucketQueue.read_items`, the batch runs
-as one loop over Python scalars through zero-copy memoryviews, and
-:meth:`~repro.core.bucket_queue.BucketQueue.push_groups` splits the
-winners; that path is the reference the kernels are tested against, bit
-for bit.  Each worker's step 2 runs alone in its own event: the
-single-reader MTB hands out assignments one at a time, so too few
-workers are ready at one timestamp for fusing their relaxations to pay
-(see ``docs/simulator.md``).
+as one loop over Python scalars through zero-copy memoryviews, and the
+winners are published by the Python loop:
+:meth:`~repro.core.bucket_queue.BucketQueue.push_groups` splits them and
+each group takes ``reserve``, the capacity wait and ``publish``.  That
+loop is also the publication path of every solve with a protocol checker
+or an enabled tracer, whose hooks, injected faults and trace events live
+on ``reserve`` and ``publish``; it is the reference the kernels are
+tested against, bit for bit.  Each worker's step 2 runs alone in its own
+event: the single-reader MTB hands out assignments one at a time, so
+too few workers are ready at one timestamp for fusing their relaxations
+to pay (see ``docs/simulator.md``).
 """
 
 from __future__ import annotations
@@ -61,18 +68,20 @@ AF_STOP = 2
 
 
 def make_relax(state):
-    """The WTB relaxation phase (step 2) and its push groups (step 3), as
-    two per-solve closures ``(relax, groups)`` shared by every worker.
+    """The WTB relaxation phase (step 2) and its publication (step 3), as
+    two per-solve closures ``(relax, publish)`` shared by every worker.
 
     ``relax(wid)`` decodes worker ``wid``'s AF, reads the assigned items,
     drops stale ones, relaxes the live vertices' out-edges and prices the
     batch.  It returns the plain tuple
     ``(slot, k, epoch, n_live, edges, latency, nbytes, nw)``, ``nw`` the
     number of winning destinations, which the worker keeps until it
-    publishes them.  ``groups(wid, nw)`` is that publication's split: the
-    winners at their distances as of the call, banded under the current
-    Δ, as ``(slot, vertices, dists)`` groups in ascending physical slot
-    with the winners' order inside each group.
+    publishes them.  ``publish(wid, nw)`` is a generator for that
+    publication: it bands the winners at their distances as of its start
+    under the current Δ, splits them into groups in ascending physical
+    slot, and pushes each group (reserve, write, fence, WCC).  It yields
+    the worker's ``("wait", ...)`` for a reservation not yet backed by a
+    block and returns the batch's push cost in cycles.
 
     The edges relax in batch order, each as ``atomicMin`` would: a
     candidate below the stored distance stores itself and its source as
@@ -87,15 +96,18 @@ def make_relax(state):
 
     Both run in the native kernels of :mod:`repro.native` when they load
     (:func:`_native_steps`), else as :meth:`BucketQueue.read_items
-    <repro.core.bucket_queue.BucketQueue.read_items>`, the Python loop of
-    :func:`_python_batch` and :meth:`BucketQueue.push_groups
-    <repro.core.bucket_queue.BucketQueue.push_groups>`; both give
-    bit-identical results.
+    <repro.core.bucket_queue.BucketQueue.read_items>` and the Python
+    loop of :func:`_python_batch`.  Publication is native too, with one
+    exception: a solve with a checker attached or a tracer enabled
+    publishes through the Python loop of :func:`_python_publish`
+    whichever relax it runs, because the checker's hooks, the injected
+    faults and the ``bucket_push``/``alloc_wait`` events live on
+    ``reserve`` and ``publish``.  Every combination gives bit-identical
+    results.
     """
     dev = state.device
     cost = dev.cost
     mem_stats = dev.mem.stats
-    q = state.queue
     graph = state.graph
     float_weights = state.float_weights
     avg_deg = max(graph.average_degree(), 1.0)
@@ -114,8 +126,14 @@ def make_relax(state):
     lib = native.load()
     steps = None if lib is None else _native_steps(state, lib)
     if steps is None:
-        steps = _python_steps(state)
-    batch, groups = steps
+        batch, winners = _python_steps(state)
+        publish = None
+    else:
+        batch, winners, publish = steps
+    # The one switch to the Python publication loop: no kernel, or a
+    # checker or tracer, whose hooks live on reserve and publish.
+    if publish is None or checker is not None or dev.tracer.enabled:
+        publish = _python_publish(state, winners)
 
     def relax(wid: int):
         slot = af_slot[wid]
@@ -144,29 +162,70 @@ def make_relax(state):
         latency, nbytes = priced
         return (slot, k, epoch, n_live, edges, latency, nbytes, nw)
 
-    return relax, groups
+    return relax, publish
 
 
 def _python_steps(state):
-    """The reference ``(batch, groups)`` of :func:`make_relax`: the items
+    """The reference ``(batch, winners)`` of :func:`make_relax`: the items
     read as lists, :func:`_python_batch`, and each worker's winners kept
-    as a list until :meth:`BucketQueue.push_groups
-    <repro.core.bucket_queue.BucketQueue.push_groups>` splits them."""
-    q = state.queue
-    read_items = q.read_items
-    push_groups = q.push_groups
+    as a list until ``winners(wid, nw)`` hands them to
+    :func:`_python_publish`."""
+    read_items = state.queue.read_items
     relax_batch = _python_batch(state)
-    dist = memoryview(state.dist)
     pending = [None] * len(state.af_state)  # each worker's winners
 
     def batch(wid, slot, start, end):
         n_live, edges, pending[wid] = relax_batch(*read_items(slot, start, end))
         return n_live, edges, len(pending[wid])
 
-    def groups(wid, nw):
-        return push_groups(pending[wid], dist)
+    def winners(wid, nw):
+        return pending[wid]
 
-    return batch, groups
+    return batch, winners
+
+
+def _python_publish(state, winners):
+    """The reference ``publish`` of :func:`make_relax`: the worker's
+    winners (``winners(wid, nw)``, a list) split by
+    :meth:`BucketQueue.push_groups
+    <repro.core.bucket_queue.BucketQueue.push_groups>`, then per group
+    ``reserve``, the capacity wait and ``publish``."""
+    dev = state.device
+    q = state.queue
+    tracer = dev.tracer
+    trace_on = tracer.enabled
+    push_groups = q.push_groups
+    reserve = q.reserve
+    storage = q.storage
+    q_publish = q.publish
+    cap_keys = q.cap_keys
+    atomic_cycles = dev.cost.atomic_cycles
+    dist = memoryview(state.dist)
+
+    def publish(wid, nw):
+        push_cost = 0.0
+        for s, vs, ds in push_groups(winners(wid, nw), dist):
+            kk = len(vs)
+            idx0 = reserve(s, kk)
+            need = idx0 + kk
+            st = storage[s]
+            if st.capacity < need:
+                # block not allocated yet: wait for the MTB
+                if trace_on:
+                    tracer.instant(
+                        f"WTB{wid}", "alloc_wait", dev.now_us, cat="alloc",
+                        bucket=s, need=need, capacity=st.capacity,
+                    )
+                yield (
+                    "wait",
+                    lambda st=st, need=need: st.capacity >= need,
+                    cap_keys[s],
+                )
+            segs = q_publish(s, idx0, vs, ds)
+            push_cost += atomic_cycles * (1 + segs) + 4.0 * kk
+        return push_cost
+
+    return publish
 
 
 def _python_batch(state):
@@ -236,9 +295,9 @@ def _python_batch(state):
 
 
 def _native_steps(state, lib):
-    """:func:`_python_steps` as calls into the ``relax.c`` kernels:
-    ``(batch, groups)``, or ``None`` when the arrays do not have the
-    layout the kernels assume.
+    """:func:`_python_steps` and the publication as calls into the
+    ``relax.c`` kernels: ``(batch, winners, publish)``, or ``None`` when
+    the arrays do not have the layout the kernels assume.
 
     The kernels get raw addresses, so this closure holds every array they
     point into — the graph's CSR arrays (the live weight buffer, so
@@ -251,8 +310,10 @@ def _native_steps(state, lib):
     at ``max_chunk`` slots and grows to the largest batch's edge count.
     The winners go into the worker's own :class:`~repro.native.WinBuf`,
     where they wait across the relax and capacity-wait yields while other
-    workers' batches run, and where ``groups`` bands and splits them in
-    one ``band_groups`` call.  A batch may write as many winners as it
+    workers' batches run, and where ``publish`` bands, splits and pushes
+    them through ``publish_groups`` and the queue's
+    :class:`~repro.native.QueueCtx`; ``winners`` lists them for the
+    Python publication instead.  A batch may write as many winners as it
     has edges, so before each relax call the worker's buffers grow to the
     win log's current size: another worker may have grown the log since.
     """
@@ -275,7 +336,7 @@ def _native_steps(state, lib):
         return None
     q = state.queue
     nb = q.n_buckets
-    ctx = native.RelaxCtx(n=n, m=m, n_buckets=nb)
+    ctx = native.RelaxCtx(n=n, m=m)
     pinned = {}  # every array whose address ctx holds
     log_cap = 0
 
@@ -296,17 +357,15 @@ def _native_steps(state, lib):
     buf_addr = [ctypes.addressof(b) for b in bufs]
     buf_cap = [0] * n_wtbs
     held = [None] * n_wtbs  # each worker's (win, grp_v, grp_d, grp) arrays
-    grp_view = [None] * n_wtbs  # grp: the clips, then (slot, size) pairs
 
     def grow_buf(wid, slots):
         arrays = held[wid] = (
             np.empty(slots, dtype=np.int64), np.empty(slots, dtype=np.int64),
-            np.empty(slots, dtype=np.float64), np.zeros(2 + 3 * nb, dtype=np.int64),
+            np.empty(slots, dtype=np.float64), np.zeros(3 * nb, dtype=np.int64),
         )
         buf = bufs[wid]
         buf.cap = buf_cap[wid] = slots
         buf.win, buf.grp_v, buf.grp_d, buf.grp = (a.ctypes.data for a in arrays)
-        grp_view[wid] = memoryview(arrays[3])
 
     cap = state.config.max_chunk  # the MTB's largest assignment
     point(ro=ro, col=col, w=wts, dist=dist, pred=pred,
@@ -318,7 +377,6 @@ def _native_steps(state, lib):
     runs_p = runs.ctypes.data
     ctx_p = ctypes.addressof(ctx)
     kernel = lib.relax_i32 if graph.is_integer_weighted else lib.relax_f32
-    band_groups = lib.band_groups
     read_runs = q.read_runs
     checker = state.checker
     views = (memoryview(ro), memoryview(col), memoryview(wts))
@@ -351,24 +409,54 @@ def _native_steps(state, lib):
             checker.on_atomic_min_batch(dist, *arrays, winners)
         return n_live, edges, nw
 
-    def groups(wid, nw):
-        ng = band_groups(ctx_p, buf_addr[wid], nw, q.base_dist, q.delta, q.head)
-        if ng < 0:
-            _raise_bad_index(ng, 0, (), n)
-        g = grp_view[wid]
-        if g[0] or g[1]:
-            q.low_clips += g[0]
-            q.high_clips += g[1]
-        _, grp_v, grp_d, _ = held[wid]
-        out = []
-        off = 0
-        for i in range(2, 2 + 2 * ng, 2):
-            end = off + g[i + 1]
-            out.append((g[i], grp_v[off:end], grp_d[off:end]))
-            off = end
-        return out
+    def winners(wid, nw):
+        return held[wid][0][:nw].tolist()
 
-    return batch, groups
+    return batch, winners, _native_publish(state, lib, ctx_p, bufs)
+
+
+def _native_publish(state, lib, ctx_p, bufs):
+    """The native ``publish`` of :func:`make_relax`: one
+    ``publish_groups`` call per batch, with the relax context at
+    ``ctx_p`` (its win log is the band's scratch) and worker ``wid``'s
+    winners in ``bufs[wid]``, and one more call after each capacity
+    wait."""
+    q = state.queue
+    publish_groups = lib.publish_groups
+    qc_p = ctypes.addressof(q.native)
+    buf_addr = [ctypes.addressof(b) for b in bufs]
+    storage = q.storage
+    cap_keys = q.cap_keys
+    mem_stats = state.device.mem.stats
+    atomic_cycles = state.device.cost.atomic_cycles
+
+    def publish(wid, nw):
+        buf = bufs[wid]
+        code = publish_groups(ctx_p, buf_addr[wid], qc_p, nw, q.base_dist,
+                              q.delta, q.head, atomic_cycles)
+        while True:
+            # the call's counts land before the worker's next yield, when
+            # reserve and publish would have made them
+            pushed = buf.pushed
+            q.total_pushed += pushed
+            q.pushes_since_check += pushed
+            q.tail_pushes_since_check += buf.tail_pushed
+            mem_stats.atomics += buf.atomics
+            mem_stats.fences += buf.fences
+            q.low_clips += buf.low_clips
+            q.high_clips += buf.high_clips
+            if code == 0:
+                return buf.push_cost
+            if code != native.PUBLISH_WAIT:
+                _raise_publish(code, buf)
+            st = storage[buf.slot]
+            need = buf.need
+            yield ("wait", lambda: st.capacity >= need, cap_keys[buf.slot])
+            code = publish_groups(ctx_p, buf_addr[wid], qc_p,
+                                  native.PUBLISH_RESUME, q.base_dist, q.delta,
+                                  q.head, atomic_cycles)
+
+    return publish
 
 
 def _batch_arrays(live, ro, col, wts, dist_arr):
@@ -406,9 +494,28 @@ def _raise_bad_index(code, bad, verts, n):
     )
 
 
-def wtb_program(state, wid: int, relax, groups):
+def _raise_publish(code, buf):
+    """The ``ProtocolError`` of a failed ``publish_groups`` call, worded
+    as :meth:`BucketQueue.publish
+    <repro.core.bucket_queue.BucketQueue.publish>` words it."""
+    s = buf.slot
+    if code == native.PUBLISH_UNMAPPED:
+        raise ProtocolError(
+            f"bucket b{s}: write [{buf.bad}, {buf.need}) outside allocated range"
+        )
+    if code == native.PUBLISH_NO_WCC:
+        raise ProtocolError(f"bucket {s}: segment {buf.bad} has no WCC")
+    if code == native.PUBLISH_WCC_FULL:
+        raise ProtocolError(
+            f"bucket {s}: segment {buf.bad} WCC {buf.count} exceeds N"
+        )
+    _raise_bad_index(code, 0, (), 0)
+
+
+def wtb_program(state, wid: int, relax, publish):
     """Generator program for worker ``wid`` over the shared solver state;
-    ``relax`` and ``groups`` are the solve's :func:`make_relax` closures."""
+    ``relax`` and ``publish`` are the solve's :func:`make_relax`
+    closures."""
     dev = state.device
     q = state.queue
     af_state = state.af_state
@@ -419,15 +526,10 @@ def wtb_program(state, wid: int, relax, groups):
     # when it writes this worker's AF, so the engine re-evaluates the
     # predicate O(assignments) times instead of on every event.
     af_key = ("af", wid)
-    cap_keys = q.cap_keys
     # Hoisted hot-path lookups: this loop body runs once per assignment,
     # tens of thousands of times per solve.
     trace_on = tracer.enabled
-    reserve = q.reserve
-    storage = q.storage
-    publish = q.publish
     complete = q.complete
-    atomic_cycles = dev.cost.atomic_cycles
     af_edges = state.af_edges
 
     while True:
@@ -446,30 +548,9 @@ def wtb_program(state, wid: int, relax, groups):
 
         # ---- publication at batch completion ---------------------------------
         if nw:
-            # one pass from winners to per-bucket groups, at the winners'
-            # distances as of now: other WTBs' batches may have improved
-            # them since this one relaxed
-            push_cost = 0.0
-            for s, vs, ds in groups(wid, nw):
-                kk = len(vs)
-                idx0 = reserve(s, kk)
-                need = idx0 + kk
-                st = storage[s]
-                if st.capacity < need:
-                    # block not allocated yet: wait for the MTB
-                    # (bind loop variables via defaults)
-                    if trace_on:
-                        tracer.instant(
-                            track, "alloc_wait", dev.now_us, cat="alloc",
-                            bucket=s, need=need, capacity=st.capacity,
-                        )
-                    yield (
-                        "wait",
-                        lambda st=st, need=need: st.capacity >= need,
-                        cap_keys[s],
-                    )
-                segs = publish(s, idx0, vs, ds)
-                push_cost += atomic_cycles * (1 + segs) + 4.0 * kk
+            # at the winners' distances as of now: other WTBs' batches
+            # may have improved them since this one relaxed
+            push_cost = yield from publish(wid, nw)
             yield ("busy", push_cost)
 
         complete(slot, k, epoch)

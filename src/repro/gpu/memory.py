@@ -15,7 +15,8 @@ produced by these atomics are trivially correct; what this module adds is
 - an **arena** (:class:`GlobalPool`) from which the ADDS block
   allocator draws its 64 Ki-word blocks, standing in for the paper's
   "large block of pre-allocated GPU memory" (§5.3); the WTB relax
-  kernel reads its work items there in place, by address.
+  kernel reads its work items there in place, by address, and the
+  native publish call writes the worker's new items there the same way.
 """
 
 from __future__ import annotations

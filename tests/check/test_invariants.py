@@ -32,7 +32,7 @@ def make_checked_queue(**cfgkw):
     pool = GlobalPool(cfg.pool_blocks, words_per_block=32)
     q = BucketQueue(mem, pool, cfg, initial_delta=10.0)
     for s in range(4):
-        q.storage[s].ensure_capacity(128)
+        q.ensure_capacity(s, 128)
     dev = Device(default_gpu())
     checker = ProtocolChecker()
     checker.attach(device=dev, queue=q)

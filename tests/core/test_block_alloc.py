@@ -7,7 +7,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from repro.core.block_alloc import BucketStorage, TranslationCache
+from repro.core.block_alloc import N_SETS, BucketStorage, TranslationCache
 from repro.errors import AllocationError, ProtocolError
 from repro.gpu.memory import GlobalPool
 
@@ -25,13 +25,13 @@ def storage(pool):
 class TestCapacity:
     def test_starts_empty(self, storage):
         assert storage.capacity == 0
-        assert storage.blocks_allocated - storage.blocks_retired == 0
+        assert list(storage.table) == []
 
     def test_ensure_capacity_allocates_blocks(self, storage):
         added = storage.ensure_capacity(100)
         assert added == 2
         assert storage.capacity == 128
-        assert storage.blocks_allocated - storage.blocks_retired == 2
+        assert list(storage.table) == [0, 1]  # virtual block -> pool block
 
     def test_ensure_capacity_idempotent(self, storage):
         storage.ensure_capacity(100)
@@ -108,6 +108,9 @@ class TestFifoRetire:
         assert storage.retire_below(64) == 1
         assert storage.retire_below(190) == 1  # only block 1 fully below
         assert pool.blocks_in_use == 1
+        # retired entries read -1; the capacity stays where it was
+        assert list(storage.table) == [-1, -1, 2]
+        assert (storage.capacity, storage.retire_at) == (192, 192)
 
     def test_data_above_retire_point_survives(self, storage):
         storage.ensure_capacity(192)
@@ -124,9 +127,11 @@ class TestFifoRetire:
 
     def test_reset_frees_everything(self, storage, pool):
         storage.ensure_capacity(256)
+        storage.retire_below(64)
         storage.reset()
         assert pool.blocks_in_use == 0
         assert storage.capacity == 0
+        assert list(storage.table) == [] and storage.retire_at == 64
         # reusable after reset
         storage.ensure_capacity(64)
         storage.write_range(0, [1], [2.0])
@@ -137,38 +142,28 @@ class TestFifoRetire:
         for epoch in range(10):
             s.ensure_capacity((epoch + 1) * 640)  # keeps growing virtually
             s.retire_below(epoch * 640 + 600)
-        assert s.blocks_allocated - s.blocks_retired <= 2
+        assert sum(blk >= 0 for blk in s.table) <= 2
         assert pool.high_water < pool.num_blocks
 
 
 class TestTranslationCache:
     def test_miss_then_hit(self):
-        c = TranslationCache(n_sets=4)
+        c = TranslationCache()
         assert c.access(3) is False
         assert c.access(3) is True
         assert c.hits == 1 and c.misses == 1
 
     def test_direct_mapped_conflict(self):
-        c = TranslationCache(n_sets=4)
+        c = TranslationCache()
         c.access(1)
-        c.access(5)  # same set (5 % 4 == 1): evicts
+        c.access(1 + N_SETS)  # same set: evicts
         assert c.access(1) is False
-
-    def test_invalidate(self):
-        c = TranslationCache(n_sets=2)
-        c.access(0)
-        c.invalidate()
-        assert c.access(0) is False
-
-    def test_bad_sets(self):
-        with pytest.raises(AllocationError):
-            TranslationCache(n_sets=0)
 
     def test_sequential_scan_mostly_hits(self):
         """FIFO access pattern: each block is touched many times in a row,
         so the direct-mapped cache almost always hits — the paper's reason
         the extra indirection is cheap."""
-        c = TranslationCache(n_sets=8)
+        c = TranslationCache()
         for i in range(1000):
             c.access(i // 100)
         assert c.hits / (c.hits + c.misses) > 0.98

@@ -26,7 +26,7 @@ def make_queue(
     pool = GlobalPool(cfg.pool_blocks, words_per_block=slots_per_block)
     q = BucketQueue(mem, pool, cfg, initial_delta=delta)
     for s in range(n_buckets):
-        q.storage[s].ensure_capacity(4 * slots_per_block)
+        q.ensure_capacity(s, 4 * slots_per_block)
     return q
 
 

@@ -1,14 +1,17 @@
 """The native kernels (``repro.native``) against the Python path.
 
 The Python path of ``repro.core.wtb`` (items read as lists, the relax
-loop, ``push_groups``) is the reference: every solve that runs through
+loop, and the publication loop of ``push_groups``, ``reserve`` and
+``publish``) is the reference: every solve that runs through
 the kernels must equal it bit for bit, and so must the arrays a protocol
 checker is shown.  The relax kernel also has to reject index arrays, and
 vertex words in the arena, that would send it outside its buffers; the
-worker buffers have to keep up with a win log other workers grow; and
-the loader has to survive two processes compiling into one cache at
-once and a host without a C compiler.  ``test_protocol_properties.py``
-holds the band call to ``push_groups``.
+worker buffers have to keep up with a win log other workers grow; a
+publication has to resume after its capacity wait against an arena that
+moved; and the loader has to survive two processes compiling into one
+cache at once and a host without a C compiler.
+``test_protocol_properties.py`` holds the publish call to the Python
+publication loop.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ import pytest
 
 import repro
 from repro import native
+from repro.calibration import default_gpu
 from repro.check import ProtocolChecker
 from repro.core import AddsConfig, solve_adds
 from repro.core.bucket_queue import BucketQueue
 from repro.core.wtb import _native_steps, _python_batch, _python_steps
 from repro.dynamic import apply_updates
 from repro.errors import GraphConstructionError, ProtocolError
+from repro.gpu.device import Device
 from repro.gpu.memory import GlobalPool, SimMemory
 from repro.graphs import fem_mesh, grid_road, rmat, update_stream
 
@@ -149,6 +154,36 @@ def test_win_log_grows_under_unpublished_winners(monkeypatch):
     assert kernel == _observed(solve_adds(graph, 0, config=config))
 
 
+@needs_kernel
+def test_publication_resumes_after_the_arena_moves(monkeypatch):
+    """32-slot blocks and 4-item chunks keep workers waiting for capacity
+    while rmat's hubs push into the same buckets, and the MTB's grants
+    grow the pool past INITIAL_BLOCKS, which moves the arena.  A waiting
+    worker's publish_groups call resumes against the moved arena (and
+    block tables) and gives what the Python loop gives."""
+    lib = native.load()
+    real = lib.publish_groups
+    at_wait, moved = {}, []
+
+    def spy(ctx, buf, qc, nw, *rest):
+        arena = native.QueueCtx.from_address(qc).pool
+        if nw == native.PUBLISH_RESUME:
+            moved.append(at_wait.pop(buf) != arena)
+        code = real(ctx, buf, qc, nw, *rest)
+        if code == native.PUBLISH_WAIT:
+            at_wait[buf] = arena
+        return code
+
+    monkeypatch.setattr(lib, "publish_groups", spy)
+    graph = rmat(9, edge_factor=8, seed=7)
+    config = AddsConfig(max_chunk=4, slots_per_block=32, segment_size=16)
+    kernel = _observed(solve_adds(graph, 0, config=config))
+    assert any(moved) and not at_wait
+    assert kernel[4]["pool_high_water"] > GlobalPool.INITIAL_BLOCKS
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    assert kernel == _observed(solve_adds(graph, 0, config=config))
+
+
 class TestBadIndices:
     """An index array corrupted after construction raises a typed error
     instead of sending the kernel, or the Python loop, outside its
@@ -235,8 +270,9 @@ class TestBadIndices:
         dist = np.full(n, np.inf)
         dist[:8] = 0.0
         state = SimpleNamespace(graph=g, dist=dist, pred=np.full(n, -1),
-                                queue=q, config=config, af_state=[0], checker=None)
-        batch, _ = steps(state)
+                                queue=q, config=config, af_state=[0], checker=None,
+                                device=Device(default_gpu()))
+        batch = steps(state)[0]
         with pytest.raises(ProtocolError, match=f"work item 3 names vertex {n},"):
             batch(0, 0, 2, 8)
         assert np.isinf(dist[8:]).all() and (state.pred == -1).all()

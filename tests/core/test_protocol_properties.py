@@ -10,6 +10,7 @@ value-level properties of the codec, the batch atomics and the solver.
 from __future__ import annotations
 
 import ctypes
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import native
+from repro.calibration import default_gpu
 from repro.core import delta_controller
 from repro.core.bucket_queue import BucketQueue
 from repro.core.config import AddsConfig
+from repro.core.wtb import _native_publish, _python_publish
+from repro.errors import ProtocolError
+from repro.gpu.device import Device
 from repro.gpu.memory import GlobalPool, SimMemory
 
 
@@ -33,7 +38,7 @@ def fresh_queue(segment_size=4):
     )
     pool = GlobalPool(64, words_per_block=32)
     q = BucketQueue(SimMemory(), pool, cfg, initial_delta=10.0)
-    q.storage[0].ensure_capacity(512)
+    q.ensure_capacity(0, 512)
     return q
 
 
@@ -150,36 +155,75 @@ def windowed_queues(head, base, delta):
     return queues
 
 
-def band_groups(q, vertices, dist):
-    """The native ``band_groups`` call of one worker's winners, on
-    hand-built buffers, as ``push_groups`` returns it: ``(slot,
-    vertices, dists)`` groups; the clips are counted into ``q``."""
-    nw, nb = len(vertices), q.n_buckets
-    arrays = {
-        "dist": np.asarray(dist, dtype=np.float64),
-        "log_u": np.empty(nw, dtype=np.int64),
-        "log_d": np.empty(nw),
-    }
-    ctx = native.RelaxCtx(log_cap=nw, n_buckets=nb, **{
-        name: arr.ctypes.data for name, arr in arrays.items()
-    })
-    win = np.array(vertices, dtype=np.int64)
-    grp_v, grp_d = np.empty(nw, dtype=np.int64), np.empty(nw)
-    grp = np.full(2 + 3 * nb, -1, dtype=np.int64)
-    buf = native.WinBuf(cap=nw, win=win.ctypes.data, grp_v=grp_v.ctypes.data,
-                        grp_d=grp_d.ctypes.data, grp=grp.ctypes.data)
-    ng = native.load().band_groups(
-        ctypes.addressof(ctx), ctypes.addressof(buf), nw, q.base_dist,
-        q.delta, q.head,
-    )
-    q.low_clips += int(grp[0])
-    q.high_clips += int(grp[1])
-    bounds = np.cumsum([0, *grp[3 : 3 + 2 * ng : 2]])
-    return [
-        (int(grp[2 + 2 * g]), grp_v[bounds[g] : bounds[g + 1]].tolist(),
-         grp_d[bounds[g] : bounds[g + 1]].tolist())
-        for g in range(ng)
-    ]
+def publishing_queue(head, base, delta, prior, backed):
+    """A queue on its own device whose window is at ``(head, base, delta)``,
+    with ``prior[s]`` slots of bucket ``s`` already reserved (by writers
+    that have not published yet) and ``backed[s]`` blocks allocated."""
+    dev = Device(default_gpu())
+    cfg = AddsConfig(n_buckets=4, segment_size=4, slots_per_block=32,
+                     pool_blocks=64, max_active_buckets=4)
+    q = BucketQueue(dev.mem, GlobalPool(64, words_per_block=32), cfg,
+                    initial_delta=10.0)
+    q.set_delta(delta)
+    q.base_dist = base
+    q.head = head
+    for s in range(q.n_buckets):
+        q.resv[s] = prior[s]
+        q.ensure_capacity(s, 32 * backed[s])
+    return q, dev
+
+
+def publishers(q, dev, vertices, dist):
+    """Worker 0's ``publish`` of ``vertices`` (their distances in
+    ``dist``), natively and through the Python loop, on the queue each
+    is given: ``{"native": publish(q), "python": publish(q)}``."""
+    def native_publish(q):
+        nw, nb = len(vertices), q.n_buckets
+        arrays = [np.asarray(dist, dtype=np.float64), np.empty(nw, dtype=np.int64),
+                  np.empty(nw), np.array(vertices, dtype=np.int64),
+                  np.empty(nw, dtype=np.int64), np.empty(nw),
+                  np.zeros(3 * nb, dtype=np.int64)]
+        d, log_u, log_d, win, grp_v, grp_d, grp = (a.ctypes.data for a in arrays)
+        ctx = native.RelaxCtx(log_cap=nw, dist=d, log_u=log_u, log_d=log_d)
+        buf = native.WinBuf(cap=nw, win=win, grp_v=grp_v, grp_d=grp_d, grp=grp)
+        state = SimpleNamespace(queue=q, device=dev)
+        publish = _native_publish(state, native.load(), ctypes.addressof(ctx), [buf])
+        return lambda: (yield from publish(0, nw)), (arrays, ctx, buf)
+
+    def python_publish(q):
+        state = SimpleNamespace(queue=q, device=dev, dist=np.asarray(dist, dtype=np.float64))
+        publish = _python_publish(state, lambda wid, nw: list(vertices))
+        return lambda: (yield from publish(0, len(vertices))), state
+
+    return {"native": native_publish, "python": python_publish}
+
+
+def drive(publish, q):
+    """Run one publication to its end, granting each capacity wait
+    exactly the capacity it needs: ``(waits, push_cost)``, each wait as
+    ``(bucket, need)``."""
+    gen, _held = publish
+    gen = gen()
+    waits = []
+    try:
+        while True:
+            kind, ready, key = next(gen)
+            s = q.cap_keys.index(key)
+            need = q.resv[s]  # the waiting group's reservation is the last
+            assert kind == "wait" and not ready()
+            waits.append((s, need))
+            q.ensure_capacity(s, need)
+            assert ready()
+    except StopIteration as done:
+        return waits, done.value
+
+
+def queue_state(q, dev):
+    """Everything the writer path leaves behind, bit for bit."""
+    stats = dev.mem.stats
+    return (list(q.resv), [list(w) for w in q.wcc], q.pool.storage.tobytes(),
+            q.total_pushed, q.pushes_since_check, q.tail_pushes_since_check,
+            stats.atomics, stats.fences, q.low_clips, q.high_clips)
 
 
 class TestPushGroupsProperties:
@@ -211,23 +255,80 @@ class TestPushGroupsProperties:
         assert (q.low_clips, q.high_clips) == (0, 0)
 
     @pytest.mark.skipif(native.load() is None, reason="native kernels unavailable")
-    @given(push_batches())
+    @given(
+        batch=push_batches(),
+        prior=st.lists(st.integers(0, 80), min_size=4, max_size=4),
+        backed=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    )
     # band boundaries where floor((d - base) / delta) is one band off, and
     # where the inexact quotient needs float //'s round-up to the integer
-    @example(([0.03, 0.9], 0, 0.0, 0.01))
-    @example(([84.21770554777032], 1, 74.31770554777032, 3.3))
-    @settings(max_examples=300)
-    def test_band_call_matches_push_groups(self, batch):
+    @example(batch=([0.03, 0.9], 0, 0.0, 0.01), prior=[0] * 4, backed=[0] * 4)
+    @example(batch=([84.21770554777032], 1, 74.31770554777032, 3.3),
+             prior=[5, 40, 0, 70], backed=[1, 1, 0, 2])
+    @settings(max_examples=300, deadline=None)
+    def test_publish_call_matches_python_loop(self, batch, prior, backed):
+        """The native publication equals the Python loop's: the same
+        capacity waits in order, reservations, WCC arrays, arena words,
+        counters, clips and push cost, while the grants grow the pool
+        (and move its arena) between a wait and its resume."""
         dists, head, base, delta = batch
-        q, ref = windowed_queues(head, base, delta)
         vertices = [7 * i + 3 for i in range(len(dists))]
         dist = np.zeros(vertices[-1] + 1)
         dist[vertices] = dists
+        got = {}
+        for path in ("native", "python"):
+            q, dev = publishing_queue(head, base, delta, prior, backed)
+            waits, push_cost = drive(publishers(q, dev, vertices, dist)[path](q), q)
+            got[path] = waits, push_cost.hex(), queue_state(q, dev)
+        assert got["native"] == got["python"]
 
-        expect = [(s, list(vs), list(ds))
-                  for s, vs, ds in ref.push_groups(vertices, dist.tolist())]
-        assert band_groups(q, vertices, dist) == expect
-        assert (q.low_clips, q.high_clips) == (ref.low_clips, ref.high_clips)
+
+class TestPublishErrors:
+    """A group the writer path must refuse raises ``ProtocolError`` on
+    both paths; natively the failing group writes no slot."""
+
+    def setup(self, path, spoil):
+        q, dev = publishing_queue(0, 0.0, 10.0, [4, 0, 0, 0], [2, 0, 0, 0])
+        spoil(q)
+        vertices = [3, 5, 7]
+        dist = np.zeros(8)  # every winner bands into bucket 0
+        arena = q.pool.storage.copy()
+        return q, publishers(q, dev, vertices, dist)[path](q), arena
+
+    @pytest.mark.parametrize("path", [
+        pytest.param("native", marks=pytest.mark.skipif(
+            native.load() is None, reason="native kernels unavailable")),
+        "python",
+    ])
+    def test_full_segment(self, path):
+        # slots [4, 7) fall in segment 1, which already counts N
+        def spoil(q):
+            q.wcc[0][1] = q.segment_size
+
+        q, publish, arena = self.setup(path, spoil)
+        with pytest.raises(ProtocolError, match="bucket 0: segment 1 WCC 7 exceeds N"):
+            drive(publish, q)
+        if path == "native":
+            assert np.array_equal(q.pool.storage, arena)
+            assert list(q.wcc[0][:2]) == [0, q.segment_size]
+
+    @pytest.mark.parametrize("path", [
+        pytest.param("native", marks=pytest.mark.skipif(
+            native.load() is None, reason="native kernels unavailable")),
+        "python",
+    ])
+    def test_retired_block_inside_the_reservation(self, path):
+        # slots [30, 33) straddle blocks 0 and 1; block 1's entry is gone
+        def spoil(q):
+            q.resv[0] = 30
+            q.storage[0].table[1] = -1
+
+        q, publish, arena = self.setup(path, spoil)
+        with pytest.raises(ProtocolError,
+                           match=r"bucket b0: write \[30, 33\) outside allocated range"):
+            drive(publish, q)
+        if path == "native":
+            assert np.array_equal(q.pool.storage, arena)
 
 
 class TestAtomicMinBatchProperties:

@@ -37,7 +37,7 @@ def make_queue(delta: float = 10.0, **cfgkw) -> BucketQueue:
     pool = GlobalPool(cfg.pool_blocks, words_per_block=cfg.slots_per_block)
     q = BucketQueue(mem, pool, cfg, initial_delta=delta)
     for s in range(q.n_buckets):
-        q.storage[s].ensure_capacity(4 * cfg.slots_per_block)
+        q.ensure_capacity(s, 4 * cfg.slots_per_block)
     return q
 
 
